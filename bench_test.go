@@ -119,9 +119,9 @@ func BenchmarkAblationBypass(b *testing.B) {
 // BenchmarkRunWhirlpoolDt measures the simulator's own throughput on the
 // flagship workload (not a paper figure; a library micro-benchmark).
 func BenchmarkRunWhirlpoolDt(b *testing.B) {
-	opt := &whirlpool.Options{Scale: *benchScale}
+	e := whirlpool.New("delaunay", whirlpool.Whirlpool, whirlpool.WithScale(*benchScale))
 	for i := 0; i < b.N; i++ {
-		if _, err := whirlpool.Run("delaunay", whirlpool.Whirlpool, opt); err != nil {
+		if _, err := e.Run(); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -33,7 +33,6 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"io"
 	"net"
 	"net/http"
 	"net/http/pprof"
@@ -77,30 +76,14 @@ func parseInflight(s string) (map[string]int, error) {
 	return limits, nil
 }
 
-// resolveWorkers interprets -workers: a URL list is coordinator mode;
-// a plain integer is the flag's deprecated pre-distributed meaning
-// (simulation parallelism, now -parallel), kept working with a
-// deprecation warning on warn.
-func resolveWorkers(workersFlag string, parallelSet bool, parallel *int, warn io.Writer) ([]string, error) {
-	if workersFlag == "" {
-		return nil, nil
-	}
-	if n, err := strconv.Atoi(workersFlag); err == nil {
-		// An explicit -parallel alongside integer -workers is
-		// contradictory — refuse rather than silently pick one.
-		if parallelSet {
-			return nil, fmt.Errorf("-workers %d conflicts with -parallel %d: integer -workers is the old name for -parallel; use one", n, *parallel)
-		}
-		fmt.Fprintf(warn, "whirld: -workers %d is deprecated; use -parallel %d\n", n, n)
-		*parallel = n
-		return nil, nil
-	}
-	// Only the scheme is validated here; the fleet registry owns URL
-	// normalization (trimming, dedup) for every caller.
+// resolveWorkers parses -workers, the coordinator's static worker URL
+// list. Only the scheme is validated here; the fleet registry owns URL
+// normalization (trimming, dedup) for every caller.
+func resolveWorkers(workersFlag string) ([]string, error) {
 	var urls []string
 	for _, u := range cliutil.SplitList(workersFlag) {
 		if !strings.HasPrefix(u, "http://") && !strings.HasPrefix(u, "https://") {
-			return nil, fmt.Errorf("-workers: %q is not a worker URL (want http://host:port, or a plain integer for -parallel)", u)
+			return nil, fmt.Errorf("-workers: %q is not a worker URL (want http://host:port)", u)
 		}
 		urls = append(urls, u)
 	}
@@ -126,7 +109,7 @@ func main() {
 	addr := flag.String("addr", "127.0.0.1:8080", "listen address (use :0 for an ephemeral port; the bound address is printed)")
 	storeFlag := flag.String("store", "auto", cliutil.StoreUsage)
 	traceCache := flag.String("trace-cache", "", cliutil.TraceCacheUsage)
-	workersFlag := flag.String("workers", "", "coordinator mode: comma-separated worker whirld base URLs (http://host:port) to shard sweeps across as static fleet members; a plain integer is accepted as -parallel, the flag's deprecated pre-distributed meaning")
+	workersFlag := flag.String("workers", "", "coordinator mode: comma-separated worker whirld base URLs (http://host:port) to shard sweeps across as static fleet members")
 	join := flag.String("join", "", "worker mode: register with this coordinator whirld (http://host:port) and renew a heartbeat lease until shutdown")
 	advertise := flag.String("advertise", "", "base URL the coordinator dials this worker at (with -join; default: derived from the bound -addr)")
 	leaseTTL := flag.Duration("lease-ttl", 0, "coordinator: how long a joined worker survives without a heartbeat before its lease expires and its cells re-route to survivors (0 = 10s)")
@@ -138,13 +121,7 @@ func main() {
 	flag.Parse()
 	cliutil.HandleVersion("whirld", *version)
 
-	parallelSet := false
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == "parallel" {
-			parallelSet = true
-		}
-	})
-	workerURLs, err := resolveWorkers(*workersFlag, parallelSet, parallel, os.Stderr)
+	workerURLs, err := resolveWorkers(*workersFlag)
 	if err != nil {
 		fatal(err)
 	}

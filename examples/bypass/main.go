@@ -13,11 +13,11 @@ import (
 )
 
 func main() {
-	opt := &whirlpool.Options{Scale: 0.5}
+	scale := whirlpool.WithScale(0.5)
 
-	jig, err := whirlpool.Run("MIS", whirlpool.Jigsaw, opt)
+	jig, err := whirlpool.New("MIS", whirlpool.Jigsaw, scale).Run()
 	check(err)
-	whl, err := whirlpool.Run("MIS", whirlpool.Whirlpool, opt)
+	whl, err := whirlpool.New("MIS", whirlpool.Whirlpool, scale).Run()
 	check(err)
 
 	fmt.Println("mis under Jigsaw vs Whirlpool:")
@@ -31,7 +31,7 @@ func main() {
 	fmt.Println("paper (Sec 3.3): +38% performance, -53% data movement energy")
 
 	// The same classification, discovered automatically.
-	pools, err := whirlpool.AutoClassify("MIS", 2, opt)
+	pools, err := whirlpool.New("MIS", whirlpool.Whirlpool, scale).Classify(2)
 	check(err)
 	fmt.Println("\nWhirlTool's automatic 2-pool classification:")
 	for i, g := range pools {

@@ -15,7 +15,6 @@ import (
 )
 
 func main() {
-	opt := &whirlpool.Options{}
 	variants := []whirlpool.ParallelVariant{
 		whirlpool.ParSNUCA,
 		whirlpool.ParJigsaw,
@@ -25,7 +24,7 @@ func main() {
 	fmt.Println("pagerank on 16 cores (RMAT graph, 16 partitions):")
 	var base whirlpool.Report
 	for i, v := range variants {
-		r, err := whirlpool.RunParallel("pagerank", v, opt)
+		r, err := whirlpool.RunParallel("pagerank", v)
 		if err != nil {
 			panic(err)
 		}

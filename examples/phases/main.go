@@ -11,11 +11,11 @@ import (
 )
 
 func main() {
-	opt := &whirlpool.Options{Scale: 0.5}
+	scale := whirlpool.WithScale(0.5)
 
-	jig, err := whirlpool.Run("lbm", whirlpool.Jigsaw, opt)
+	jig, err := whirlpool.New("lbm", whirlpool.Jigsaw, scale).Run()
 	check(err)
-	whl, err := whirlpool.Run("lbm", whirlpool.Whirlpool, opt)
+	whl, err := whirlpool.New("lbm", whirlpool.Whirlpool, scale).Run()
 	check(err)
 
 	fmt.Printf("lbm: Whirlpool vs Jigsaw: %+.1f%% performance, %+.1f%% energy\n",

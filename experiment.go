@@ -19,9 +19,7 @@ import (
 //		whirlpool.WithSeed(42),
 //	).Run()
 //
-// The legacy Run/Compare/RunParallel/AutoClassify functions are thin
-// shims over Experiment; with default options every result is
-// bit-identical to theirs.
+// RunParallel runs the task-parallel suite with the same options.
 type Experiment struct {
 	app    string
 	scheme Scheme
@@ -276,9 +274,9 @@ func (e *Experiment) Classify(pools int) ([][]string, error) {
 	return out, nil
 }
 
-// runParallelVariant backs the public RunParallel shim: parallel apps
-// reuse the experiment's harness configuration (scale, seed, reconfig
-// period) on the 16-core chip.
+// runParallelVariant backs RunParallel: parallel apps reuse the
+// experiment's harness configuration (scale, seed, reconfig period) on
+// the 16-core chip.
 func (e *Experiment) runParallelVariant(v experiments.ParallelVariant, label Scheme) (Report, error) {
 	if e.err != nil {
 		return Report{}, e.err

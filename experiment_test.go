@@ -19,23 +19,6 @@ import (
 	"whirlpool/internal/trace"
 )
 
-// The builder with default options must produce bit-identical reports
-// to the legacy Run shim (which itself routes through the builder, so
-// this also pins harness-cache stability across both paths).
-func TestBuilderMatchesLegacyRun(t *testing.T) {
-	legacy, err := whirlpool.Run("mcf", whirlpool.Whirlpool, &whirlpool.Options{Scale: 0.05})
-	if err != nil {
-		t.Fatal(err)
-	}
-	built, err := whirlpool.New("mcf", whirlpool.Whirlpool, whirlpool.WithScale(0.05)).Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if legacy != built {
-		t.Fatalf("builder report differs from legacy:\n%+v\n%+v", legacy, built)
-	}
-}
-
 func TestBuilderOptionErrorsDeferred(t *testing.T) {
 	if _, err := whirlpool.New("mcf", whirlpool.Jigsaw, whirlpool.WithScale(-1)).Run(); err == nil {
 		t.Fatal("negative scale did not error")

@@ -37,8 +37,8 @@ import (
 // so errors.As works from any wrapping depth.
 type Error struct {
 	// Code is the envelope's machine-readable error code ("bad_request",
-	// "queue_full", ...). Empty when the server predates the envelope or
-	// the body was not decodable; Status still identifies the failure.
+	// "queue_full", ...). Empty when the body was not an envelope;
+	// Status still identifies the failure.
 	Code string
 	// Message is the human-readable half of the envelope (or the raw
 	// body when no envelope was present).
@@ -74,17 +74,12 @@ func ErrorStatus(err error) int {
 	return 0
 }
 
-// envelope is the wire shape of every non-2xx /v1 body. Error is kept
-// raw because pre-envelope daemons sent {"error": "message"} with a
-// plain string — decodable either way, so a new client still reads old
-// servers' failures.
+// envelope is the wire shape of every non-2xx /v1 body.
 type envelope struct {
-	Error json.RawMessage `json:"error"`
-}
-
-type envelopeBody struct {
-	Code    string `json:"code"`
-	Message string `json:"message"`
+	Error struct {
+		Code    string `json:"code"`
+		Message string `json:"message"`
+	} `json:"error"`
 }
 
 // decodeError builds the *Error for a non-2xx response from its body
@@ -98,18 +93,10 @@ func decodeError(resp *http.Response, body []byte) *Error {
 		}
 	}
 	var env envelope
-	if json.Unmarshal(body, &env) == nil && len(env.Error) > 0 {
-		var eb envelopeBody
-		if json.Unmarshal(env.Error, &eb) == nil && eb.Message != "" {
-			e.Code = eb.Code
-			e.Message = eb.Message
-			return e
-		}
-		var legacy string
-		if json.Unmarshal(env.Error, &legacy) == nil && legacy != "" {
-			e.Message = legacy
-			return e
-		}
+	if json.Unmarshal(body, &env) == nil && env.Error.Message != "" {
+		e.Code = env.Error.Code
+		e.Message = env.Error.Message
+		return e
 	}
 	msg := strings.TrimSpace(string(body))
 	if len(msg) > 512 {

@@ -35,9 +35,9 @@ func TestNewRejectsBadBases(t *testing.T) {
 	}
 }
 
-// TestErrorEnvelope: the envelope decodes into code+message, legacy
-// flat-string bodies still yield the message, and garbage bodies fall
-// back to raw text — never a decode failure.
+// TestErrorEnvelope: the envelope decodes into code+message, and any
+// other body (a bare-string error, plain text) falls back to raw text —
+// never a decode failure.
 func TestErrorEnvelope(t *testing.T) {
 	cases := []struct {
 		name, body  string
@@ -68,7 +68,7 @@ func TestErrorEnvelope(t *testing.T) {
 		{
 			name: "legacy flat string", status: 404,
 			body:        `{"error":"no such job \"j9\""}`,
-			wantMessage: `no such job "j9"`,
+			wantMessage: `{"error":"no such job \"j9\""}`,
 		},
 		{
 			name: "plain text body", status: 500,

@@ -104,11 +104,6 @@ func TestCellsEndpoint(t *testing.T) {
 	if jobsM["shards"] != float64(1) {
 		t.Fatalf("shard counter = %v", m["jobs"])
 	}
-	var flat map[string]any
-	getJSON(t, ts.URL+"/metrics?format=flat", &flat)
-	if flat["whirld.jobs.shards"] != float64(1) {
-		t.Fatalf("flat shard counter = %v", flat["whirld.jobs.shards"])
-	}
 }
 
 // TestCellsValidation: malformed shard requests are 400s.

@@ -165,21 +165,9 @@ func TestElasticDispatch(t *testing.T) {
 		t.Fatalf("fleet metrics = %v", fl)
 	}
 	dw := m["dispatch"].(map[string]any)["workers"].(map[string]any)
-	if dw["alive"] != float64(1) {
-		t.Fatalf("dispatch.workers = %v", dw)
-	}
 	per := dw["per_worker"].(map[string]any)
 	if _, ok := per[worker.URL]; !ok {
 		t.Fatalf("per_worker missing %s: %v", worker.URL, per)
-	}
-	var flat map[string]any
-	getJSON(t, coord.URL+"/metrics?format=flat", &flat)
-	if flat["whirld.fleet.alive"] != float64(1) || flat["whirld.dispatch.workers.alive"] != float64(1) {
-		t.Fatalf("flat fleet metrics missing: alive=%v workers.alive=%v",
-			flat["whirld.fleet.alive"], flat["whirld.dispatch.workers.alive"])
-	}
-	if _, ok := flat["whirld.dispatch.worker."+worker.URL+".computed"]; !ok {
-		t.Fatal("flat per-worker counters missing")
 	}
 }
 

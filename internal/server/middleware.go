@@ -129,27 +129,6 @@ func (s *Server) instrument(ep *endpoint, injectCtx bool, h http.HandlerFunc) ht
 	}
 }
 
-// endpointStats renders one endpoint's /metrics object.
-func (ep *endpoint) stats() map[string]any {
-	snap := ep.hist.snapshot()
-	out := map[string]any{
-		"requests": ep.requests.Load(),
-		"inflight": ep.inflight.Load(),
-		"shed":     ep.shed.Load(),
-		"latency": map[string]any{
-			"count":   snap.count,
-			"mean_ms": roundMS(snap.meanUS()),
-			"p50_ms":  roundMS(snap.quantile(0.50)),
-			"p95_ms":  roundMS(snap.quantile(0.95)),
-			"p99_ms":  roundMS(snap.quantile(0.99)),
-		},
-	}
-	if ep.limit > 0 {
-		out["limit"] = ep.limit
-	}
-	return out
-}
-
 // endpointsByName returns the endpoints sorted by name for stable
 // /metrics output.
 func (s *Server) endpointsByName() []*endpoint {

@@ -3,142 +3,16 @@ package server
 import (
 	"fmt"
 	"io"
-	"net/http"
-	"runtime"
 	"strings"
-	"time"
 )
 
-// writeProm renders the daemon's metrics in Prometheus text exposition
-// format 0.0.4 (GET /metrics?format=prom). The mapping from the JSON
-// tree is mechanical: dotted namespaces become underscore-joined
-// whirld_* names, monotonic counters get the _total suffix, and each
-// endpoint latency histogram is exposed as per-quantile gauges
-// (whirld_endpoint_latency_ms{endpoint,quantile}) plus an observation
-// counter — the daemon keeps quantile snapshots, not raw buckets, so a
-// summary-style surface is the honest rendering. `whirltool promlint`
-// validates this output in CI (obs-smoke).
-func (s *Server) writeProm(w http.ResponseWriter) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	w.WriteHeader(http.StatusOK)
-	p := promWriter{w: w}
-
-	st := s.cfg.Store.Stats()
-	fst := s.fleet.Stats()
-
-	p.gauge("whirld_uptime_seconds", "Seconds since the daemon started.",
-		"", float64(int64(time.Since(s.started).Seconds())))
-	p.gauge("whirld_goroutines", "Live goroutines in the daemon process.",
-		"", float64(runtime.NumGoroutine()))
-	p.counter("whirld_spans_total", "Trace spans recorded since start.",
-		"", float64(s.tracer.Total()))
-	p.counter("whirld_shed_total", "Requests shed by per-endpoint concurrency limits.",
-		"", float64(s.metrics.shed.Load()))
-
-	p.counter("whirld_jobs_submitted_total", "Jobs accepted onto the queue.",
-		"", float64(s.metrics.jobsSubmitted.Load()))
-	p.counter("whirld_jobs_done_total", "Jobs finished successfully.",
-		"", float64(s.metrics.jobsDone.Load()))
-	p.counter("whirld_jobs_failed_total", "Jobs that failed.",
-		"", float64(s.metrics.jobsFailed.Load()))
-	p.counter("whirld_jobs_canceled_total", "Jobs canceled before finishing.",
-		"", float64(s.metrics.jobsCanceled.Load()))
-	p.counter("whirld_shard_jobs_total", "Shard jobs accepted via POST /v1/cells.",
-		"", float64(s.metrics.shardJobs.Load()))
-	p.counter("whirld_rows_served_total", "Sweep cells served from the result store.",
-		"", float64(s.metrics.rowsServed.Load()))
-	p.counter("whirld_rows_computed_total", "Sweep cells simulated.",
-		"", float64(s.metrics.rowsComputed.Load()))
-	p.counter("whirld_row_marshal_errors_total", "SSE rows surfaced as error rows because they could not be marshaled.",
-		"", float64(s.metrics.rowMarshalErrs.Load()))
-
-	p.counter("whirld_dispatch_redispatched_total", "Cells moved off dead workers to survivors.",
-		"", float64(s.metrics.redispatched.Load()))
-	p.counter("whirld_dispatch_workers_lost_total", "Workers that died mid-shard.",
-		"", float64(s.metrics.workersLost.Load()))
-	p.counter("whirld_dispatch_rebalances_total", "Dispatch rounds run against a changed fleet membership.",
-		"", float64(s.metrics.rebalances.Load()))
-
-	p.gauge("whirld_fleet_alive", "Fleet members currently alive.", "", float64(fst.Alive))
-	p.gauge("whirld_fleet_dead", "Fleet members currently dead.", "", float64(fst.Dead))
-	p.counter("whirld_fleet_registrations_total", "Worker registrations.", "", float64(fst.Registrations))
-	p.counter("whirld_fleet_heartbeats_total", "Worker heartbeats.", "", float64(fst.Heartbeats))
-	p.counter("whirld_fleet_leases_expired_total", "Worker leases expired.", "", float64(fst.LeasesExpired))
-	p.counter("whirld_fleet_departures_total", "Graceful worker departures.", "", float64(fst.Departures))
-
-	p.counter("whirld_store_hits_total", "Result store lookups served.", "", float64(st.Hits))
-	p.counter("whirld_store_misses_total", "Result store lookups missed.", "", float64(st.Misses))
-	p.counter("whirld_store_puts_total", "Result store commits.", "", float64(st.Puts))
-	p.counter("whirld_store_corrupt_rows_total", "Corrupt rows skipped while reading the store.", "", float64(st.CorruptRows))
-	p.gauge("whirld_store_records", "Records currently in the result store.", "", float64(st.Records))
-
-	// Per-endpoint serving state. One TYPE header per family, then one
-	// sample per endpoint (and per quantile for the latency summary).
-	eps := s.endpointsByName()
-	p.head("whirld_endpoint_requests_total", "Requests received, by endpoint.", "counter")
-	for _, ep := range eps {
-		p.sample("whirld_endpoint_requests_total", promLabels("endpoint", ep.name), float64(ep.requests.Load()))
-	}
-	p.head("whirld_endpoint_inflight", "Requests currently in flight, by endpoint.", "gauge")
-	for _, ep := range eps {
-		p.sample("whirld_endpoint_inflight", promLabels("endpoint", ep.name), float64(ep.inflight.Load()))
-	}
-	p.head("whirld_endpoint_shed_total", "Requests shed, by endpoint.", "counter")
-	for _, ep := range eps {
-		p.sample("whirld_endpoint_shed_total", promLabels("endpoint", ep.name), float64(ep.shed.Load()))
-	}
-	p.head("whirld_endpoint_latency_ms", "Request latency quantile snapshot in milliseconds, by endpoint.", "gauge")
-	quantiles := []struct {
-		q float64
-		s string
-	}{{0.50, "0.5"}, {0.95, "0.95"}, {0.99, "0.99"}}
-	snaps := make([]histSnap, len(eps))
-	for i, ep := range eps {
-		snaps[i] = ep.hist.snapshot()
-	}
-	for i, ep := range eps {
-		for _, q := range quantiles {
-			p.sample("whirld_endpoint_latency_ms",
-				promLabels("endpoint", ep.name, "quantile", q.s),
-				roundMS(snaps[i].quantile(q.q)))
-		}
-	}
-	p.head("whirld_endpoint_latency_observations_total", "Latency observations, by endpoint.", "counter")
-	for i, ep := range eps {
-		p.sample("whirld_endpoint_latency_observations_total", promLabels("endpoint", ep.name), float64(snaps[i].count))
-	}
-
-	// Per-worker dispatch aggregates (coordinator role).
-	s.dispMu.Lock()
-	type workerRow struct {
-		url string
-		agg workerAgg
-	}
-	workers := make([]workerRow, 0, len(s.dispOrder))
-	for _, url := range s.dispOrder {
-		workers = append(workers, workerRow{url, *s.dispWorkers[url]})
-	}
-	s.dispMu.Unlock()
-	if len(workers) > 0 {
-		p.head("whirld_worker_cells_total", "Cells delivered per worker, by resolution.", "counter")
-		for _, wr := range workers {
-			p.sample("whirld_worker_cells_total", promLabels("worker", wr.url, "kind", "served"), float64(wr.agg.served))
-			p.sample("whirld_worker_cells_total", promLabels("worker", wr.url, "kind", "computed"), float64(wr.agg.computed))
-			p.sample("whirld_worker_cells_total", promLabels("worker", wr.url, "kind", "errors"), float64(wr.agg.errors))
-			p.sample("whirld_worker_cells_total", promLabels("worker", wr.url, "kind", "redispatched"), float64(wr.agg.redispatched))
-		}
-		p.head("whirld_worker_dead", "Whether the worker has died mid-shard (1) or not (0).", "gauge")
-		for _, wr := range workers {
-			dead := 0.0
-			if wr.agg.dead {
-				dead = 1
-			}
-			p.sample("whirld_worker_dead", promLabels("worker", wr.url), dead)
-		}
-	}
-}
-
-// promWriter accumulates exposition lines onto an http response.
+// promWriter writes Prometheus text exposition format 0.0.4 (GET
+// /metrics?format=prom). metricsSnap.writeProm drives it from
+// metricTable; each endpoint latency histogram is exposed as
+// per-quantile gauges (whirld_endpoint_latency_ms{endpoint,quantile})
+// plus an observation counter — the daemon keeps quantile snapshots,
+// not raw buckets, so a summary-style surface is the honest rendering.
+// `whirltool promlint` validates the output in CI (obs-smoke).
 type promWriter struct{ w io.Writer }
 
 // head writes the HELP + TYPE preamble for one metric family.
@@ -151,16 +25,6 @@ func (p promWriter) sample(name, labels string, v float64) {
 	fmt.Fprintf(p.w, "%s%s %s\n", name, labels, promFloat(v))
 }
 
-func (p promWriter) counter(name, help, labels string, v float64) {
-	p.head(name, help, "counter")
-	p.sample(name, labels, v)
-}
-
-func (p promWriter) gauge(name, help, labels string, v float64) {
-	p.head(name, help, "gauge")
-	p.sample(name, labels, v)
-}
-
 // promFloat renders a sample value: integral values without an
 // exponent, everything else via %g.
 func promFloat(v float64) string {
@@ -171,8 +35,11 @@ func promFloat(v float64) string {
 }
 
 // promLabels renders k1,v1,k2,v2,... as a label set with escaped
-// values.
+// values, or "" for no labels.
 func promLabels(kv ...string) string {
+	if len(kv) == 0 {
+		return ""
+	}
 	var b strings.Builder
 	b.WriteByte('{')
 	for i := 0; i+1 < len(kv); i += 2 {

@@ -20,7 +20,7 @@
 //	DELETE /v1/workers/{id}     a worker leaves gracefully
 //	GET    /v1/workers          fleet roster (alive + dead)
 //	GET    /healthz             liveness + build identity
-//	GET    /metrics             expvar-style counters
+//	GET    /metrics             metric table as JSON or Prometheus text
 package server
 
 import (

@@ -363,17 +363,10 @@ func TestHealthzAndMetrics(t *testing.T) {
 	if _, ok := m["memstats"]; !ok {
 		t.Fatal("metrics missing memstats")
 	}
-
-	// The legacy flat keys survive behind ?format=flat.
-	var flat map[string]any
-	if code := getJSON(t, ts.URL+"/metrics?format=flat", &flat); code != http.StatusOK {
-		t.Fatalf("flat metrics: %d", code)
-	}
-	if flat["whirld.jobs.submitted"] != float64(1) || flat["whirld.rows.computed"] != float64(1) {
-		t.Fatalf("flat metrics = %v", flat)
-	}
-	if _, ok := flat["server.endpoints.sweeps.latency.p99_ms"]; !ok {
-		t.Fatal("flat metrics missing flattened endpoint latency")
+	disp, _ := m["dispatch"].(map[string]any)
+	dw, _ := disp["workers"].(map[string]any)
+	if pw, ok := dw["per_worker"].(map[string]any); !ok || len(pw) != 0 {
+		t.Fatalf("metrics.dispatch = %v, want an empty per_worker before any dispatch", disp)
 	}
 }
 

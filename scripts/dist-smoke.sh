@@ -97,15 +97,19 @@ curl -fsS "$coord_url/v1/jobs/$id/rows?format=csv" | cut -d, -f1-16,19 > "$dir/d
 diff "$dir/dist.csv" "$dir/direct.csv" || fail "distributed rows differ from the single-node run"
 
 # --- warm resubmit: zero re-simulations on every node ---
-w1_computed=$(curl -fsS "$worker1_url/metrics?format=flat" | sed -n 's/.*"whirld.rows.computed": \([0-9]*\).*/\1/p')
-w2_computed=$(curl -fsS "$worker2_url/metrics?format=flat" | sed -n 's/.*"whirld.rows.computed": \([0-9]*\).*/\1/p')
+computed() { # computed BASEURL -> cells the node has simulated
+    curl -fsS "$1/metrics?format=prom" | sed -n 's/^whirld_rows_computed_total \([0-9]*\)$/\1/p'
+}
+w1_computed=$(computed "$worker1_url")
+w2_computed=$(computed "$worker2_url")
+[ -n "$w1_computed" ] && [ -n "$w2_computed" ] || fail "worker /metrics?format=prom lacks whirld_rows_computed_total"
 id2=$(submit "$req" "$coord_url")
 await "$id2" "$coord_url"
 status=$(curl -fsS "$coord_url/v1/jobs/$id2")
 printf '%s\n' "$status" | grep -q '"served": 4' || fail "warm resubmit did not serve 4 rows: $status"
 printf '%s\n' "$status" | grep -q '"computed": 0' || fail "warm resubmit re-simulated on the coordinator: $status"
-w1_after=$(curl -fsS "$worker1_url/metrics?format=flat" | sed -n 's/.*"whirld.rows.computed": \([0-9]*\).*/\1/p')
-w2_after=$(curl -fsS "$worker2_url/metrics?format=flat" | sed -n 's/.*"whirld.rows.computed": \([0-9]*\).*/\1/p')
+w1_after=$(computed "$worker1_url")
+w2_after=$(computed "$worker2_url")
 [ "$w1_computed" = "$w1_after" ] || fail "warm resubmit re-simulated on worker1 ($w1_computed -> $w1_after)"
 [ "$w2_computed" = "$w2_after" ] || fail "warm resubmit re-simulated on worker2 ($w2_computed -> $w2_after)"
 

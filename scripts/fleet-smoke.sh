@@ -72,8 +72,8 @@ alive() { # alive N WHAT
     fail "fleet never reached $1 alive workers ($2): $(curl -fsS "$coord_url/v1/workers")"
 }
 
-flat() { # flat BASEURL KEY -> value (0 when absent)
-    curl -fsS "$1/metrics?format=flat" | sed -n "s/.*\"$2\": \([0-9]*\).*/\1/p" | grep . || echo 0
+prom() { # prom BASEURL FAMILY -> the unlabeled sample's value (0 when absent)
+    curl -fsS "$1/metrics?format=prom" | sed -n "s/^$2 \([0-9]*\)\$/\1/p" | grep . || echo 0
 }
 
 store="$dir/store"
@@ -110,8 +110,8 @@ printf '%s\n' "$status" | grep -q '"workers"' || fail "job status has no per-wor
 
 # Both joined workers actually computed cells (the grid went through
 # the fleet, not local simulation).
-w1c=$(flat "$worker1_url" whirld.rows.computed)
-w2c=$(flat "$worker2_url" whirld.rows.computed)
+w1c=$(prom "$worker1_url" whirld_rows_computed_total)
+w2c=$(prom "$worker2_url" whirld_rows_computed_total)
 [ "$((w1c + w2c))" -eq 4 ] || fail "workers computed $w1c + $w2c cells, want 4"
 
 # Bit-identity against a single-node run (wall-clock and error columns
@@ -134,9 +134,9 @@ await "$id2"
 status=$(curl -fsS "$coord_url/v1/jobs/$id2")
 printf '%s\n' "$status" | grep -q '"state": "done"' || fail "mid-join sweep failed: $status"
 printf '%s\n' "$status" | grep -q '"done": 8' || fail "mid-join sweep lost cells: $status"
-w3c=$(flat "$worker3_url" whirld.rows.computed)
+w3c=$(prom "$worker3_url" whirld_rows_computed_total)
 [ "$w3c" -gt 0 ] || fail "mid-sweep joiner computed no cells (rebalance never reached it)"
-rebalances=$(flat "$coord_url" whirld.fleet.rebalances)
+rebalances=$(prom "$coord_url" whirld_dispatch_rebalances_total)
 [ "$rebalances" -gt 0 ] || fail "no rebalance recorded for the mid-sweep join"
 
 # --- phase 4: kill -9 a worker; the lease expires and its cells re-route ---
@@ -157,7 +157,7 @@ curl -fsS "$coord_url/v1/jobs/$id3/rows?format=csv" | awk -F, 'NR>1 && $18!=""{b
 # The killed worker's silence must surface as a lease expiry (worker
 # death by missed heartbeats, not just a dropped connection).
 alive 2 "killed worker's lease expired"
-expired=$(flat "$coord_url" whirld.fleet.leases_expired)
+expired=$(prom "$coord_url" whirld_fleet_leases_expired_total)
 [ "$expired" -gt 0 ] || fail "lease expiry not recorded after kill -9"
 curl -fsS "$coord_url/v1/workers" | grep -q '"reason": "lease expired"' \
     || fail "roster does not show the lease expiry: $(curl -fsS "$coord_url/v1/workers")"
@@ -167,7 +167,7 @@ kill -TERM "$worker3_pid"
 wait "$worker3_pid" || fail "worker3 exited non-zero on SIGTERM"
 worker3_pid=
 alive 1 "worker3 deregistered on SIGTERM"
-departures=$(flat "$coord_url" whirld.fleet.departures)
+departures=$(prom "$coord_url" whirld_fleet_departures_total)
 [ "$departures" -gt 0 ] || fail "graceful shutdown did not deregister"
 
 kill -TERM "$coord_pid"

@@ -11,8 +11,8 @@
 #  4. a second spec overdrives /v1/results far past its limit: the
 #     daemon must shed (429 + Retry-After, server.shed counts it) while
 #     /healthz and /v1/jobs keep serving
-#  5. /metrics must show the per-endpoint latency histograms, and
-#     ?format=flat must still carry the legacy whirld.* keys
+#  5. /metrics must show the per-endpoint latency histograms in the
+#     JSON tree and the same counters in ?format=prom
 #  6. every non-2xx /v1 body must be the JSON error envelope
 #
 # Invoked by `make load-smoke` (part of `make ci`).
@@ -130,22 +130,23 @@ curl -fsS -X DELETE "$base/v1/jobs/$sid" > /dev/null || fail "cancel of the slow
 kill "$parked" 2>/dev/null || true
 wait "$parked" 2>/dev/null || true
 
-# --- /metrics: histograms in the tree, legacy keys in ?format=flat ---
+# --- /metrics: histograms in the tree, the same counters in ?format=prom ---
 metrics=$(curl -fsS "$base/metrics")
 printf '%s' "$metrics" | grep -q '"endpoints"' || fail "/metrics lacks server.endpoints"
 printf '%s' "$metrics" | grep -q '"p99_ms"' || fail "/metrics lacks latency histograms"
-flat=$(curl -fsS "$base/metrics?format=flat")
-shedcount=$(printf '%s\n' "$flat" | sed -n 's/.*"server.shed": \([0-9]*\).*/\1/p' | head -1)
-[ -n "$shedcount" ] && [ "$shedcount" -gt 0 ] || fail "server.shed is zero after overdrive"
-printf '%s' "$flat" | grep -q '"whirld.jobs.submitted"' || fail "?format=flat lost legacy whirld.* keys"
-printf '%s' "$flat" | grep -q '"server.endpoints.results.latency.p99_ms"' \
-    || fail "?format=flat lacks flattened endpoint latencies"
+prom=$(curl -fsS "$base/metrics?format=prom")
+shedcount=$(printf '%s\n' "$prom" | sed -n 's/^whirld_shed_total \([0-9]*\)$/\1/p')
+[ -n "$shedcount" ] && [ "$shedcount" -gt 0 ] || fail "whirld_shed_total is zero after overdrive"
+printf '%s\n' "$prom" | grep -q '^whirld_endpoint_latency_ms{endpoint="results",quantile="0.99"} ' \
+    || fail "?format=prom lacks endpoint latency quantiles"
 
 # --- error envelope on every non-2xx /v1 response ---
 curl -s "$base/v1/jobs/nope" | grep -q '"code": *"not_found"' \
     || fail "404 body is not the envelope"
 curl -s "$base/v1/results?limit=bogus" | grep -q '"code": *"bad_request"' \
     || fail "400 body is not the envelope"
+curl -s "$base/metrics?format=flat" | grep -q '"code": *"bad_request"' \
+    || fail "?format=flat is not a 400 envelope"
 
 # Graceful shutdown.
 kill -TERM "$pid"

@@ -22,8 +22,7 @@
 //	fmt.Printf("speedup: %.1f%%\n", 100*(base.Cycles/rep.Cycles-1))
 //
 // Experiments are configured with functional options (see New and the
-// With* options in experiment.go); the original Run/Compare helpers
-// remain as shims.
+// With* options in experiment.go).
 package whirlpool
 
 import (
@@ -74,44 +73,6 @@ func (s Scheme) kind() (schemes.Kind, error) {
 		return "", fmt.Errorf("whirlpool: unknown scheme %q (valid: %v)", s, Schemes())
 	}
 	return k, nil
-}
-
-// Options tune a run the legacy way. The zero value (or nil) uses the
-// defaults the experiments use. New callers should prefer New with
-// functional options, which also reach the harness seed, the reconfig
-// period, chip topology, contexts, and observers.
-type Options struct {
-	// Scale multiplies workload length (default 1.0).
-	Scale float64
-	// Pools overrides data classification with explicit groups of
-	// structure indices. Nil uses the app's manual classification
-	// (Table 2), or one pool if the app was never ported.
-	Pools [][]int
-	// AutoClassify runs WhirlTool (k pools) instead of manual pools.
-	AutoClassify int
-	// DisableBypass turns off VC bypassing (ablation).
-	DisableBypass bool
-}
-
-// options converts the legacy struct into functional options.
-func (o *Options) options() []Option {
-	if o == nil {
-		return nil
-	}
-	var out []Option
-	if o.Scale != 0 {
-		out = append(out, WithScale(o.Scale))
-	}
-	if o.Pools != nil {
-		out = append(out, WithPools(o.Pools...))
-	}
-	if o.AutoClassify > 0 {
-		out = append(out, WithAutoClassify(o.AutoClassify))
-	}
-	if o.DisableBypass {
-		out = append(out, WithoutBypass())
-	}
-	return out
 }
 
 // Report summarizes one simulation run.
@@ -253,7 +214,7 @@ func SpecApps() []string { return workloads.RegisteredNames() }
 type SpecInfo struct {
 	// Name labels the spec set (from the file, or the path).
 	Name string
-	// Apps are the registered app names, now runnable via Run.
+	// Apps are the registered app names, now runnable via New.
 	Apps []string
 	// Mixes maps each mix name to its member apps.
 	Mixes map[string][]string
@@ -294,25 +255,6 @@ func ParallelApps() []string {
 	return out
 }
 
-// Run simulates one app under one scheme on the 4-core chip and returns
-// its report. opt may be nil. It is a shim over New(...).Run().
-func Run(app string, scheme Scheme, opt *Options) (Report, error) {
-	return New(app, scheme, opt.options()...).Run()
-}
-
-// Compare runs an app under every registered scheme. It is a shim over
-// New(...).Compare().
-func Compare(app string, opt *Options) (map[Scheme]Report, error) {
-	return New(app, "", opt.options()...).Compare()
-}
-
-// AutoClassify runs WhirlTool on an app and returns the discovered pools
-// as groups of data-structure names. It is a shim over
-// New(...).Classify(pools).
-func AutoClassify(app string, pools int, opt *Options) ([][]string, error) {
-	return New(app, Whirlpool, opt.options()...).Classify(pools)
-}
-
 // ParallelVariant names a Fig 13 configuration.
 type ParallelVariant string
 
@@ -324,10 +266,11 @@ const (
 	ParWhirlpoolPaWS ParallelVariant = "whirlpool+paws"
 )
 
-// RunParallel simulates a task-parallel app on the 16-core chip. It is
-// a shim over the Experiment machinery, so parallel runs share the
-// harness cache with single-app runs at the same configuration.
-func RunParallel(app string, variant ParallelVariant, opt *Options) (Report, error) {
+// RunParallel simulates a task-parallel app on the 16-core chip. It
+// takes the same options as New (scale, seed and reconfig period
+// apply), so parallel runs share the harness cache with single-app
+// runs at the same configuration.
+func RunParallel(app string, variant ParallelVariant, opts ...Option) (Report, error) {
 	var v experiments.ParallelVariant
 	switch variant {
 	case ParSNUCA:
@@ -344,5 +287,5 @@ func RunParallel(app string, variant ParallelVariant, opt *Options) (Report, err
 	if _, ok := paws.SpecByName(app); !ok {
 		return Report{}, fmt.Errorf("whirlpool: unknown parallel app %q (see ParallelApps())", app)
 	}
-	return New(app, Scheme(string(variant)), opt.options()...).runParallelVariant(v, Scheme(string(variant)))
+	return New(app, Scheme(string(variant)), opts...).runParallelVariant(v, Scheme(string(variant)))
 }

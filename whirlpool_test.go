@@ -8,16 +8,16 @@ import (
 	"whirlpool"
 )
 
-var apiOpt = &whirlpool.Options{Scale: 0.05}
+var apiScale = whirlpool.WithScale(0.05)
 
 func TestRunUnknownApp(t *testing.T) {
-	if _, err := whirlpool.Run("nosuch", whirlpool.Jigsaw, nil); err == nil {
+	if _, err := whirlpool.New("nosuch", whirlpool.Jigsaw).Run(); err == nil {
 		t.Fatal("expected error for unknown app")
 	}
 }
 
 func TestRunUnknownScheme(t *testing.T) {
-	if _, err := whirlpool.Run("delaunay", whirlpool.Scheme("bogus"), nil); err == nil {
+	if _, err := whirlpool.New("delaunay", whirlpool.Scheme("bogus")).Run(); err == nil {
 		t.Fatal("expected error for unknown scheme")
 	}
 }
@@ -44,7 +44,7 @@ func TestAppsListed(t *testing.T) {
 }
 
 func TestRunReportFields(t *testing.T) {
-	r, err := whirlpool.Run("mcf", whirlpool.Whirlpool, apiOpt)
+	r, err := whirlpool.New("mcf", whirlpool.Whirlpool, apiScale).Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +61,7 @@ func TestRunReportFields(t *testing.T) {
 }
 
 func TestCompareCoversAllSchemes(t *testing.T) {
-	m, err := whirlpool.Compare("hull", apiOpt)
+	m, err := whirlpool.New("hull", "", apiScale).Compare()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func TestCompareCoversAllSchemes(t *testing.T) {
 }
 
 func TestAutoClassifyMIS(t *testing.T) {
-	pools, err := whirlpool.AutoClassify("MIS", 2, apiOpt)
+	pools, err := whirlpool.New("MIS", whirlpool.Whirlpool, apiScale).Classify(2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,8 +102,8 @@ func TestAutoClassifyMIS(t *testing.T) {
 }
 
 func TestExplicitPoolsOption(t *testing.T) {
-	r, err := whirlpool.Run("delaunay", whirlpool.Whirlpool,
-		&whirlpool.Options{Scale: 0.05, Pools: [][]int{{0, 1}, {2}}})
+	r, err := whirlpool.New("delaunay", whirlpool.Whirlpool,
+		apiScale, whirlpool.WithPools([]int{0, 1}, []int{2})).Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,11 +116,11 @@ func TestRunParallelVariants(t *testing.T) {
 	if testing.Short() {
 		t.Skip("parallel run is slow")
 	}
-	base, err := whirlpool.RunParallel("fft", whirlpool.ParSNUCA, nil)
+	base, err := whirlpool.RunParallel("fft", whirlpool.ParSNUCA)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wp, err := whirlpool.RunParallel("fft", whirlpool.ParWhirlpoolPaWS, nil)
+	wp, err := whirlpool.RunParallel("fft", whirlpool.ParWhirlpoolPaWS)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,16 +166,16 @@ func TestFiguresListed(t *testing.T) {
 // run length for the D-NUCA runtimes to converge, so it uses a larger
 // scale than the plumbing tests.
 func TestHeadlineOrdering(t *testing.T) {
-	apiOpt := &whirlpool.Options{Scale: 0.2}
-	snuca, err := whirlpool.Run("delaunay", whirlpool.SNUCALRU, apiOpt)
+	scale := whirlpool.WithScale(0.2)
+	snuca, err := whirlpool.New("delaunay", whirlpool.SNUCALRU, scale).Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	jig, err := whirlpool.Run("delaunay", whirlpool.Jigsaw, apiOpt)
+	jig, err := whirlpool.New("delaunay", whirlpool.Jigsaw, scale).Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	whl, err := whirlpool.Run("delaunay", whirlpool.Whirlpool, apiOpt)
+	whl, err := whirlpool.New("delaunay", whirlpool.Whirlpool, scale).Run()
 	if err != nil {
 		t.Fatal(err)
 	}
