@@ -9,7 +9,7 @@ GO ?= go
 VERSION ?= $(shell git describe --tags --always --dirty 2>/dev/null || echo dev)
 LDFLAGS := -ldflags "-X whirlpool/internal/cliutil.buildVersion=$(VERSION)"
 
-.PHONY: build examples test race vet lint fmt fmt-check bench bench-json bench-delta smoke trace-smoke serve-smoke dist-smoke fleet-smoke load-smoke obs-smoke bench-check ci
+.PHONY: build examples test race vet lint fmt fmt-check bench bench-json bench-delta smoke trace-smoke serve-smoke dist-smoke fleet-smoke load-smoke obs-smoke bench-check golden-check ci
 
 build:
 	$(GO) build $(LDFLAGS) ./...
@@ -22,10 +22,10 @@ examples:
 test:
 	$(GO) test ./...
 
-# The concurrency hot spots: the sweep worker pool (same-app batching,
-# per-worker sim.Runner reuse) and the per-app once-cache in the
-# experiments harness, per-goroutine Runners and concurrent mapped-trace
-# cursors in the simulator and trace codec, the result store's
+# The concurrency hot spots: the sweep worker pool (same-app batching)
+# and the per-app once-cache in the experiments harness, concurrent
+# sim.Run calls over shared traces and concurrent mapped-trace cursors
+# in the simulator and trace codec, the result store's
 # concurrent writers, the daemon's job pool + SSE broadcast, the
 # distributed dispatcher's shard fan-out, the fleet registry's
 # heartbeat/expiry races, the load generator's worker/collector fan-in,
@@ -88,6 +88,16 @@ BENCH_ENV := GOFLAGS=-mod=mod GOWORK=off GOPROXY=off GOTOOLCHAIN=local
 bench-check:
 	$(BENCH_ENV) $(GO) -C benchmark vet ./...
 	$(BENCH_ENV) $(GO) -C benchmark test ./...
+
+# The absolute correctness reference: each sweep workload of the
+# benchmark, at the default seed, compares every simulated column of its
+# grid with the committed rows in benchmark/golden/ and exits 1 on any
+# difference. The other gates compare paths with each other; this one
+# also catches a change that moves every path the same way.
+golden-check:
+	bash benchmark/run.sh --workload sweep-cold --seconds 1
+	bash benchmark/run.sh --workload sweep-warm --seconds 1
+	bash benchmark/run.sh --workload mix16 --seconds 1
 
 # End-to-end CLI smoke: the spec engine, the sweep runner, and the
 # error paths CI asserts on (bad flags must exit non-zero).
@@ -186,4 +196,4 @@ load-smoke:
 obs-smoke:
 	GO="$(GO)" sh scripts/obs-smoke.sh
 
-ci: build examples vet lint fmt-check test race bench bench-check smoke trace-smoke serve-smoke dist-smoke fleet-smoke load-smoke obs-smoke
+ci: build examples vet lint fmt-check test race bench bench-check golden-check smoke trace-smoke serve-smoke dist-smoke fleet-smoke load-smoke obs-smoke

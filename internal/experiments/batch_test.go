@@ -90,8 +90,8 @@ func TestBatchByAppSkipsServed(t *testing.T) {
 }
 
 // TestSweepBatchedRowIdentity crosses worker counts (which change how
-// cells batch onto runners) and requires identical rows: batching and
-// runner reuse must be invisible in the output.
+// cells batch onto workers) and requires identical rows: batching must
+// be invisible in the output.
 func TestSweepBatchedRowIdentity(t *testing.T) {
 	apps := []string{"delaunay", "MIS"}
 	kinds := []schemes.Kind{schemes.KindSNUCALRU, schemes.KindWhirlpool}

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"whirlpool/internal/schemes"
-	"whirlpool/internal/sim"
 )
 
 // The harness-level bench trajectory (make bench-json): what one app
@@ -60,27 +59,10 @@ func BenchmarkSimRunDelaunay(b *testing.B) {
 	}
 }
 
-// BenchmarkSimRunnerReuseHarness measures the harness-level per-cell
-// cost when a sweep worker's Runner is threaded through RunSingle: the
-// trace is resident and the replay arenas are reused, so each iteration
-// pays scheme construction + replay only.
-func BenchmarkSimRunnerReuseHarness(b *testing.B) {
-	h := NewHarness(0.05)
-	h.App("delaunay")
-	runner := sim.NewRunner()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r := h.RunSingle("delaunay", schemes.KindSNUCALRU, RunOptions{Runner: runner})
-		if r.Demand == 0 {
-			b.Fatal("empty run")
-		}
-	}
-}
-
 // BenchmarkSweepBatchedSameApp measures the batched sweep shape the
 // scheduler optimizes for: every scheme of one app on one worker, the
-// app's trace built once outside the timer, each cell riding the
-// worker's warm Runner and the shared trace reader.
+// app's trace built once outside the timer, each cell replaying the
+// shared trace reader.
 func BenchmarkSweepBatchedSameApp(b *testing.B) {
 	h := NewHarness(0.05)
 	h.App("delaunay")

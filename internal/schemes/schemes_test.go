@@ -26,8 +26,7 @@ func buildAll(t *testing.T) []llc.LLC {
 			JigsawClassify:    llc.ThreadPrivate,
 			WhirlpoolClassify: llc.ThreadPrivate,
 			ReconfigCycles:    500_000,
-			JigsawBypass:      true,
-			WhirlpoolBypass:   true,
+			Bypass:            true,
 		}))
 	}
 	return out

@@ -20,9 +20,8 @@ func benchCfg(llc *fakeLLC, m *energy.Meter, traces ...trace.Reader) Config {
 	return Config{LLC: llc, Meter: m, Traces: traces}
 }
 
-// BenchmarkSimRunFresh is the pre-arena per-cell cost: every run
-// allocates its replay states, cursor, and scheduler scratch from
-// scratch. Kept as the in-tree baseline for SimRunnerReuse.
+// BenchmarkSimRunFresh is the single-core per-cell cost: every run
+// allocates its replay states, cursor, and scheduler scratch.
 func BenchmarkSimRunFresh(b *testing.B) {
 	tr := benchTrace()
 	llc, m := &fakeLLC{hitLat: 10, missLat: 100}, &energy.Meter{}
@@ -35,37 +34,18 @@ func BenchmarkSimRunFresh(b *testing.B) {
 	}
 }
 
-// BenchmarkSimRunnerReuse is the batched-sweep per-cell cost: one
-// Runner serves every iteration, so replay arenas and the decode cursor
-// are reset, not reallocated. The tracked number is allocs/op — the
-// per-cell sim allocation floor.
-func BenchmarkSimRunnerReuse(b *testing.B) {
-	tr := benchTrace()
-	llc, m := &fakeLLC{hitLat: 10, missLat: 100}, &energy.Meter{}
-	runner := NewRunner()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if r := runner.Run(benchCfg(llc, m, tr, nil, nil, nil)); r.Demand == 0 {
-			b.Fatal("empty run")
-		}
-	}
-}
-
 // BenchmarkSimRunMixMultiCore exercises the lagging-core pick with four
-// active cores under fixed-work Loop — the scan the single-core fast
-// path must not regress.
+// active cores under fixed-work Loop.
 func BenchmarkSimRunMixMultiCore(b *testing.B) {
 	t1, t2 := benchTrace(), mkMixedTrace(40_000, 7, 5)
 	t3, t4 := mkMixedTrace(30_000, 13, 2), mkMixedTrace(20_000, 9, 7)
 	llc, m := &fakeLLC{hitLat: 10, missLat: 100}, &energy.Meter{}
-	runner := NewRunner()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		cfg := benchCfg(llc, m, t1, t2, t3, t4)
 		cfg.Loop = true
-		if r := runner.Run(cfg); r.Demand == 0 {
+		if r := Run(cfg); r.Demand == 0 {
 			b.Fatal("empty run")
 		}
 	}

@@ -10,6 +10,8 @@
 package sim
 
 import (
+	"slices"
+
 	"whirlpool/internal/addr"
 	"whirlpool/internal/energy"
 	"whirlpool/internal/llc"
@@ -116,8 +118,7 @@ type coreState struct {
 	cycles    uint64
 	warmStart uint64 // cycle count when measurement began
 	instrs    uint64
-	passes    int
-	finished  bool // stats frozen
+	finished  bool // pass completed; stats frozen
 	res       CoreResult
 }
 
@@ -134,79 +135,10 @@ func (cs *coreState) next() (a trace.LLCAccess, done bool) {
 	return a, false
 }
 
-// Runner executes simulations while reusing all per-run scratch state —
-// the per-core replay states, the scheduler's pick list, and (when the
-// same trace reader comes back, as it does for every scheme of one app
-// in a batched sweep cell) the decode cursors themselves, rewound
-// instead of reallocated. A sweep worker holds one Runner for its whole
-// cell stream, so per-cell sim setup is a handful of resets instead of a
-// fresh allocation graph.
-//
-// A Runner is not safe for concurrent use; give each goroutine its own.
-// The zero value is ready to use. Results returned by Run are
-// independent of the Runner and stay valid across later runs.
-type Runner struct {
-	cores  []coreState    // per-slot replay state, reused across runs
-	lastTr []trace.Reader // slot i's reader last run; pointer-equal => cursor reuse
-	pick   []int          // scheduler scratch: core indices still in play
-	warm   []int          // warmupPass scratch copy of pick
-}
-
-// NewRunner returns an empty Runner (equivalent to new(Runner)).
-func NewRunner() *Runner { return &Runner{} }
-
-// warmupPass replays every trace once without recording statistics,
-// bringing caches, monitors, and runtimes to steady state. It returns the
-// next Tick deadline.
-func (r *Runner) warmupPass(cfg Config, cores []coreState, pick []int, nextTick uint64) uint64 {
-	// Work on a scratch copy: cores leave the list as they finish their
-	// pass. Ordered removal keeps the scan's ascending-index tie-break,
-	// so results stay bit-identical to the historical full scan.
-	live := append(r.warm[:0], pick...)
-	r.warm = live[:0]
-	for len(live) > 0 {
-		var cs *coreState
-		core, k := live[0], 0
-		if len(live) == 1 {
-			cs = &cores[core]
-		} else {
-			for j, i := range live {
-				c := &cores[i]
-				if cs == nil || c.cycles < cs.cycles {
-					cs, core, k = c, i, j
-				}
-			}
-		}
-		a, done := cs.next()
-		if a.Writeback {
-			_, _ = cfg.LLC.Access(core, a)
-		} else {
-			cs.cycles += uint64(float64(a.Gap) * trace.BaseCPI)
-			lat, _ := cfg.LLC.Access(core, a)
-			cs.cycles += uint64(float64(lat) * trace.LLCStallFactor)
-		}
-		if cs.cycles >= nextTick {
-			cfg.LLC.Tick(cs.cycles)
-			nextTick += cfg.TickEvery
-		}
-		if done {
-			cs.finished = true
-			live = append(live[:k], live[k+1:]...)
-		}
-	}
-	return nextTick
-}
-
-// Run executes the simulation to completion and returns the result. It
-// is shorthand for new(Runner).Run(cfg); hot callers that run many
-// simulations (sweep workers) keep a Runner instead.
+// Run executes one simulation to completion and returns the result.
+// Traces are shared read-only, so concurrent Runs over the same readers
+// are safe as long as each has its own LLC and Meter.
 func Run(cfg Config) *Result {
-	return new(Runner).Run(cfg)
-}
-
-// Run executes one simulation to completion, reusing the Runner's
-// arenas. Results are bit-identical to the package-level Run.
-func (r *Runner) Run(cfg Config) *Result {
 	if cfg.TickEvery == 0 {
 		cfg.TickEvery = DefaultTickEvery
 	}
@@ -215,81 +147,69 @@ func (r *Runner) Run(cfg Config) *Result {
 		res.PoolAccesses = make([]uint64, cfg.NumPools)
 		res.PoolMisses = make([]uint64, cfg.NumPools)
 	}
-	n := len(cfg.Traces)
-	if cap(r.cores) < n {
-		r.cores = make([]coreState, n)
-		r.lastTr = make([]trace.Reader, n)
-	}
-	cores, lastTr := r.cores[:n], r.lastTr[:n]
-	pick := r.pick[:0]
+	cores := make([]coreState, len(cfg.Traces))
+	var live []int
 	for i, t := range cfg.Traces {
-		cs := &cores[i]
 		if t == nil || t.NumAccesses() == 0 {
-			*cs = coreState{}
-			lastTr[i] = nil
 			continue
 		}
-		// Reuse the slot's cursor when the same reader is back (every
-		// scheme of a batched same-app cell group): Reset fully rewinds
-		// decode state, so a rewound cursor is indistinguishable from a
-		// fresh one.
-		cur := cs.cur
-		if cur != nil && lastTr[i] == t {
-			cur.Reset()
-		} else {
-			cur = t.NewCursor()
-			lastTr[i] = t
-		}
-		*cs = coreState{cur: cur, n: t.NumAccesses(), sum: t.Stats()}
-		pick = append(pick, i)
+		cores[i] = coreState{cur: t.NewCursor(), n: t.NumAccesses(), sum: t.Stats()}
+		live = append(live, i)
 	}
-	r.pick = pick[:0]
-	if len(pick) == 0 {
+	if len(live) == 0 {
 		return res
 	}
-	var nextTick uint64 = cfg.TickEvery
+	nextTick := cfg.TickEvery
 	if cfg.Warmup {
-		nextTick = r.warmupPass(cfg, cores, pick, nextTick)
+		nextTick = replay(cfg, res, cores, slices.Clone(live), nextTick, false)
 		// Measurement starts warm: reset timing and energy, keep cache
 		// state. The cursors were rewound as each warmup pass completed.
-		for _, i := range pick {
+		for _, i := range live {
 			c := &cores[i]
-			warmCycles := c.cycles
-			*c = coreState{
-				cur: c.cur, n: c.n, sum: c.sum,
-				cycles: warmCycles, warmStart: warmCycles,
-			}
+			*c = coreState{cur: c.cur, n: c.n, sum: c.sum, cycles: c.cycles, warmStart: c.cycles}
 		}
 		cfg.Meter.Reset()
 	}
-	remaining := len(pick)
-	for remaining > 0 {
-		// Pick the lagging core. The single-active-core case (every
-		// RunSingle sweep cell) needs no scan at all; multi-core mixes
-		// scan the in-play list — ascending core order, matching the
-		// historical full-array scan's tie-break. Under fixed-work (Loop)
-		// finished cores keep running until every core completes at least
-		// one pass; otherwise they leave the list at first completion.
-		var cs *coreState
-		core := -1
-		if len(pick) == 1 {
-			core = pick[0]
-			cs = &cores[core]
-		} else {
-			for _, i := range pick {
-				c := &cores[i]
-				if cs == nil || c.cycles < cs.cycles {
-					cs, core = c, i
-				}
+	replay(cfg, res, cores, live, nextTick, true)
+	res.Cores = make([]CoreResult, len(cores))
+	for i := range cores {
+		cr := cores[i].res
+		res.Cores[i] = cr
+		res.Hits += cr.Hits
+		res.Misses += cr.Misses
+		res.Bypasses += cr.Bypasses
+		res.Demand += cr.Demand
+		res.Instrs += cr.Instrs
+		res.Cycles = max(res.Cycles, cr.Cycles)
+	}
+	res.Energy = *cfg.Meter
+	return res
+}
+
+// replay runs the scheduler until every core in live has completed a
+// pass, always advancing the lagging core (lowest cycle count; ties go
+// to the lower core index) and firing the LLC's Tick every TickEvery
+// cycles. It returns the next Tick deadline.
+//
+// Unmeasured (the warmup), it records nothing, calls neither OnAccess
+// nor OnTick, and each core leaves at its first completed pass.
+// Measured, each core's stats freeze at its first completed pass; under
+// Loop, finished cores keep replaying until every core has finished.
+func replay(cfg Config, res *Result, cores []coreState, live []int, nextTick uint64, measure bool) uint64 {
+	loop := measure && cfg.Loop
+	for remaining := len(live); remaining > 0; {
+		core, k := live[0], 0
+		cs := &cores[core]
+		for j := 1; j < len(live); j++ {
+			if c := &cores[live[j]]; c.cycles < cs.cycles {
+				cs, core, k = c, live[j], j
 			}
 		}
-		if cs == nil {
-			break
-		}
+		record := measure && !cs.finished
 		a, done := cs.next()
 		if a.Writeback {
 			_, _ = cfg.LLC.Access(core, a)
-			if !cs.finished {
+			if record {
 				cs.res.Writebacks++
 			}
 		} else {
@@ -298,7 +218,7 @@ func (r *Runner) Run(cfg Config) *Result {
 			lat, out := cfg.LLC.Access(core, a)
 			lat = uint64(float64(lat) * trace.LLCStallFactor)
 			cs.cycles += lat
-			if !cs.finished {
+			if record {
 				cs.res.Demand++
 				cs.res.LLCStall += lat
 				switch out {
@@ -319,52 +239,28 @@ func (r *Runner) Run(cfg Config) *Result {
 					}
 				}
 			}
-			if cfg.OnAccess != nil {
+			if measure && cfg.OnAccess != nil {
 				cfg.OnAccess(cs.cycles, core, a, lat, out)
 			}
 		}
 		if cs.cycles >= nextTick {
 			cfg.LLC.Tick(cs.cycles)
-			if cfg.OnTick != nil {
+			if measure && cfg.OnTick != nil {
 				cfg.OnTick(cs.cycles)
 			}
 			nextTick += cfg.TickEvery
 		}
-		if done {
-			cs.passes++
-			if !cs.finished {
-				cs.finished = true
+		if done && !cs.finished {
+			cs.finished = true
+			if measure {
 				cs.res.Instrs = cs.instrs
 				cs.res.Cycles = cs.cycles - cs.warmStart + cs.sum.L2Hits*trace.L2HitStall
-				remaining--
-				if !cfg.Loop {
-					for k, i := range pick {
-						if i == core {
-							pick = append(pick[:k], pick[k+1:]...)
-							break
-						}
-					}
-				}
+			}
+			remaining--
+			if !loop {
+				live = append(live[:k], live[k+1:]...)
 			}
 		}
 	}
-	// Gather totals from frozen per-core results.
-	res.Cores = make([]CoreResult, 0, n)
-	for i := range cfg.Traces {
-		var cr CoreResult
-		if cores[i].cur != nil {
-			cr = cores[i].res
-		}
-		res.Cores = append(res.Cores, cr)
-		res.Hits += cr.Hits
-		res.Misses += cr.Misses
-		res.Bypasses += cr.Bypasses
-		res.Demand += cr.Demand
-		res.Instrs += cr.Instrs
-		if cr.Cycles > res.Cycles {
-			res.Cycles = cr.Cycles
-		}
-	}
-	res.Energy = *cfg.Meter
-	return res
+	return nextTick
 }

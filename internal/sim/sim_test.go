@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"reflect"
+	"sync"
 	"testing"
 
 	"whirlpool/internal/addr"
@@ -32,6 +34,20 @@ func (f *fakeLLC) Access(core int, a trace.LLCAccess) (uint64, llc.Outcome) {
 }
 
 func (f *fakeLLC) Tick(uint64) { f.ticks++ }
+
+// mkMixedTrace builds a trace with writebacks and writes so a run
+// exercises every access kind.
+func mkMixedTrace(n int, gap uint32, stride int) *trace.LLCTrace {
+	t := &trace.LLCTrace{}
+	for i := 0; i < n; i++ {
+		t.Append(trace.LLCAccess{Line: addr.Line(i * stride), Gap: gap, Write: i%3 == 0})
+		t.Instrs += uint64(gap)
+		if i%5 == 0 {
+			t.Append(trace.LLCAccess{Line: addr.Line(i), Writeback: true})
+		}
+	}
+	return t
+}
 
 func mkTrace(n int, gap uint32) *trace.LLCTrace {
 	t := &trace.LLCTrace{}
@@ -198,6 +214,54 @@ func TestEmptyRun(t *testing.T) {
 	if r.Demand != 0 || r.Cycles != 0 {
 		t.Fatal("empty run should be empty")
 	}
+}
+
+// TestRunnerEmptyAndIdle keeps the degenerate paths working around a
+// live run: all-idle configs and zero-access traces (with warmup) do no
+// work, and an idle run after a live one matches a fresh idle run.
+func TestRunnerEmptyAndIdle(t *testing.T) {
+	f := &fakeLLC{}
+	r := Run(Config{LLC: f, Meter: &energy.Meter{}, Traces: []trace.Reader{nil, &trace.LLCTrace{}}, Warmup: true})
+	if r.Demand != 0 || r.Cycles != 0 || f.accesses != 0 || f.ticks != 0 {
+		t.Fatalf("idle run did work: %+v (LLC accesses %d, ticks %d)", r, f.accesses, f.ticks)
+	}
+	tr := mkMixedTrace(50, 5, 1)
+	if res := Run(Config{LLC: &fakeLLC{hitLat: 1, missLat: 2}, Meter: &energy.Meter{}, Traces: []trace.Reader{tr}}); res.Demand == 0 {
+		t.Fatal("live run after idle run did nothing")
+	}
+	idle := func() *Result {
+		return Run(Config{LLC: &fakeLLC{}, Meter: &energy.Meter{}, Traces: []trace.Reader{nil}})
+	}
+	if got, want := idle(), idle(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("idle run after live run: got %+v, want %+v", got, want)
+	}
+}
+
+// TestRunConcurrent runs simulations in parallel over shared read-only
+// traces (the sweep worker topology) and requires identical results —
+// the arrangement make race exercises.
+func TestRunConcurrent(t *testing.T) {
+	tr1 := mkMixedTrace(400, 10, 2)
+	tr2 := mkMixedTrace(300, 7, 3)
+	run := func() *Result {
+		return Run(Config{LLC: &fakeLLC{hitLat: 10, missLat: 100}, Meter: &energy.Meter{},
+			Traces: []trace.Reader{tr1, tr2}, Loop: true, Warmup: true})
+	}
+	want := run()
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := 0; k < 3; k++ {
+				if got := run(); !reflect.DeepEqual(want, got) {
+					t.Errorf("concurrent run diverged")
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // recordingLLC records the line sequence it sees, for replay-identity
