@@ -9,7 +9,7 @@ GO ?= go
 VERSION ?= $(shell git describe --tags --always --dirty 2>/dev/null || echo dev)
 LDFLAGS := -ldflags "-X whirlpool/internal/cliutil.buildVersion=$(VERSION)"
 
-.PHONY: build examples test race vet lint fmt fmt-check bench bench-json bench-delta smoke trace-smoke serve-smoke dist-smoke fleet-smoke load-smoke obs-smoke bench-check golden-check ci
+.PHONY: build examples test race fuzz vet lint fmt fmt-check bench bench-json bench-delta smoke trace-smoke serve-smoke dist-smoke fleet-smoke load-smoke obs-smoke bench-check golden-check ci
 
 build:
 	$(GO) build $(LDFLAGS) ./...
@@ -32,6 +32,13 @@ test:
 # and the tracer's concurrent span recording.
 race:
 	$(GO) test -race -count=1 -timeout 20m ./internal/experiments/... ./internal/sim/ ./internal/trace/ ./internal/results/ ./internal/server/ ./internal/dispatch/ ./internal/fleet/ ./internal/traffic/ ./internal/obs/
+
+# Ten seconds of coverage-guided fuzzing of the .wtrc parser and cursor
+# on top of the committed seeds (which `go test ./...` already runs).
+# Minimization is capped so a new input's shrinking cannot eat the
+# whole budget.
+fuzz:
+	$(GO) test -run '^$$' -fuzz FuzzParseWTRC -fuzztime 10s -fuzzminimizetime 1s ./internal/trace/
 
 vet:
 	$(GO) vet ./...
@@ -116,6 +123,7 @@ smoke:
 	! $(GO) run ./cmd/whirlsim -spec no-such-file.json 2>/dev/null
 	! $(GO) run ./cmd/whirlsim -app nosuchapp -scale 0.05 2>/dev/null
 	! $(GO) run ./cmd/whirlsweep -apps nosuchapp -q 2>/dev/null
+	! $(GO) run ./cmd/whirlsweep -apps delaunay,delaunay -schemes snuca-lru -scale 0.02 -q 2>/dev/null
 	! $(GO) run ./cmd/whirlsim -chip 1x1 -scale 0.05 2>/dev/null
 	$(GO) run $(LDFLAGS) ./cmd/whirlsim -version | grep -q '^whirlsim '
 	$(GO) run ./cmd/whirlsweep -version | grep -q '^whirlsweep dev'
@@ -137,6 +145,7 @@ trace-smoke:
 	$(GO) run ./cmd/whirltool trace record -app delaunay -scale 0.05 -o .trace-smoke/delaunay.wtrc
 	$(GO) run ./cmd/whirltool trace info .trace-smoke/delaunay.wtrc
 	$(GO) run ./cmd/whirltool trace cat -n 3 .trace-smoke/delaunay.wtrc >/dev/null
+	! $(GO) run ./cmd/whirltool trace cat .trace-smoke/delaunay.wtrc >/dev/full 2>/dev/null
 	printf '{"name":"trace-smoke","apps":[{"name":"dt-rec","source":"trace","trace":"delaunay.wtrc"}]}' \
 		> .trace-smoke/spec.json
 	$(GO) run ./cmd/whirlsim -spec .trace-smoke/spec.json -app dt-rec -scheme jigsaw -scale 0.05 2>/dev/null \
@@ -196,4 +205,4 @@ load-smoke:
 obs-smoke:
 	GO="$(GO)" sh scripts/obs-smoke.sh
 
-ci: build examples vet lint fmt-check test race bench bench-check golden-check smoke trace-smoke serve-smoke dist-smoke fleet-smoke load-smoke obs-smoke
+ci: build examples vet lint fmt-check test race fuzz bench bench-check golden-check smoke trace-smoke serve-smoke dist-smoke fleet-smoke load-smoke obs-smoke

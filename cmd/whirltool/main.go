@@ -188,11 +188,11 @@ func traceCat(args []string) {
 	}
 	defer tr.Close()
 	w := bufio.NewWriter(os.Stdout)
-	defer w.Flush()
 	fmt.Fprintln(w, "# seq line gap flags (W=write, B=writeback)")
-	for i, cur := 0, tr.NewCursor(); ; i++ {
+	cur := tr.NewCursor()
+	for i := 0; *limit <= 0 || i < *limit; i++ {
 		a, ok := cur.Next()
-		if !ok || (*limit > 0 && i >= *limit) {
+		if !ok {
 			break
 		}
 		flags := "-"
@@ -203,6 +203,15 @@ func traceCat(args []string) {
 			flags = "W"
 		}
 		fmt.Fprintf(w, "%d %#x %d %s\n", i, uint64(a.Line), a.Gap, flags)
+	}
+	// A corrupt column stops the listing short, and a failed write
+	// (closed pipe, full disk) truncates it: either way, exit 1.
+	flushErr := w.Flush()
+	if err := cur.Err(); err != nil {
+		fatal(err)
+	}
+	if flushErr != nil {
+		fatal(flushErr)
 	}
 }
 

@@ -218,7 +218,10 @@ func (e *Experiment) runScheme(s Scheme) (rep Report, err error) {
 		}
 		ro.Grouping = h.WhirlToolGrouping(e.app, e.autoClassify, true)
 	}
-	r := h.RunSingle(e.app, k, ro)
+	r, err := h.RunSingle(e.app, k, ro)
+	if err != nil {
+		return Report{}, err
+	}
 	rep = report(e.app, s, r)
 	if e.observer != nil {
 		e.observer(rep)
@@ -284,7 +287,10 @@ func (e *Experiment) runParallelVariant(v experiments.ParallelVariant, label Sch
 	if err := e.checkCtx(); err != nil {
 		return Report{}, err
 	}
-	r := e.harness().RunParallel(e.app, v)
+	r, err := e.harness().RunParallel(e.app, v)
+	if err != nil {
+		return Report{}, err
+	}
 	rep := report(e.app, label, r)
 	if e.observer != nil {
 		e.observer(rep)

@@ -4,7 +4,10 @@
 package whirlpool_test
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -258,6 +261,42 @@ func TestRunTraceAppMissingFileErrors(t *testing.T) {
 	_, err := whirlpool.New("ghost-trace", whirlpool.Jigsaw).Run()
 	if err == nil || !strings.Contains(err.Error(), "ghost.wtrc") {
 		t.Fatalf("missing trace file: err = %v, want a named-file error", err)
+	}
+}
+
+// A trace-sourced app whose delta column is corrupt behind a valid CRC
+// opens fine but cannot be replayed: Run must return the cursor's
+// error, not a panic and not a report over a truncated trace.
+func TestRunTraceAppCorruptColumnErrors(t *testing.T) {
+	dir := t.TempDir()
+	tr := &trace.LLCTrace{}
+	for i := 0; i < 100; i++ {
+		tr.Append(trace.LLCAccess{Line: addr.Line(i * 64), Gap: 30})
+	}
+	var buf bytes.Buffer
+	if _, err := tr.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	data := buf.Bytes()
+	for i := 80 + 50; i < 80+62; i++ { // mid delta column: a run-on varint
+		data[i] = 0xff
+	}
+	binary.LittleEndian.PutUint32(data[len(data)-4:], crc32.ChecksumIEEE(data[:len(data)-4]))
+	wtrc := filepath.Join(dir, "bad.wtrc")
+	spec := filepath.Join(dir, "s.json")
+	if err := os.WriteFile(wtrc, data, 0o666); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(spec,
+		[]byte(`{"apps":[{"name":"corrupt-trace","source":"trace","trace":"`+wtrc+`"}]}`), 0o666); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := whirlpool.LoadSpecFile(spec); err != nil {
+		t.Fatal(err)
+	}
+	_, err := whirlpool.New("corrupt-trace", whirlpool.Jigsaw).Run()
+	if err == nil || !strings.Contains(err.Error(), "corrupt .wtrc delta column") || strings.Contains(err.Error(), "panicked") {
+		t.Fatalf("corrupt trace column: err = %v, want the cursor's error", err)
 	}
 }
 

@@ -183,20 +183,6 @@ func NewPool(m fleet.Membership, opt Options) (*Pool, error) {
 	return p, nil
 }
 
-// New builds a Pool over a fixed worker URL list (the -workers
-// back-compat path): membership is a static snapshot, so only the
-// per-job death tracking applies.
-func New(urls []string, opt Options) (*Pool, error) {
-	if len(urls) == 0 {
-		return nil, fmt.Errorf("dispatch: no worker URLs")
-	}
-	m, err := fleet.Static(urls, 0)
-	if err != nil {
-		return nil, fmt.Errorf("dispatch: %v", err)
-	}
-	return NewPool(m, opt)
-}
-
 // Exec returns a RemoteExec bound to one job's parameters, pluggable
 // straight into experiments.SweepConfig.Remote.
 func (p *Pool) Exec(params JobParams) experiments.RemoteExec {

@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -160,6 +161,23 @@ func collectDeliveryErr(t *testing.T, p *Pool, cells []experiments.CellRef, onRo
 	return got, err
 }
 
+// staticPool builds a Pool over a fixed worker list the way whirld's
+// -workers flag does: each URL a static registry member.
+func staticPool(t *testing.T, urls []string, opt Options) *Pool {
+	t.Helper()
+	reg := fleet.NewRegistry(fleet.RegistryOptions{})
+	for _, u := range urls {
+		if err := reg.AddStatic(u, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	p, err := NewPool(reg, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
 // Two healthy workers split the grid and deliver every cell exactly
 // once; with the same membership, a second job routes identically —
 // the determinism the distributed bit-identity smoke rests on.
@@ -168,10 +186,7 @@ func TestPoolDispatchesAllCells(t *testing.T) {
 	_, ts2 := newFakeWorker(t, 222, -1)
 	cells := refs(20)
 	urls := []string{ts1.URL, ts2.URL}
-	p1, err := New(urls, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	p1 := staticPool(t, urls, Options{})
 	got1 := collectDelivery(t, p1, cells)
 	if len(got1) != len(cells) {
 		t.Fatalf("delivered %d of %d cells", len(got1), len(cells))
@@ -191,10 +206,7 @@ func TestPoolDispatchesAllCells(t *testing.T) {
 	// A fresh pool over the same worker list routes every cell to the
 	// same worker (member IDs follow registration order, so the
 	// assignment is a pure function of the membership and the keys).
-	p2, err := New(urls, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	p2 := staticPool(t, urls, Options{})
 	got2 := collectDelivery(t, p2, cells)
 	for i := range got1 {
 		if got1[i] != got2[i] {
@@ -210,10 +222,7 @@ func TestPoolRedispatchOnWorkerDeath(t *testing.T) {
 	_, healthy := newFakeWorker(t, 111, -1)
 	dying, dyingTS := newFakeWorker(t, 666, 2) // delivers 2 rows, then drops
 	cells := refs(24)
-	p, err := New([]string{healthy.URL, dyingTS.URL}, Options{Quota: bigQuota})
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := staticPool(t, []string{healthy.URL, dyingTS.URL}, Options{Quota: bigQuota})
 	var capture logCapture
 	p.log = obs.NewLogger(&capture, "dispatch")
 	got := collectDelivery(t, p, cells)
@@ -270,10 +279,7 @@ func TestPoolRedispatchOnWorkerDeath(t *testing.T) {
 func TestPoolAllWorkersDead(t *testing.T) {
 	_, ts1 := newFakeWorker(t, 1, 0)
 	_, ts2 := newFakeWorker(t, 2, 0)
-	p, err := New([]string{ts1.URL, ts2.URL}, Options{Quota: bigQuota})
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := staticPool(t, []string{ts1.URL, ts2.URL}, Options{Quota: bigQuota})
 	execErr := p.Exec(JobParams{})(context.Background(), refs(6),
 		func(experiments.CellRef, experiments.SweepRow) {})
 	if execErr == nil || !strings.Contains(execErr.Error(), "all 2 workers failed") {
@@ -463,10 +469,7 @@ func TestPoolCanceledRowsRedispatch(t *testing.T) {
 	_, healthy := newFakeWorker(t, 111, -1)
 
 	cells := refs(12)
-	p, err := New([]string{shuttingDown.URL, healthy.URL}, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := staticPool(t, []string{shuttingDown.URL, healthy.URL}, Options{})
 	got := collectDelivery(t, p, cells)
 	if len(got) != len(cells) {
 		t.Fatalf("delivered %d of %d", len(got), len(cells))
@@ -502,10 +505,7 @@ func TestPoolContextCancel(t *testing.T) {
 	stall := httptest.NewServer(mux)
 	t.Cleanup(stall.Close)
 
-	p, err := New([]string{stall.URL}, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := staticPool(t, []string{stall.URL}, Options{})
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() {
 		time.Sleep(50 * time.Millisecond)
@@ -536,10 +536,7 @@ func TestPoolShardRejectionDoesNotKillFleet(t *testing.T) {
 	_, healthy := newFakeWorker(t, 111, -1)
 
 	cells := refs(16)
-	p, err := New([]string{rejecting.URL, healthy.URL}, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := staticPool(t, []string{rejecting.URL, healthy.URL}, Options{})
 	got := map[int]experiments.SweepRow{}
 	var mu sync.Mutex
 	execErr := p.Exec(JobParams{})(context.Background(), cells,
@@ -615,10 +612,7 @@ func TestPoolKeyMismatchRejected(t *testing.T) {
 	t.Cleanup(stale.Close)
 
 	cells := refs(4)
-	p, err := New([]string{stale.URL}, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := staticPool(t, []string{stale.URL}, Options{})
 	got := map[int]experiments.SweepRow{}
 	var mu2 sync.Mutex
 	execErr := p.Exec(JobParams{})(context.Background(), cells,
@@ -671,10 +665,7 @@ func TestPoolRetriesSubmit503(t *testing.T) {
 	t.Cleanup(ts.Close)
 
 	cells := refs(4)
-	p, err := New([]string{ts.URL}, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := staticPool(t, []string{ts.URL}, Options{})
 	got := collectDelivery(t, p, cells)
 	if len(got) != len(cells) {
 		t.Fatalf("delivered %d of %d after transient 503s", len(got), len(cells))
@@ -689,21 +680,13 @@ func TestPoolRetriesSubmit503(t *testing.T) {
 	}
 }
 
-// New rejects empty fleets and dedupes URLs.
+// NewPool rejects a nil membership; a pool over a static registry sees
+// the registry's deduplicated members.
 func TestPoolNew(t *testing.T) {
-	if _, err := New(nil, Options{}); err == nil {
-		t.Fatal("New accepted an empty fleet")
-	}
-	if _, err := New([]string{"", "  "}, Options{}); err == nil {
-		t.Fatal("New accepted blank URLs")
-	}
 	if _, err := NewPool(nil, Options{}); err == nil {
 		t.Fatal("NewPool accepted a nil membership")
 	}
-	p, err := New([]string{"http://a", "http://a/", "http://b"}, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := staticPool(t, []string{"http://a", "http://a/", "http://b"}, Options{})
 	if n := len(p.membership.Snapshot().Members); n != 2 {
 		t.Fatalf("dedup left %d workers, want 2", n)
 	}
@@ -719,23 +702,20 @@ func TestDispatchShardSpansOnFailover(t *testing.T) {
 	dying, dyingTS := newFakeWorker(t, 666, 2) // 2 rows, then kill -9
 	cells := refs(24)
 	tracer := obs.New(0)
-	p, err := New([]string{healthyTS.URL, dyingTS.URL}, Options{Quota: bigQuota, Tracer: tracer})
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := staticPool(t, []string{healthyTS.URL, dyingTS.URL}, Options{Quota: bigQuota, Tracer: tracer})
 
 	root := tracer.Start(obs.SpanContext{}, "job")
 	rootSC := root.Context()
 	ctx := obs.NewContext(context.Background(), rootSC)
-	delivered := 0
+	var delivered atomic.Int64 // deliver runs on each shard's goroutine
 	if err := p.Exec(JobParams{Scale: 0.05})(ctx, cells, func(experiments.CellRef, experiments.SweepRow) {
-		delivered++
+		delivered.Add(1)
 	}); err != nil {
 		t.Fatalf("Exec: %v", err)
 	}
 	root.End()
-	if delivered != len(cells) {
-		t.Fatalf("delivered %d of %d cells", delivered, len(cells))
+	if n := delivered.Load(); n != int64(len(cells)) {
+		t.Fatalf("delivered %d of %d cells", n, len(cells))
 	}
 
 	spans := tracer.Collect(rootSC.Trace)

@@ -52,7 +52,7 @@ func BenchmarkSimRunDelaunay(b *testing.B) {
 	h.App("delaunay") // build outside the timed region
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r := h.RunSingle("delaunay", schemes.KindSNUCALRU, RunOptions{})
+		r := must(h.RunSingle("delaunay", schemes.KindSNUCALRU, RunOptions{}))
 		if r.Demand == 0 {
 			b.Fatal("empty run")
 		}

@@ -19,7 +19,7 @@ import (
 // sizes and per-pool LLC access intensity (Fig 2).
 func (h *Harness) Fig02() *Table {
 	at := h.App("delaunay")
-	r := h.RunSingle("delaunay", schemes.KindWhirlpool, RunOptions{PerPool: true})
+	r := must(h.RunSingle("delaunay", schemes.KindWhirlpool, RunOptions{PerPool: true}))
 	t := &Table{
 		Title: "Fig 2: dt working set and access breakdown",
 		Cols:  []string{"pool", "MB", "LLC APKI", "APKI/MB"},
@@ -73,7 +73,7 @@ func (h *Harness) Fig05() string {
 			classify = poolClassifier(at.W, at.W.ManualGrouping())
 			name = "Whirlpool"
 		}
-		h.RunSingle("delaunay", schemes.KindWhirlpool, RunOptions{
+		must(h.RunSingle("delaunay", schemes.KindWhirlpool, RunOptions{
 			LLCOverride: func(chip *noc.Chip, m *energy.Meter) llc.LLC {
 				d = jigsaw.New(jigsaw.Config{
 					Chip: chip, Meter: m,
@@ -84,7 +84,7 @@ func (h *Harness) Fig05() string {
 				})
 				return d
 			},
-		})
+		}))
 		return d
 	}
 	jig := run(false)
@@ -123,7 +123,7 @@ func (h *Harness) Fig06() *Table {
 	var instrSoFar uint64
 	g1 := addr.LineOf(at.W.Structs[0].Base)
 	g1end := g1 + addr.Line(at.W.Structs[0].Lines)
-	h.RunSingle("lbm", schemes.KindWhirlpool, RunOptions{
+	must(h.RunSingle("lbm", schemes.KindWhirlpool, RunOptions{
 		NoWarmup: true,
 		OnAccess: func(now uint64, core int, a trace.LLCAccess, lat uint64, out llc.Outcome) {
 			instrSoFar += uint64(a.Gap)
@@ -138,7 +138,7 @@ func (h *Harness) Fig06() *Table {
 				counts[w][1]++
 			}
 		},
-	})
+	}))
 	flips := 0
 	last := -1
 	for w := 0; w < windows; w++ {
@@ -256,7 +256,7 @@ func (h *Harness) SchemeBreakdown(app, figure string) *Table {
 			// pools from WhirlTool, as in Sec 4.5.
 			opt.Grouping = h.WhirlToolGrouping(app, 3, true)
 		}
-		results[k] = h.RunSingle(app, k, opt)
+		results[k] = must(h.RunSingle(app, k, opt))
 	}
 	base := results[schemes.KindWhirlpool]
 	for _, k := range schemes.PaperKinds() {
@@ -306,7 +306,7 @@ func (h *Harness) Fig11() *Table {
 		t.Cols = append(t.Cols, s.Spec.Name)
 	}
 	var lastSample uint64
-	h.RunSingle("refine", schemes.KindWhirlpool, RunOptions{
+	must(h.RunSingle("refine", schemes.KindWhirlpool, RunOptions{
 		NoWarmup: true,
 		LLCOverride: func(chip *noc.Chip, m *energy.Meter) llc.LLC {
 			d = jigsaw.New(jigsaw.Config{
@@ -340,7 +340,7 @@ func (h *Harness) Fig11() *Table {
 			}
 			t.AddRow(row...)
 		},
-	})
+	}))
 	t.AddNote("allocations and placement distance shift during refine's irregular phases")
 	return t
 }
@@ -355,7 +355,7 @@ func (h *Harness) Fig13(apps []string) *Table {
 	for _, app := range apps {
 		var base *sim.Result
 		for _, v := range ParallelVariants() {
-			r := h.RunParallel(app, v)
+			r := must(h.RunParallel(app, v))
 			if v == VariantSNUCA {
 				base = r
 			}

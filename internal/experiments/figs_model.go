@@ -55,7 +55,7 @@ func (h *Harness) AblationLatencyCurves(app string) *Table {
 		if missOnly {
 			label = "miss curves only"
 		}
-		r := h.RunSingle(app, schemes.KindWhirlpool, RunOptions{
+		r := must(h.RunSingle(app, schemes.KindWhirlpool, RunOptions{
 			LLCOverride: func(chip *noc.Chip, m *energy.Meter) llc.LLC {
 				return jigsaw.New(jigsaw.Config{
 					Chip: chip, Meter: m,
@@ -66,7 +66,7 @@ func (h *Harness) AblationLatencyCurves(app string) *Table {
 					MissCurveSizing: missOnly,
 				})
 			},
-		})
+		}))
 		t.AddRow(label, F(float64(r.Cycles)/1e6, 2), F(r.Energy.Total()/1e9, 3),
 			F(r.Energy.NetworkPJ/1e9, 3))
 	}
@@ -88,7 +88,7 @@ func (h *Harness) AblationTrading(app string) *Table {
 		if noTrading {
 			label = "greedy only"
 		}
-		r := h.RunSingle(app, schemes.KindWhirlpool, RunOptions{
+		r := must(h.RunSingle(app, schemes.KindWhirlpool, RunOptions{
 			LLCOverride: func(chip *noc.Chip, m *energy.Meter) llc.LLC {
 				return jigsaw.New(jigsaw.Config{
 					Chip: chip, Meter: m,
@@ -99,7 +99,7 @@ func (h *Harness) AblationTrading(app string) *Table {
 					NoTrading:      noTrading,
 				})
 			},
-		})
+		}))
 		t.AddRow(label, F(float64(r.Cycles)/1e6, 2), F(r.Energy.NetworkPJ/1e9, 3))
 	}
 	run(false)
@@ -117,8 +117,8 @@ func (h *Harness) AblationBypass(apps []string) *Table {
 	for _, k := range []schemes.Kind{schemes.KindJigsaw, schemes.KindWhirlpool} {
 		var with, without float64
 		for _, app := range apps {
-			a := h.RunSingle(app, k, RunOptions{})
-			b := h.RunSingle(app, k, RunOptions{NoBypass: true})
+			a := must(h.RunSingle(app, k, RunOptions{}))
+			b := must(h.RunSingle(app, k, RunOptions{NoBypass: true}))
 			with += float64(a.Cycles)
 			without += float64(b.Cycles)
 		}
@@ -136,9 +136,9 @@ func (h *Harness) AblationCombineModel(apps []string) *Table {
 		Cols:  []string{"app", "flow-model pools", "speedup vs Jigsaw"},
 	}
 	for _, app := range apps {
-		jig := h.RunSingle(app, schemes.KindJigsaw, RunOptions{})
+		jig := must(h.RunSingle(app, schemes.KindJigsaw, RunOptions{}))
 		g := h.WhirlToolGrouping(app, 3, true)
-		r := h.RunSingle(app, schemes.KindWhirlpool, RunOptions{Grouping: g})
+		r := must(h.RunSingle(app, schemes.KindWhirlpool, RunOptions{Grouping: g}))
 		t.AddRow(app, groupingString(g), Pct(float64(jig.Cycles)/float64(r.Cycles)-1))
 	}
 	return t

@@ -20,16 +20,16 @@ func (h *Harness) Fig16(apps []string) *Table {
 		Cols:  []string{"app", "2 pools", "3 pools", "4 pools", "manual", "manual-pools"},
 	}
 	for _, app := range apps {
-		jig := h.RunSingle(app, schemes.KindJigsaw, RunOptions{})
+		jig := must(h.RunSingle(app, schemes.KindJigsaw, RunOptions{}))
 		row := []string{app}
 		for k := 2; k <= 4; k++ {
 			g := h.WhirlToolGrouping(app, k, true)
-			r := h.RunSingle(app, schemes.KindWhirlpool, RunOptions{Grouping: g})
+			r := must(h.RunSingle(app, schemes.KindWhirlpool, RunOptions{Grouping: g}))
 			row = append(row, Pct(float64(jig.Cycles)/float64(r.Cycles)-1))
 		}
 		at := h.App(app)
 		if at.W.NumPoolsManual() > 0 {
-			man := h.RunSingle(app, schemes.KindWhirlpool, RunOptions{})
+			man := must(h.RunSingle(app, schemes.KindWhirlpool, RunOptions{}))
 			row = append(row, Pct(float64(jig.Cycles)/float64(man.Cycles)-1),
 				fmt.Sprintf("%d", at.W.NumPoolsManual()))
 		} else {
@@ -67,11 +67,11 @@ func (h *Harness) Fig18() *Table {
 		Cols:  []string{"app", "profile train", "profile ref"},
 	}
 	for _, app := range []string{"leslie", "omnet", "xalanc", "setCover"} {
-		jig := h.RunSingle(app, schemes.KindJigsaw, RunOptions{})
+		jig := must(h.RunSingle(app, schemes.KindJigsaw, RunOptions{}))
 		gTrain := h.WhirlToolGrouping(app, 3, true)
 		gRef := h.WhirlToolGrouping(app, 3, false)
-		rTrain := h.RunSingle(app, schemes.KindWhirlpool, RunOptions{Grouping: gTrain})
-		rRef := h.RunSingle(app, schemes.KindWhirlpool, RunOptions{Grouping: gRef})
+		rTrain := must(h.RunSingle(app, schemes.KindWhirlpool, RunOptions{Grouping: gTrain}))
+		rRef := must(h.RunSingle(app, schemes.KindWhirlpool, RunOptions{Grouping: gRef}))
 		t.AddRow(app,
 			Pct(float64(jig.Cycles)/float64(rTrain.Cycles)-1),
 			Pct(float64(jig.Cycles)/float64(rRef.Cycles)-1))
@@ -92,7 +92,7 @@ func (h *Harness) Fig21(apps []string) (*Table, map[schemes.Kind][]*sim.Result) 
 			if k == schemes.KindWhirlpool {
 				opt.Grouping = grouping
 			}
-			all[k] = append(all[k], h.RunSingle(app, k, opt))
+			all[k] = append(all[k], must(h.RunSingle(app, k, opt)))
 		}
 	}
 	t := &Table{
@@ -195,9 +195,9 @@ func (h *Harness) Fig22(mixes []MixSpec, cores16 bool) (*Table, []Fig22Row) {
 		rows[i].Label = variants[i].label
 	}
 	for _, mix := range mixes {
-		base := h.RunMix(mix.Apps, schemes.KindJigsaw, chipFor(), false)
+		base := must(h.RunMix(mix.Apps, schemes.KindJigsaw, chipFor(), false))
 		for vi, v := range variants {
-			r := h.RunMix(mix.Apps, v.kind, chipFor(), v.noBypass)
+			r := must(h.RunMix(mix.Apps, v.kind, chipFor(), v.noBypass))
 			ws := 0.0
 			for c := range mix.Apps {
 				ws += r.Cores[c].IPC() / base.Cores[c].IPC()

@@ -257,8 +257,8 @@ func TestParallelVariantOrdering(t *testing.T) {
 	if testing.Short() {
 		t.Skip("parallel sim is slow")
 	}
-	base := figH.RunParallel("pagerank", VariantSNUCA)
-	wp := figH.RunParallel("pagerank", VariantWhirlpoolPaWS)
+	base := must(figH.RunParallel("pagerank", VariantSNUCA))
+	wp := must(figH.RunParallel("pagerank", VariantWhirlpoolPaWS))
 	if wp.Cycles >= base.Cycles {
 		t.Errorf("W+PaWS (%d) should beat S-NUCA (%d) on pagerank", wp.Cycles, base.Cycles)
 	}
@@ -277,8 +277,8 @@ func TestManualVsJigsawGainsOnPortedApps(t *testing.T) {
 	apps := []string{"MIS", "delaunay", "mcf", "cactus"}
 	var jigC, whlC float64
 	for _, app := range apps {
-		jigC += float64(figH.RunSingle(app, schemes.KindJigsaw, RunOptions{}).Cycles)
-		whlC += float64(figH.RunSingle(app, schemes.KindWhirlpool, RunOptions{}).Cycles)
+		jigC += float64(must(figH.RunSingle(app, schemes.KindJigsaw, RunOptions{})).Cycles)
+		whlC += float64(must(figH.RunSingle(app, schemes.KindWhirlpool, RunOptions{})).Cycles)
 	}
 	if whlC >= jigC {
 		t.Errorf("Whirlpool (%v) should beat Jigsaw (%v) over ported apps", whlC, jigC)

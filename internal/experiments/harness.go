@@ -86,10 +86,10 @@ type appEntry struct {
 }
 
 // AppTrace is a built app plus its LLC-level trace. Tr is a TraceReader
-// rather than a concrete trace: generated apps hold an eager in-memory
-// LLCTrace, while traces resolved from .wtrc files (recorded apps, disk
-// cache hits) stay memory-mapped and decode lazily per cursor — the
-// zero-copy path. Mappings live as long as the harness caches the entry
+// rather than a concrete trace: generated apps hold a heap LLCTrace,
+// while traces resolved from .wtrc files (recorded apps, disk cache
+// hits) stay memory-mapped — the same columns, decoded lazily by the
+// same cursor. Mappings live as long as the harness caches the entry
 // (process lifetime), so they are never explicitly closed.
 type AppTrace struct {
 	W  *workloads.Workload
@@ -231,6 +231,16 @@ func (h *Harness) App(name string) *AppTrace {
 	return at
 }
 
+// must unwraps a run for the figure builders, which panic on failure
+// like App does: their apps are built in, so a replay error means a
+// corrupted trace cache.
+func must(r *sim.Result, err error) *sim.Result {
+	if err != nil {
+		panic(err.Error())
+	}
+	return r
+}
+
 // TraceBuilds reports how many app traces this harness has built — the
 // sweep tests assert that trace generation is cached per app, not
 // repeated per (app, scheme).
@@ -278,8 +288,9 @@ type RunOptions struct {
 }
 
 // RunSingle runs one app (on core 0 of a 4-core chip, like the paper's
-// dt example) under one scheme.
-func (h *Harness) RunSingle(app string, kind schemes.Kind, opt RunOptions) *sim.Result {
+// dt example) under one scheme. It fails when the app's trace cannot be
+// replayed to the end (a corrupt column behind a valid checksum).
+func (h *Harness) RunSingle(app string, kind schemes.Kind, opt RunOptions) (*sim.Result, error) {
 	at := h.App(app)
 	chip := opt.Chip
 	if chip == nil {
@@ -333,7 +344,7 @@ func mixLineOffset(core int) addr.Line {
 // (Appendix A): every app keeps running until all finish one pass; stats
 // freeze at each app's first completion. App i runs on core i; use
 // RunMixPinned to place apps on specific cores.
-func (h *Harness) RunMix(apps []string, kind schemes.Kind, chip *noc.Chip, noBypass bool) *sim.Result {
+func (h *Harness) RunMix(apps []string, kind schemes.Kind, chip *noc.Chip, noBypass bool) (*sim.Result, error) {
 	return h.RunMixPinned(apps, nil, kind, chip, noBypass)
 }
 
@@ -341,7 +352,7 @@ func (h *Harness) RunMix(apps []string, kind schemes.Kind, chip *noc.Chip, noByp
 // core pins[i]. Pins must be distinct and within the chip's core count;
 // nil means the identity placement (app i on core i). Per-core results
 // land at the pinned core's index in Result.Cores.
-func (h *Harness) RunMixPinned(apps []string, pins []int, kind schemes.Kind, chip *noc.Chip, noBypass bool) *sim.Result {
+func (h *Harness) RunMixPinned(apps []string, pins []int, kind schemes.Kind, chip *noc.Chip, noBypass bool) (*sim.Result, error) {
 	if len(apps) > chip.NCores() {
 		panic("experiments: more apps than cores")
 	}

@@ -1,8 +1,11 @@
 package experiments
 
 import (
+	"encoding/binary"
+	"hash/crc32"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"whirlpool/internal/noc"
@@ -19,7 +22,7 @@ func runAll(t *testing.T, app string) map[schemes.Kind]*sim.Result {
 	t.Helper()
 	out := make(map[schemes.Kind]*sim.Result)
 	for _, k := range schemes.AllKinds() {
-		out[k] = testH.RunSingle(app, k, RunOptions{})
+		out[k] = must(testH.RunSingle(app, k, RunOptions{}))
 	}
 	return out
 }
@@ -72,8 +75,8 @@ func TestDelaunayOrdering(t *testing.T) {
 // The mis case study (Fig 9/10): Whirlpool must bypass the streaming
 // edges pool and cut data movement energy substantially vs Jigsaw.
 func TestMISBypassAndEnergy(t *testing.T) {
-	jig := testH.RunSingle("MIS", schemes.KindJigsaw, RunOptions{})
-	whirl := testH.RunSingle("MIS", schemes.KindWhirlpool, RunOptions{})
+	jig := must(testH.RunSingle("MIS", schemes.KindJigsaw, RunOptions{}))
+	whirl := must(testH.RunSingle("MIS", schemes.KindWhirlpool, RunOptions{}))
 	if whirl.Bypasses == 0 {
 		t.Fatal("Whirlpool should bypass mis's edges pool")
 	}
@@ -104,7 +107,7 @@ func TestIdealSPDEnergyOnLargeWS(t *testing.T) {
 }
 
 func TestPerPoolCounters(t *testing.T) {
-	r := testH.RunSingle("delaunay", schemes.KindWhirlpool, RunOptions{PerPool: true})
+	r := must(testH.RunSingle("delaunay", schemes.KindWhirlpool, RunOptions{PerPool: true}))
 	if len(r.PoolAccesses) == 0 {
 		t.Fatal("no per-pool counters")
 	}
@@ -122,8 +125,8 @@ func TestPerPoolCounters(t *testing.T) {
 
 func TestMixFixedWork(t *testing.T) {
 	h := NewHarness(0.05)
-	r := h.RunMix([]string{"mcf", "lbm", "MIS", "delaunay"}, schemes.KindWhirlpool,
-		noc.FourCoreChip(), false)
+	r := must(h.RunMix([]string{"mcf", "lbm", "MIS", "delaunay"}, schemes.KindWhirlpool,
+		noc.FourCoreChip(), false))
 	if len(r.Cores) != 4 {
 		t.Fatalf("cores = %d", len(r.Cores))
 	}
@@ -140,8 +143,8 @@ func TestMixFixedWork(t *testing.T) {
 func TestMixWhirlpoolVsJigsawWeightedSpeedup(t *testing.T) {
 	h := NewHarness(0.05)
 	apps := []string{"mcf", "cactus", "MIS", "delaunay"}
-	jig := h.RunMix(apps, schemes.KindJigsaw, noc.FourCoreChip(), false)
-	whirl := h.RunMix(apps, schemes.KindWhirlpool, noc.FourCoreChip(), false)
+	jig := must(h.RunMix(apps, schemes.KindJigsaw, noc.FourCoreChip(), false))
+	whirl := must(h.RunMix(apps, schemes.KindWhirlpool, noc.FourCoreChip(), false))
 	ws := 0.0
 	for c := range apps {
 		ws += whirl.Cores[c].IPC() / jig.Cores[c].IPC()
@@ -164,8 +167,8 @@ func TestHarnessTraceCaching(t *testing.T) {
 func TestRunSingleDeterministic(t *testing.T) {
 	h1 := NewHarness(0.05)
 	h2 := NewHarness(0.05)
-	r1 := h1.RunSingle("mcf", schemes.KindWhirlpool, RunOptions{})
-	r2 := h2.RunSingle("mcf", schemes.KindWhirlpool, RunOptions{})
+	r1 := must(h1.RunSingle("mcf", schemes.KindWhirlpool, RunOptions{}))
+	r2 := must(h2.RunSingle("mcf", schemes.KindWhirlpool, RunOptions{}))
 	if r1.Cycles != r2.Cycles || r1.Hits != r2.Hits || r1.Misses != r2.Misses {
 		t.Fatalf("nondeterministic: %d/%d/%d vs %d/%d/%d",
 			r1.Cycles, r1.Hits, r1.Misses, r2.Cycles, r2.Hits, r2.Misses)
@@ -184,7 +187,7 @@ func TestDiskTraceCacheWarmRerun(t *testing.T) {
 	cold.CacheDir = dir
 	coldRes := map[string]*sim.Result{}
 	for _, app := range apps {
-		coldRes[app] = cold.RunSingle(app, schemes.KindJigsaw, RunOptions{})
+		coldRes[app] = must(cold.RunSingle(app, schemes.KindJigsaw, RunOptions{}))
 	}
 	cs := cold.CacheStats()
 	if cs.Builds != int64(len(apps)) || cs.DiskHits != 0 {
@@ -194,7 +197,7 @@ func TestDiskTraceCacheWarmRerun(t *testing.T) {
 	warm := NewHarness(0.05)
 	warm.CacheDir = dir
 	for _, app := range apps {
-		r := warm.RunSingle(app, schemes.KindJigsaw, RunOptions{})
+		r := must(warm.RunSingle(app, schemes.KindJigsaw, RunOptions{}))
 		c := coldRes[app]
 		if r.Cycles != c.Cycles || r.Hits != c.Hits || r.Misses != c.Misses ||
 			r.Instrs != c.Instrs || r.Energy.Total() != c.Energy.Total() {
@@ -284,7 +287,7 @@ func TestDiskTraceCacheWriteFailureDegrades(t *testing.T) {
 	}
 	h := NewHarness(0.02)
 	h.CacheDir = blocker // a file: MkdirAll and writes fail
-	r := h.RunSingle("hull", schemes.KindJigsaw, RunOptions{})
+	r := must(h.RunSingle("hull", schemes.KindJigsaw, RunOptions{}))
 	if r.Demand == 0 {
 		t.Fatal("run failed under an unwritable cache dir")
 	}
@@ -313,8 +316,8 @@ func TestTraceSourcedApp(t *testing.T) {
 		t.Fatal(err)
 	}
 	h := NewHarness(0.05)
-	direct := h.RunSingle("delaunay", schemes.KindJigsaw, RunOptions{})
-	replay := h.RunSingle("dt-recorded", schemes.KindJigsaw, RunOptions{})
+	direct := must(h.RunSingle("delaunay", schemes.KindJigsaw, RunOptions{}))
+	replay := must(h.RunSingle("dt-recorded", schemes.KindJigsaw, RunOptions{}))
 	if direct.Cycles != replay.Cycles || direct.Misses != replay.Misses ||
 		direct.Hits != replay.Hits || direct.Instrs != replay.Instrs {
 		t.Fatalf("trace replay differs: direct %d/%d/%d, replay %d/%d/%d",
@@ -339,12 +342,12 @@ func TestTraceSourcedAppAllSchemes(t *testing.T) {
 	}
 	h := NewHarness(0.02)
 	for _, k := range schemes.AllKinds() {
-		r := h.RunSingle("hull-rec", k, RunOptions{})
+		r := must(h.RunSingle("hull-rec", k, RunOptions{}))
 		if r.Demand == 0 {
 			t.Fatalf("%v: empty trace-app run", k)
 		}
 	}
-	mix := h.RunMix([]string{"hull-rec", "MIS"}, schemes.KindWhirlpool, noc.FourCoreChip(), false)
+	mix := must(h.RunMix([]string{"hull-rec", "MIS"}, schemes.KindWhirlpool, noc.FourCoreChip(), false))
 	if mix.Cores[0].Demand == 0 || mix.Cores[1].Demand == 0 {
 		t.Fatal("trace app in a whirlpool mix produced empty cores")
 	}
@@ -359,5 +362,60 @@ func TestTraceSourcedAppMissingFile(t *testing.T) {
 	h := NewHarness(0.05)
 	if _, err := h.AppErr("bad-trace"); err == nil {
 		t.Fatal("missing trace file must error")
+	}
+}
+
+// corruptDeltas copies the .wtrc file at src to dst with a run of 0xff
+// bytes (a varint that never terminates) in the middle of its delta
+// column, and recomputes the CRC so the file still opens.
+func corruptDeltas(t *testing.T, src, dst string) {
+	t.Helper()
+	data, err := os.ReadFile(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const deltasAt = 80 // magic, version, nine-word header
+	mid := deltasAt + int(binary.LittleEndian.Uint64(data[64:]))/2
+	for i := mid; i < mid+12; i++ {
+		data[i] = 0xff
+	}
+	binary.LittleEndian.PutUint32(data[len(data)-4:], crc32.ChecksumIEEE(data[:len(data)-4]))
+	if err := os.WriteFile(dst, data, 0o666); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestTraceSourcedAppCorruptColumn sweeps a recorded trace whose delta
+// column is corrupt behind a valid CRC: the file opens, but every cell
+// replaying it — alone or in a mix — must come back as an error row
+// naming the column, not as a silently truncated success.
+func TestTraceSourcedAppCorruptColumn(t *testing.T) {
+	t.Cleanup(workloads.SnapshotRegistry())
+	dir := t.TempDir()
+	good := filepath.Join(dir, "hull.wtrc")
+	if err := trace.WriteFile(good, NewHarness(0.02).App("hull").Tr); err != nil {
+		t.Fatal(err)
+	}
+	bad := filepath.Join(dir, "hull-bad.wtrc")
+	corruptDeltas(t, good, bad)
+	if err := workloads.Register(workloads.AppSpec{Name: "hull-bad", Suite: "trace", TracePath: bad}); err != nil {
+		t.Fatal(err)
+	}
+	rows, err := NewHarness(0.02).Sweep(SweepConfig{
+		Apps:    []string{"hull-bad"},
+		Mixes:   []SweepMix{{Name: "bad-mix", Apps: []string{"MIS", "hull-bad"}}},
+		Kinds:   []schemes.Kind{schemes.KindSNUCALRU, schemes.KindWhirlpool},
+		Workers: 2,
+	})
+	if err != nil {
+		t.Fatalf("Sweep: %v", err)
+	}
+	if len(rows) != 4 {
+		t.Fatalf("%d rows, want 4", len(rows))
+	}
+	for _, r := range rows {
+		if !strings.Contains(r.Err, "corrupt .wtrc delta column") || strings.HasPrefix(r.Err, "panic") || r.Cycles != 0 {
+			t.Errorf("%s/%s: err %q cycles %d, want a corrupt-column error row", r.App, r.Scheme, r.Err, r.Cycles)
+		}
 	}
 }

@@ -55,7 +55,7 @@ func (h *Harness) parallelTraces(app *paws.App, policy paws.Policy, mesh *noc.Me
 
 // RunParallel runs one parallel app under one variant on the 16-core chip
 // (Fig 13).
-func (h *Harness) RunParallel(appName string, variant ParallelVariant) *sim.Result {
+func (h *Harness) RunParallel(appName string, variant ParallelVariant) (*sim.Result, error) {
 	spec, ok := paws.SpecByName(appName)
 	if !ok {
 		panic("experiments: unknown parallel app " + appName)

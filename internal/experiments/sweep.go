@@ -316,6 +316,19 @@ func buildGrid(cfg *SweepConfig, kinds []schemes.Kind) ([]sweepJob, error) {
 	if len(cfg.Apps) == 0 && len(cfg.Mixes) == 0 {
 		return nil, fmt.Errorf("experiments: sweep has no apps and no mixes")
 	}
+	mixNames := make([]string, len(cfg.Mixes))
+	for i := range cfg.Mixes {
+		mixNames[i] = cfg.Mixes[i].Name
+	}
+	kindIDs := make([]string, len(kinds))
+	for i, k := range kinds {
+		kindIDs[i] = k.ID()
+	}
+	for _, err := range []error{duplicate("app", cfg.Apps), duplicate("mix", mixNames), duplicate("scheme", kindIDs)} {
+		if err != nil {
+			return nil, err
+		}
+	}
 	var jobs []sweepJob
 	for _, a := range cfg.Apps {
 		for _, k := range kinds {
@@ -328,6 +341,20 @@ func buildGrid(cfg *SweepConfig, kinds []schemes.Kind) ([]sweepJob, error) {
 		}
 	}
 	return jobs, nil
+}
+
+// duplicate reports the first name that repeats in names, in whirld's
+// wording: a repeated name would cross into identical cells, simulated
+// and printed once per copy.
+func duplicate(what string, names []string) error {
+	seen := make(map[string]bool, len(names))
+	for _, n := range names {
+		if seen[n] {
+			return fmt.Errorf("experiments: duplicate %s %q", what, n)
+		}
+		seen[n] = true
+	}
+	return nil
 }
 
 // validateGrid fails fast on unresolvable names and malformed mixes,
@@ -702,10 +729,14 @@ func (h *Harness) runSweepJob(j sweepJob, noBypass bool) (row SweepRow) {
 	}()
 	start := time.Now() //whirl:wallclock cell wall time feeds the row's wall_ms column, which bit-identity checks strip
 	var r *sim.Result
+	var err error
 	if j.mix != nil {
-		r = h.RunMixPinned(j.mix.Apps, j.mix.Pins, j.kind, mixChip(j.mix), noBypass)
+		r, err = h.RunMixPinned(j.mix.Apps, j.mix.Pins, j.kind, mixChip(j.mix), noBypass)
 	} else {
-		r = h.RunSingle(j.app, j.kind, RunOptions{NoBypass: noBypass})
+		r, err = h.RunSingle(j.app, j.kind, RunOptions{NoBypass: noBypass})
+	}
+	if err != nil {
+		return SweepRow{App: j.name(), Scheme: j.kind.ID(), Mix: j.mix != nil, Err: err.Error()}
 	}
 	//whirl:wallclock wall_ms is timing metadata; every simulated column is deterministic
 	return rowFromResult(j.name(), j.mix != nil, j.kind, r, time.Since(start))

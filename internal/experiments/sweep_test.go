@@ -38,7 +38,7 @@ func TestSweepMatchesSerial(t *testing.T) {
 				t.Fatalf("row %d is (%s,%s), want (%s,%s): grid order broken",
 					i-1, row.App, row.Scheme, app, k.ID())
 			}
-			r := serialH.RunSingle(app, k, RunOptions{})
+			r := must(serialH.RunSingle(app, k, RunOptions{}))
 			if row.Cycles != r.Cycles || row.Instrs != r.Instrs ||
 				row.Hits != r.Hits || row.Misses != r.Misses ||
 				row.Bypasses != r.Bypasses || row.LLCAccesses != r.Demand {
@@ -92,7 +92,7 @@ func TestSweepMixMatchesSerial(t *testing.T) {
 		if !row.Mix || row.App != "duo" {
 			t.Fatalf("row %d not marked as mix duo: %+v", i, row)
 		}
-		r := serialH.RunMix(mix.Apps, k, noc.FourCoreChip(), false)
+		r := must(serialH.RunMix(mix.Apps, k, noc.FourCoreChip(), false))
 		if row.Cycles != r.Cycles || row.Hits != r.Hits || row.Misses != r.Misses {
 			t.Errorf("%v: mix row %+v != serial cycles=%d hits=%d misses=%d",
 				k, row, r.Cycles, r.Hits, r.Misses)
@@ -111,6 +111,30 @@ func TestSweepUnknownApp(t *testing.T) {
 	}
 	if h.TraceBuilds() != 0 {
 		t.Errorf("sweep built %d traces before failing validation, want 0", h.TraceBuilds())
+	}
+}
+
+// TestSweepDuplicateNames: a repeated app, mix or scheme is rejected
+// before any trace is built, in whirld's wording, instead of simulating
+// and printing the same cells once per copy.
+func TestSweepDuplicateNames(t *testing.T) {
+	lru := []schemes.Kind{schemes.KindSNUCALRU}
+	for _, tc := range []struct {
+		cfg  SweepConfig
+		want string
+	}{
+		{SweepConfig{Apps: []string{"delaunay", "delaunay"}, Kinds: lru}, `duplicate app "delaunay"`},
+		{SweepConfig{Apps: []string{"delaunay"}, Kinds: append(lru, lru...)}, `duplicate scheme "snuca-lru"`},
+		{SweepConfig{Mixes: []SweepMix{{Name: "m", Apps: []string{"MIS"}}, {Name: "m", Apps: []string{"mcf"}}}, Kinds: lru}, `duplicate mix "m"`},
+	} {
+		h := NewHarness(0.05)
+		rows, err := h.Sweep(tc.cfg)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("err = %v (%d rows), want %s", err, len(rows), tc.want)
+		}
+		if h.TraceBuilds() != 0 {
+			t.Errorf("%s: built %d traces before failing validation", tc.want, h.TraceBuilds())
+		}
 	}
 }
 
@@ -228,7 +252,7 @@ func TestSweepPinnedMix(t *testing.T) {
 		t.Fatalf("rows = %+v", rows)
 	}
 	serial := NewHarness(0.05)
-	r := serial.RunMixPinned(mix.Apps, mix.Pins, schemes.KindWhirlpool, noc.FourCoreChip(), false)
+	r := must(serial.RunMixPinned(mix.Apps, mix.Pins, schemes.KindWhirlpool, noc.FourCoreChip(), false))
 	if rows[0].Cycles != r.Cycles || rows[0].Hits != r.Hits {
 		t.Fatalf("sweep row %+v != serial pinned run cycles=%d hits=%d", rows[0], r.Cycles, r.Hits)
 	}
@@ -290,8 +314,8 @@ func TestSweepMixChipOverride(t *testing.T) {
 		t.Fatalf("rows = %+v", rows)
 	}
 	serial := NewHarness(0.05)
-	r := serial.RunMix([]string{"delaunay", "MIS", "mcf", "lbm", "hull", "cactus"},
-		schemes.KindSNUCALRU, noc.Custom(6, 6, 6, 0), false)
+	r := must(serial.RunMix([]string{"delaunay", "MIS", "mcf", "lbm", "hull", "cactus"},
+		schemes.KindSNUCALRU, noc.Custom(6, 6, 6, 0), false))
 	if rows[0].Cycles != r.Cycles {
 		t.Fatalf("sweep on custom chip %+v != serial cycles=%d", rows[0], r.Cycles)
 	}

@@ -115,8 +115,8 @@ type Snapshot struct {
 }
 
 // Membership is dispatch's view of the fleet: anything that can
-// produce membership snapshots. *Registry implements it; tests and
-// static URL lists use Static.
+// produce membership snapshots. *Registry implements it; a static
+// -workers URL list is seeded into one with AddStatic.
 type Membership interface {
 	Snapshot() Snapshot
 }
@@ -439,26 +439,3 @@ func (rec *workerRec) member() Member {
 		Capacity: rec.capacity, Static: rec.static, Load: rec.load,
 	}
 }
-
-// Static builds a fixed membership over the given worker URLs — the
-// -workers back-compat path and the natural fake for tests. URLs are
-// normalized and deduplicated; an empty result is an error.
-func Static(urls []string, capacity int) (Membership, error) {
-	r := NewRegistry(RegistryOptions{})
-	for _, u := range urls {
-		if strings.TrimSpace(u) == "" {
-			continue
-		}
-		if err := r.AddStatic(u, capacity); err != nil {
-			return nil, err
-		}
-	}
-	if len(r.Snapshot().Members) == 0 {
-		return nil, fmt.Errorf("fleet: no worker URLs")
-	}
-	return staticMembership{r.Snapshot()}, nil
-}
-
-type staticMembership struct{ snap Snapshot }
-
-func (s staticMembership) Snapshot() Snapshot { return s.snap }

@@ -203,6 +203,17 @@ func TestStaticMembersNeverExpire(t *testing.T) {
 		t.Fatalf("effective capacity = %d, want default %d",
 			snap.Members[0].EffectiveCapacity(), DefaultCapacity)
 	}
+	// A second URL keeps its own configured capacity; a bad URL is
+	// rejected by name and adds nothing.
+	if err := r.AddStatic("http://h2:8082/", 4); err != nil {
+		t.Fatalf("AddStatic h2: %v", err)
+	}
+	if err := r.AddStatic("not-a-url", 0); err == nil || !strings.Contains(err.Error(), "not-a-url") {
+		t.Fatalf("bad URL error = %v", err)
+	}
+	if m := r.Snapshot().Members; len(m) != 2 || !m[1].Static || m[1].Capacity != 4 {
+		t.Fatalf("members = %+v, want h2 static with capacity 4", m)
+	}
 	// Static members have no lease to beat or give up.
 	if _, err := r.Heartbeat(snap.Members[0].ID, 1, Load{}); err != ErrNoLease {
 		t.Fatalf("static heartbeat: err = %v, want ErrNoLease", err)
@@ -283,29 +294,6 @@ func TestConcurrentHeartbeatExpiryRace(t *testing.T) {
 		close(stop)
 	}()
 	wg.Wait()
-}
-
-func TestStaticMembership(t *testing.T) {
-	m, err := Static([]string{"http://h1:8081", "http://h2:8082/", "http://h1:8081", ""}, 4)
-	if err != nil {
-		t.Fatalf("Static: %v", err)
-	}
-	snap := m.Snapshot()
-	if len(snap.Members) != 2 {
-		t.Fatalf("members = %+v, want 2 after dedupe", snap.Members)
-	}
-	for _, mm := range snap.Members {
-		if !mm.Static || mm.Capacity != 4 {
-			t.Fatalf("member = %+v, want static capacity 4", mm)
-		}
-	}
-	if _, err := Static(nil, 0); err == nil {
-		t.Fatal("empty Static accepted")
-	}
-	if _, err := Static([]string{"not-a-url"}, 0); err == nil ||
-		!strings.Contains(err.Error(), "not-a-url") {
-		t.Fatalf("bad URL error = %v", err)
-	}
 }
 
 func TestWeightDiscountsBacklog(t *testing.T) {

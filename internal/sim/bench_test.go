@@ -28,7 +28,7 @@ func BenchmarkSimRunFresh(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if r := Run(benchCfg(llc, m, tr, nil, nil, nil)); r.Demand == 0 {
+		if r := mustRun(b, benchCfg(llc, m, tr, nil, nil, nil)); r.Demand == 0 {
 			b.Fatal("empty run")
 		}
 	}
@@ -45,7 +45,7 @@ func BenchmarkSimRunMixMultiCore(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		cfg := benchCfg(llc, m, t1, t2, t3, t4)
 		cfg.Loop = true
-		if r := Run(cfg); r.Demand == 0 {
+		if r := mustRun(b, cfg); r.Demand == 0 {
 			b.Fatal("empty run")
 		}
 	}

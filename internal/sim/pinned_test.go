@@ -139,7 +139,7 @@ func TestRunPinned(t *testing.T) {
 			cfg.LLC, cfg.Meter = l, m
 			onTicks := 0
 			cfg.OnTick = func(uint64) { onTicks++ }
-			res := Run(cfg)
+			res := mustRun(t, cfg)
 			got := want{cycles: res.Cycles, energy: res.Energy, onTicks: onTicks, ticks: l.ticks}
 			for _, c := range res.Cores {
 				got.cores = append(got.cores, pinnedCore{c.Cycles, c.Instrs, c.Hits, c.Misses, c.Bypasses, c.Writebacks})

@@ -10,6 +10,7 @@
 package sim
 
 import (
+	"fmt"
 	"slices"
 
 	"whirlpool/internal/addr"
@@ -123,22 +124,27 @@ type coreState struct {
 }
 
 // next returns the core's next access, rewinding the cursor at the end
-// of each full pass. done reports that this access completes a pass.
-func (cs *coreState) next() (a trace.LLCAccess, done bool) {
-	a, _ = cs.cur.Next()
+// of each full pass. done reports that this access completes a pass; ok
+// is false when the cursor stopped short of one: a corrupt trace column
+// or a closed mapping, reported by the cursor's Err.
+func (cs *coreState) next() (a trace.LLCAccess, done, ok bool) {
+	if a, ok = cs.cur.Next(); !ok {
+		return a, false, false
+	}
 	cs.pos++
 	if cs.pos >= cs.n {
 		cs.cur.Reset()
 		cs.pos = 0
-		return a, true
+		return a, true, true
 	}
-	return a, false
+	return a, false, true
 }
 
-// Run executes one simulation to completion and returns the result.
+// Run executes one simulation to completion and returns the result. It
+// fails when a core's trace cursor stops before the end of a pass.
 // Traces are shared read-only, so concurrent Runs over the same readers
 // are safe as long as each has its own LLC and Meter.
-func Run(cfg Config) *Result {
+func Run(cfg Config) (*Result, error) {
 	if cfg.TickEvery == 0 {
 		cfg.TickEvery = DefaultTickEvery
 	}
@@ -157,11 +163,14 @@ func Run(cfg Config) *Result {
 		live = append(live, i)
 	}
 	if len(live) == 0 {
-		return res
+		return res, nil
 	}
 	nextTick := cfg.TickEvery
 	if cfg.Warmup {
-		nextTick = replay(cfg, res, cores, slices.Clone(live), nextTick, false)
+		var err error
+		if nextTick, err = replay(cfg, res, cores, slices.Clone(live), nextTick, false); err != nil {
+			return nil, err
+		}
 		// Measurement starts warm: reset timing and energy, keep cache
 		// state. The cursors were rewound as each warmup pass completed.
 		for _, i := range live {
@@ -170,7 +179,9 @@ func Run(cfg Config) *Result {
 		}
 		cfg.Meter.Reset()
 	}
-	replay(cfg, res, cores, live, nextTick, true)
+	if _, err := replay(cfg, res, cores, live, nextTick, true); err != nil {
+		return nil, err
+	}
 	res.Cores = make([]CoreResult, len(cores))
 	for i := range cores {
 		cr := cores[i].res
@@ -183,19 +194,20 @@ func Run(cfg Config) *Result {
 		res.Cycles = max(res.Cycles, cr.Cycles)
 	}
 	res.Energy = *cfg.Meter
-	return res
+	return res, nil
 }
 
 // replay runs the scheduler until every core in live has completed a
 // pass, always advancing the lagging core (lowest cycle count; ties go
 // to the lower core index) and firing the LLC's Tick every TickEvery
-// cycles. It returns the next Tick deadline.
+// cycles. It returns the next Tick deadline, or the error of a cursor
+// that stopped mid-pass.
 //
 // Unmeasured (the warmup), it records nothing, calls neither OnAccess
 // nor OnTick, and each core leaves at its first completed pass.
 // Measured, each core's stats freeze at its first completed pass; under
 // Loop, finished cores keep replaying until every core has finished.
-func replay(cfg Config, res *Result, cores []coreState, live []int, nextTick uint64, measure bool) uint64 {
+func replay(cfg Config, res *Result, cores []coreState, live []int, nextTick uint64, measure bool) (uint64, error) {
 	loop := measure && cfg.Loop
 	for remaining := len(live); remaining > 0; {
 		core, k := live[0], 0
@@ -206,7 +218,10 @@ func replay(cfg Config, res *Result, cores []coreState, live []int, nextTick uin
 			}
 		}
 		record := measure && !cs.finished
-		a, done := cs.next()
+		a, done, ok := cs.next()
+		if !ok {
+			return nextTick, fmt.Errorf("sim: core %d, access %d of %d: %w", core, cs.pos, cs.n, cs.cur.Err())
+		}
 		if a.Writeback {
 			_, _ = cfg.LLC.Access(core, a)
 			if record {
@@ -262,5 +277,5 @@ func replay(cfg Config, res *Result, cores []coreState, live []int, nextTick uin
 			}
 		}
 	}
-	return nextTick
+	return nextTick, nil
 }

@@ -1,7 +1,10 @@
 package sim
 
 import (
+	"errors"
+	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -49,6 +52,16 @@ func mkMixedTrace(n int, gap uint32, stride int) *trace.LLCTrace {
 	return t
 }
 
+// mustRun is Run for configurations whose traces cannot fail.
+func mustRun(t testing.TB, cfg Config) *Result {
+	t.Helper()
+	r, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
 func mkTrace(n int, gap uint32) *trace.LLCTrace {
 	t := &trace.LLCTrace{}
 	for i := 0; i < n; i++ {
@@ -60,7 +73,7 @@ func mkTrace(n int, gap uint32) *trace.LLCTrace {
 
 func TestRunCountsOutcomes(t *testing.T) {
 	f := &fakeLLC{hitLat: 10, missLat: 100}
-	r := Run(Config{
+	r := mustRun(t, Config{
 		LLC:    f,
 		Meter:  &energy.Meter{},
 		Traces: []trace.Reader{mkTrace(1000, 10)},
@@ -78,7 +91,7 @@ func TestRunCountsOutcomes(t *testing.T) {
 
 func TestRunCycleAccounting(t *testing.T) {
 	f := &fakeLLC{hitLat: 10, missLat: 100}
-	r := Run(Config{
+	r := mustRun(t, Config{
 		LLC:    f,
 		Meter:  &energy.Meter{},
 		Traces: []trace.Reader{mkTrace(100, 10)},
@@ -93,7 +106,7 @@ func TestRunCycleAccounting(t *testing.T) {
 
 func TestRunTickCadence(t *testing.T) {
 	f := &fakeLLC{hitLat: 10, missLat: 100}
-	Run(Config{
+	mustRun(t, Config{
 		LLC:       f,
 		Meter:     &energy.Meter{},
 		Traces:    []trace.Reader{mkTrace(10000, 100)},
@@ -106,7 +119,7 @@ func TestRunTickCadence(t *testing.T) {
 
 func TestRunMultiCoreInterleaving(t *testing.T) {
 	f := &fakeLLC{hitLat: 10, missLat: 100}
-	r := Run(Config{
+	r := mustRun(t, Config{
 		LLC:   f,
 		Meter: &energy.Meter{},
 		Traces: []trace.Reader{
@@ -130,7 +143,7 @@ func TestRunLoopFixedWork(t *testing.T) {
 	// Core 1's trace is half as long: under Loop it must keep running
 	// until core 0 finishes, but its frozen stats cover one pass only.
 	f := &fakeLLC{hitLat: 10, missLat: 10}
-	r := Run(Config{
+	r := mustRun(t, Config{
 		LLC:   f,
 		Meter: &energy.Meter{},
 		Traces: []trace.Reader{
@@ -151,7 +164,7 @@ func TestRunLoopFixedWork(t *testing.T) {
 func TestRunWarmupResetsCounters(t *testing.T) {
 	f := &fakeLLC{hitLat: 10, missLat: 100}
 	m := &energy.Meter{}
-	r := Run(Config{
+	r := mustRun(t, Config{
 		LLC:    f,
 		Meter:  m,
 		Traces: []trace.Reader{mkTrace(200, 10)},
@@ -178,7 +191,7 @@ func TestRunWritebacksDoNotStall(t *testing.T) {
 	tr.Append(trace.LLCAccess{Line: 2, Gap: 10})
 	tr.Append(trace.LLCAccess{Line: 4, Writeback: true})
 	tr.Instrs = 10
-	r := Run(Config{LLC: f, Meter: &energy.Meter{}, Traces: []trace.Reader{tr}})
+	r := mustRun(t, Config{LLC: f, Meter: &energy.Meter{}, Traces: []trace.Reader{tr}})
 	if r.Cores[0].Writebacks != 1 {
 		t.Fatalf("writebacks=%d", r.Cores[0].Writebacks)
 	}
@@ -190,7 +203,7 @@ func TestRunWritebacksDoNotStall(t *testing.T) {
 
 func TestRunPerPoolCounters(t *testing.T) {
 	f := &fakeLLC{hitLat: 10, missLat: 100}
-	r := Run(Config{
+	r := mustRun(t, Config{
 		LLC:    f,
 		Meter:  &energy.Meter{},
 		Traces: []trace.Reader{mkTrace(100, 10)},
@@ -210,7 +223,7 @@ func TestRunPerPoolCounters(t *testing.T) {
 
 func TestEmptyRun(t *testing.T) {
 	f := &fakeLLC{}
-	r := Run(Config{LLC: f, Meter: &energy.Meter{}, Traces: []trace.Reader{nil}})
+	r := mustRun(t, Config{LLC: f, Meter: &energy.Meter{}, Traces: []trace.Reader{nil}})
 	if r.Demand != 0 || r.Cycles != 0 {
 		t.Fatal("empty run should be empty")
 	}
@@ -221,16 +234,16 @@ func TestEmptyRun(t *testing.T) {
 // work, and an idle run after a live one matches a fresh idle run.
 func TestRunnerEmptyAndIdle(t *testing.T) {
 	f := &fakeLLC{}
-	r := Run(Config{LLC: f, Meter: &energy.Meter{}, Traces: []trace.Reader{nil, &trace.LLCTrace{}}, Warmup: true})
+	r := mustRun(t, Config{LLC: f, Meter: &energy.Meter{}, Traces: []trace.Reader{nil, &trace.LLCTrace{}}, Warmup: true})
 	if r.Demand != 0 || r.Cycles != 0 || f.accesses != 0 || f.ticks != 0 {
 		t.Fatalf("idle run did work: %+v (LLC accesses %d, ticks %d)", r, f.accesses, f.ticks)
 	}
 	tr := mkMixedTrace(50, 5, 1)
-	if res := Run(Config{LLC: &fakeLLC{hitLat: 1, missLat: 2}, Meter: &energy.Meter{}, Traces: []trace.Reader{tr}}); res.Demand == 0 {
+	if res := mustRun(t, Config{LLC: &fakeLLC{hitLat: 1, missLat: 2}, Meter: &energy.Meter{}, Traces: []trace.Reader{tr}}); res.Demand == 0 {
 		t.Fatal("live run after idle run did nothing")
 	}
 	idle := func() *Result {
-		return Run(Config{LLC: &fakeLLC{}, Meter: &energy.Meter{}, Traces: []trace.Reader{nil}})
+		return mustRun(t, Config{LLC: &fakeLLC{}, Meter: &energy.Meter{}, Traces: []trace.Reader{nil}})
 	}
 	if got, want := idle(), idle(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("idle run after live run: got %+v, want %+v", got, want)
@@ -244,7 +257,7 @@ func TestRunConcurrent(t *testing.T) {
 	tr1 := mkMixedTrace(400, 10, 2)
 	tr2 := mkMixedTrace(300, 7, 3)
 	run := func() *Result {
-		return Run(Config{LLC: &fakeLLC{hitLat: 10, missLat: 100}, Meter: &energy.Meter{},
+		return mustRun(t, Config{LLC: &fakeLLC{hitLat: 10, missLat: 100}, Meter: &energy.Meter{},
 			Traces: []trace.Reader{tr1, tr2}, Loop: true, Warmup: true})
 	}
 	want := run()
@@ -281,7 +294,7 @@ func (r *recordingLLC) Access(core int, a trace.LLCAccess) (uint64, llc.Outcome)
 // saw (Cursor.Reset rewinds losslessly).
 func TestRunWarmupReplayIsIdentical(t *testing.T) {
 	r := &recordingLLC{fakeLLC: fakeLLC{hitLat: 10, missLat: 100}}
-	Run(Config{
+	mustRun(t, Config{
 		LLC:    r,
 		Meter:  &energy.Meter{},
 		Traces: []trace.Reader{mkTrace(300, 10)},
@@ -304,7 +317,7 @@ func TestRunWarmupReplayIsIdentical(t *testing.T) {
 func TestRunWarmupCountersStartFromZero(t *testing.T) {
 	f := &fakeLLC{hitLat: 10, missLat: 100}
 	m := &energy.Meter{}
-	r := Run(Config{
+	r := mustRun(t, Config{
 		LLC:    f,
 		Meter:  m,
 		Traces: []trace.Reader{mkTrace(200, 10)},
@@ -331,7 +344,7 @@ func TestRunWarmupCountersStartFromZero(t *testing.T) {
 // the long core finishes, but its stats cover exactly its first pass.
 func TestRunLoopStatsFreezeAtFirstCompletion(t *testing.T) {
 	r := &recordingLLC{fakeLLC: fakeLLC{hitLat: 10, missLat: 10}}
-	res := Run(Config{
+	res := mustRun(t, Config{
 		LLC:   r,
 		Meter: &energy.Meter{},
 		Traces: []trace.Reader{
@@ -370,7 +383,7 @@ func TestRunLoopStatsFreezeAtFirstCompletion(t *testing.T) {
 // cursor, then the fixed-work loop replays from the start.
 func TestRunWarmupThenLoop(t *testing.T) {
 	f := &fakeLLC{hitLat: 10, missLat: 10}
-	r := Run(Config{
+	r := mustRun(t, Config{
 		LLC:   f,
 		Meter: &energy.Meter{},
 		Traces: []trace.Reader{
@@ -395,7 +408,7 @@ func TestRunWarmupThenLoop(t *testing.T) {
 func TestRunOffsetTrace(t *testing.T) {
 	r := &recordingLLC{fakeLLC: fakeLLC{hitLat: 10, missLat: 10}}
 	base := mkTrace(10, 10)
-	Run(Config{
+	mustRun(t, Config{
 		LLC:    r,
 		Meter:  &energy.Meter{},
 		Traces: []trace.Reader{trace.Offset(base, 1<<44)},
@@ -403,6 +416,31 @@ func TestRunOffsetTrace(t *testing.T) {
 	for i, l := range r.lines {
 		if l != addr.Line(i)+1<<44 {
 			t.Fatalf("offset line %d = %d", i, l)
+		}
+	}
+}
+
+// TestRunStoppedCursorIsError replays a mapped trace whose mapping is
+// closed, directly and through a mix offset, with and without warmup:
+// the run must fail with the cursor's error instead of feeding the LLC
+// zero-valued accesses and reporting success.
+func TestRunStoppedCursorIsError(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "t.wtrc")
+	if err := trace.WriteFile(path, mkMixedTrace(100, 10, 3)); err != nil {
+		t.Fatal(err)
+	}
+	m, err := trace.OpenMapped(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.Close()
+	for _, tr := range []trace.Reader{m, trace.Offset(m, 1<<44)} {
+		for _, warm := range []bool{false, true} {
+			f := &fakeLLC{}
+			_, err := Run(Config{LLC: f, Meter: &energy.Meter{}, Traces: []trace.Reader{mkTrace(10, 10), tr}, Warmup: warm})
+			if !errors.Is(err, trace.ErrClosed) || !strings.Contains(err.Error(), "core 1") {
+				t.Fatalf("warmup=%v: err = %v, want core 1's ErrClosed", warm, err)
+			}
 		}
 	}
 }

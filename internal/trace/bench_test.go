@@ -71,24 +71,6 @@ func BenchmarkTraceCodecEncode(b *testing.B) {
 	b.ReportMetric(float64(buf.Len()), "file-bytes")
 }
 
-// BenchmarkTraceCodecDecode measures .wtrc deserialization + validation.
-func BenchmarkTraceCodecDecode(b *testing.B) {
-	w := benchWorkload(b)
-	tr := trace.FilterPrivate(w.Stream(1))
-	var buf bytes.Buffer
-	if _, err := tr.WriteTo(&buf); err != nil {
-		b.Fatal(err)
-	}
-	data := buf.Bytes()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		got := &trace.LLCTrace{}
-		if _, err := got.ReadFrom(bytes.NewReader(data)); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkTraceMmapOpen measures opening a .wtrc file for zero-copy
 // reading: header + CRC validation against the mapping, no column
 // decode. This is the fixed cost a warm sweep cell pays before its
@@ -111,9 +93,8 @@ func BenchmarkTraceMmapOpen(b *testing.B) {
 }
 
 // BenchmarkTraceMmapCursor measures one full lazy-decode replay pass
-// straight out of the mapping — the zero-copy counterpart of
-// TraceCursorScan (heap-resident decode) and, together with TraceMmapOpen,
-// of the eager TraceCodecDecode path it replaces on warm cells.
+// straight out of the mapping — the same cursor as TraceCursorScan, over
+// page-cache bytes instead of heap columns.
 func BenchmarkTraceMmapCursor(b *testing.B) {
 	w := benchWorkload(b)
 	tr := trace.FilterPrivate(w.Stream(1))

@@ -1,7 +1,8 @@
 // The .wtrc binary codec: a versioned record/replay format for filtered
 // LLC traces. The on-disk layout is the in-memory columnar layout plus a
-// fixed header and a CRC, so encode/decode is a straight copy of the
-// column buffers; see docs/trace-format.md for the byte-level reference.
+// fixed header and a CRC, so encoding writes the column buffers as they
+// are and parsing slices them back out of the file image; see
+// docs/trace-format.md for the byte-level reference.
 package trace
 
 import (
@@ -11,8 +12,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-
-	"whirlpool/internal/addr"
 )
 
 // Magic identifies a .wtrc file.
@@ -25,205 +24,145 @@ const Magic = "WTRC"
 const FormatVersion = 1
 
 // maxSaneAccesses and maxSaneBytes bound the sizes a reader will
-// believe: a corrupt header must not provoke a multi-terabyte allocation
-// before the CRC check has a chance to run.
+// believe: a corrupt header must not send the parser indexing far past
+// the file before the CRC check has a chance to run.
 const (
 	maxSaneAccesses = 1 << 33
 	maxSaneBytes    = 1 << 34
 )
 
-// header is the fixed-size portion after magic+version, little-endian.
-type header struct {
-	N           uint64
-	Demand      uint64
-	Instrs      uint64
-	RawAccesses uint64
-	L1Hits      uint64
-	L2Hits      uint64
-	BaseCycles  uint64
-	LenDeltas   uint64
-	LenGaps     uint64
-}
+// headerBytes is the fixed header after magic+version: nine
+// little-endian uint64s (n, demand, the five Summary counters, and the
+// two varint column lengths).
+const headerBytes = 9 * 8
 
 // WriteTo encodes the trace in .wtrc format. It implements io.WriterTo.
-func (t *LLCTrace) WriteTo(w io.Writer) (int64, error) {
+func (t *LLCTrace) WriteTo(w io.Writer) (int64, error) { return t.writeTo(w) }
+
+// writeTo encodes c in .wtrc format: header, the four columns as they
+// are held in memory, then a CRC trailer over everything before it.
+func (c *columns) writeTo(w io.Writer) (int64, error) {
+	head := make([]byte, 0, 8+headerBytes)
+	head = append(head, Magic...)
+	head = binary.LittleEndian.AppendUint16(head, FormatVersion)
+	head = append(head, 0, 0) // reserved
+	for _, v := range []uint64{uint64(c.n), c.demand, c.Instrs, c.RawAccesses,
+		c.L1Hits, c.L2Hits, c.BaseCycles, uint64(len(c.deltas)), uint64(len(c.gaps))} {
+		head = binary.LittleEndian.AppendUint64(head, v)
+	}
 	crc := crc32.NewIEEE()
-	cw := &countWriter{w: io.MultiWriter(w, crc)}
-
-	if _, err := cw.Write([]byte(Magic)); err != nil {
-		return cw.n, err
-	}
-	var ver [4]byte
-	binary.LittleEndian.PutUint16(ver[0:], FormatVersion)
-	if _, err := cw.Write(ver[:]); err != nil {
-		return cw.n, err
-	}
-	h := header{
-		N:           uint64(t.n),
-		Demand:      t.demand,
-		Instrs:      t.Instrs,
-		RawAccesses: t.RawAccesses,
-		L1Hits:      t.L1Hits,
-		L2Hits:      t.L2Hits,
-		BaseCycles:  t.BaseCycles,
-		LenDeltas:   uint64(len(t.deltas)),
-		LenGaps:     uint64(len(t.gaps)),
-	}
-	if err := binary.Write(cw, binary.LittleEndian, &h); err != nil {
-		return cw.n, err
-	}
-	if _, err := cw.Write(t.deltas); err != nil {
-		return cw.n, err
-	}
-	if _, err := cw.Write(t.gaps); err != nil {
-		return cw.n, err
-	}
-	for _, words := range [][]uint64{t.write, t.wback} {
-		if err := binary.Write(cw, binary.LittleEndian, words); err != nil {
-			return cw.n, err
+	var n int64
+	for _, b := range [][]byte{head, c.deltas, c.gaps, c.write, c.wback} {
+		crc.Write(b)
+		k, err := w.Write(b)
+		n += int64(k)
+		if err != nil {
+			return n, err
 		}
 	}
-	// The CRC trailer covers everything above, magic included. It is
-	// written to w only (not to the running CRC).
-	var sum [4]byte
-	binary.LittleEndian.PutUint32(sum[:], crc.Sum32())
-	n, err := w.Write(sum[:])
-	return cw.n + int64(n), err
+	k, err := w.Write(binary.LittleEndian.AppendUint32(nil, crc.Sum32()))
+	return n + int64(k), err
 }
 
-// ReadFrom decodes a .wtrc stream into t, replacing its contents. It
-// implements io.ReaderFrom. Truncated, corrupt, or wrong-version input
-// returns a descriptive error; it never panics and never half-populates
-// t (contents are replaced only on success).
-func (t *LLCTrace) ReadFrom(r io.Reader) (int64, error) {
-	crc := crc32.NewIEEE()
-	cr := &countReader{r: io.TeeReader(r, crc)}
-
-	var magic [4]byte
-	if _, err := io.ReadFull(cr, magic[:]); err != nil {
-		return cr.n, fmt.Errorf("trace: not a .wtrc trace: %w", readErr(err))
+// parseWTRC validates a complete .wtrc byte image — magic, version,
+// header plausibility, column completeness, CRC, in that order — and
+// returns its columns as capacity-limited subslices of data. It is the
+// only .wtrc parser. It never copies the columns and never panics;
+// varints are checked lazily, by the cursor that decodes them.
+func parseWTRC(data []byte) (columns, error) {
+	var c columns
+	if len(data) < 4 {
+		return c, fmt.Errorf("trace: not a .wtrc trace: %w", errShort(len(data)))
 	}
-	if string(magic[:]) != Magic {
-		return cr.n, fmt.Errorf("trace: not a .wtrc trace (bad magic %q)", magic[:])
+	if string(data[:4]) != Magic {
+		return c, fmt.Errorf("trace: not a .wtrc trace (bad magic %q)", data[:4])
 	}
-	var ver [4]byte
-	if _, err := io.ReadFull(cr, ver[:]); err != nil {
-		return cr.n, fmt.Errorf("trace: truncated header: %w", readErr(err))
+	if len(data) < 8 {
+		return c, fmt.Errorf("trace: truncated header: %w", errShort(len(data)))
 	}
-	if v := binary.LittleEndian.Uint16(ver[0:]); v != FormatVersion {
-		return cr.n, fmt.Errorf("trace: unsupported .wtrc version %d (this build reads version %d)", v, FormatVersion)
+	if v := binary.LittleEndian.Uint16(data[4:]); v != FormatVersion {
+		return c, fmt.Errorf("trace: unsupported .wtrc version %d (this build reads version %d)", v, FormatVersion)
 	}
-	var hb [headerBytes]byte
-	if _, err := io.ReadFull(cr, hb[:]); err != nil {
-		return cr.n, fmt.Errorf("trace: truncated header: %w", readErr(err))
+	if len(data) < 8+headerBytes {
+		return c, fmt.Errorf("trace: truncated header: %w", errShort(len(data)))
 	}
-	h := decodeHeader(hb[:])
-	if err := h.sane(); err != nil {
-		return cr.n, err
+	var h [9]uint64
+	for i := range h {
+		h[i] = binary.LittleEndian.Uint64(data[8+8*i:])
 	}
-	nt := &LLCTrace{
-		Summary: Summary{
-			Instrs:      h.Instrs,
-			RawAccesses: h.RawAccesses,
-			L1Hits:      h.L1Hits,
-			L2Hits:      h.L2Hits,
-			BaseCycles:  h.BaseCycles,
-		},
-		n:      int(h.N),
-		demand: h.Demand,
-		deltas: make([]byte, h.LenDeltas),
-		gaps:   make([]byte, h.LenGaps),
+	n, demand, lenDeltas, lenGaps := h[0], h[1], h[7], h[8]
+	if n > maxSaneAccesses || demand > n || lenDeltas > maxSaneBytes || lenGaps > maxSaneBytes ||
+		lenDeltas > 10*n || lenGaps > 10*n || (n > 0 && lenDeltas == 0) {
+		return c, fmt.Errorf("trace: corrupt .wtrc header (n=%d demand=%d deltas=%d gaps=%d)",
+			n, demand, lenDeltas, lenGaps)
 	}
-	if _, err := io.ReadFull(cr, nt.deltas); err != nil {
-		return cr.n, fmt.Errorf("trace: truncated delta column: %w", readErr(err))
-	}
-	if _, err := io.ReadFull(cr, nt.gaps); err != nil {
-		return cr.n, fmt.Errorf("trace: truncated gap column: %w", readErr(err))
-	}
-	// The bitsets stream through one reusable byte buffer and decode in
-	// place (binary.Read would allocate an equal-sized shadow buffer per
-	// column via reflection — the decode path's old double-buffering).
-	words := (h.N + 63) / 64
-	raw := make([]byte, 8*words)
-	for _, dst := range []*[]uint64{&nt.write, &nt.wback} {
-		if _, err := io.ReadFull(cr, raw); err != nil {
-			return cr.n, fmt.Errorf("trace: truncated flag bitsets: %w", readErr(err))
+	// Column completeness: report the first column the bytes run out in.
+	pos := uint64(8 + headerBytes)
+	take := func(size uint64, what string) ([]byte, error) {
+		if uint64(len(data))-pos < size {
+			return nil, fmt.Errorf("trace: truncated %s: %w", what, errShort(len(data)))
 		}
-		*dst = decodeBitset(raw)
+		col := data[pos : pos+size : pos+size]
+		pos += size
+		return col, nil
 	}
-	want := crc.Sum32()
-	var sum [4]byte
-	if _, err := io.ReadFull(cr, sum[:]); err != nil {
-		return cr.n, fmt.Errorf("trace: truncated checksum: %w", readErr(err))
+	words := (n + 63) / 64
+	var err error
+	if c.deltas, err = take(lenDeltas, "delta column"); err != nil {
+		return c, err
 	}
-	if got := binary.LittleEndian.Uint32(sum[:]); got != want {
-		return cr.n, fmt.Errorf("trace: .wtrc checksum mismatch (file %08x, computed %08x): corrupt trace", got, want)
+	if c.gaps, err = take(lenGaps, "gap column"); err != nil {
+		return c, err
 	}
-	if err := nt.validate(); err != nil {
-		return cr.n, err
+	if c.write, err = take(8*words, "flag bitsets"); err != nil {
+		return c, err
 	}
-	*t = *nt
-	return cr.n, nil
+	if c.wback, err = take(8*words, "flag bitsets"); err != nil {
+		return c, err
+	}
+	sum, err := take(4, "checksum")
+	if err != nil {
+		return c, err
+	}
+	want := crc32.ChecksumIEEE(data[:pos-4])
+	if got := binary.LittleEndian.Uint32(sum); got != want {
+		return c, fmt.Errorf("trace: .wtrc checksum mismatch (file %08x, computed %08x): corrupt trace", got, want)
+	}
+	c.n, c.demand = int(n), demand
+	c.Summary = Summary{Instrs: h[2], RawAccesses: h[3], L1Hits: h[4], L2Hits: h[5], BaseCycles: h[6]}
+	return c, nil
 }
 
-// validate walks the decoded columns once, checking that the varint
-// streams contain exactly n well-formed records and leaving the encoder
-// state (lastLine) consistent so the trace could even be appended to.
-func (nt *LLCTrace) validate() error {
-	dpos, gpos := 0, 0
-	var line addr.Line
-	var demand uint64
-	for i := 0; i < nt.n; i++ {
-		u, k := binary.Uvarint(nt.deltas[dpos:])
-		if k <= 0 {
-			return fmt.Errorf("trace: corrupt .wtrc delta column at access %d", i)
-		}
-		dpos += k
-		line += addr.Line(unzigzag(u))
-		w := uint(i)
-		if nt.wback[w/64]&(1<<(w%64)) == 0 {
-			g, k := binary.Uvarint(nt.gaps[gpos:])
-			if k <= 0 || g > 1<<32-1 {
-				return fmt.Errorf("trace: corrupt .wtrc gap column at access %d", i)
-			}
-			gpos += k
-			demand++
-		}
-	}
-	if dpos != len(nt.deltas) || gpos != len(nt.gaps) || demand != nt.demand {
-		return fmt.Errorf("trace: corrupt .wtrc payload (column sizes disagree with header)")
-	}
-	nt.lastLine = line
-	return nil
-}
-
-// readErr maps io.EOF to the clearer unexpected-EOF for mid-stream
-// truncation.
-func readErr(err error) error {
-	if err == io.EOF {
-		return io.ErrUnexpectedEOF
-	}
-	return err
+// errShort is the truncation cause for a byte image that ended early.
+func errShort(n int) error {
+	return fmt.Errorf("file is %d bytes: unexpected EOF", n)
 }
 
 // WriteFile atomically writes the trace to path in .wtrc format: the
 // bytes land in a temp file in the same directory and are renamed into
 // place, so concurrent readers (parallel sweep workers sharing a trace
-// cache) never observe a partial file. Any TraceReader can be written —
-// non-eager readers (a MappedTrace, an Offset wrapper) are materialized
-// first.
+// cache) never observe a partial file. r is an *LLCTrace or an open
+// *MappedTrace (re-recording a mapped trace is bit-identical); Close
+// must not run concurrently with the write.
 func WriteFile(path string, r TraceReader) error {
-	t, err := materializeErr(r)
-	if err != nil {
-		return fmt.Errorf("trace: writing %s: %w", path, err)
+	var c *columns
+	switch r := r.(type) {
+	case *LLCTrace:
+		c = &r.columns
+	case *MappedTrace:
+		if r.closed.Load() {
+			return fmt.Errorf("trace: writing %s: %w", path, ErrClosed)
+		}
+		c = &r.columns
+	default:
+		return fmt.Errorf("trace: writing %s: cannot encode a %T", path, r)
 	}
-	dir := filepath.Dir(path)
-	f, err := os.CreateTemp(dir, ".wtrc-tmp-*")
+	f, err := os.CreateTemp(filepath.Dir(path), ".wtrc-tmp-*")
 	if err != nil {
 		return fmt.Errorf("trace: %w", err)
 	}
 	tmp := f.Name()
-	if _, err := t.WriteTo(f); err != nil {
+	if _, err := c.writeTo(f); err != nil {
 		f.Close()
 		os.Remove(tmp)
 		return fmt.Errorf("trace: writing %s: %w", path, err)
@@ -237,50 +176,4 @@ func WriteFile(path string, r TraceReader) error {
 		return fmt.Errorf("trace: %w", err)
 	}
 	return nil
-}
-
-// ReadFile eagerly decodes a .wtrc file. The file is mapped (or read
-// whole on platforms without mmap) and parsed straight out of that one
-// image — no intermediate stream buffers — then the mapping is released:
-// the result is an ordinary heap-resident LLCTrace. Use OpenMapped to
-// keep the columns in the mapping instead of copying them out.
-func ReadFile(path string) (*LLCTrace, error) {
-	data, unmap, err := readFileBytes(path)
-	if err != nil {
-		return nil, fmt.Errorf("trace: %w", err)
-	}
-	if unmap != nil {
-		defer unmap()
-	}
-	lay, err := parseWTRC(data)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	t, err := decodeLayout(lay)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return t, nil
-}
-
-type countWriter struct {
-	w io.Writer
-	n int64
-}
-
-func (c *countWriter) Write(p []byte) (int, error) {
-	n, err := c.w.Write(p)
-	c.n += int64(n)
-	return n, err
-}
-
-type countReader struct {
-	r io.Reader
-	n int64
-}
-
-func (c *countReader) Read(p []byte) (int, error) {
-	n, err := c.r.Read(p)
-	c.n += int64(n)
-	return n, err
 }

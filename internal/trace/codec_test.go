@@ -12,8 +12,9 @@ import (
 	"whirlpool/internal/workloads"
 )
 
-// roundTrip encodes tr and decodes it back, failing the test on error.
-func roundTrip(t *testing.T, tr *trace.LLCTrace) *trace.LLCTrace {
+// roundTrip encodes tr and parses it back, failing the test on error.
+// The re-encoded parse must be byte-identical to the first encoding.
+func roundTrip(t *testing.T, tr *trace.LLCTrace) *trace.MappedTrace {
 	t.Helper()
 	var buf bytes.Buffer
 	wn, err := tr.WriteTo(&buf)
@@ -23,13 +24,19 @@ func roundTrip(t *testing.T, tr *trace.LLCTrace) *trace.LLCTrace {
 	if wn != int64(buf.Len()) {
 		t.Fatalf("WriteTo reported %d bytes, wrote %d", wn, buf.Len())
 	}
-	got := &trace.LLCTrace{}
-	rn, err := got.ReadFrom(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatalf("ReadFrom: %v", err)
+	if want := 8 + 72 + tr.EncodedBytes() + 4; buf.Len() != want {
+		t.Fatalf("encoding is %d bytes, want header + columns + CRC = %d", buf.Len(), want)
 	}
-	if rn != wn {
-		t.Fatalf("ReadFrom consumed %d bytes, want %d", rn, wn)
+	got, err := trace.ParseForTest(buf.Bytes())
+	if err != nil {
+		t.Fatalf("parse: %v", err)
+	}
+	path := filepath.Join(t.TempDir(), "again.wtrc")
+	if err := trace.WriteFile(path, got); err != nil {
+		t.Fatalf("WriteFile of the parsed trace: %v", err)
+	}
+	if again, err := os.ReadFile(path); err != nil || !bytes.Equal(again, buf.Bytes()) {
+		t.Fatalf("re-encoding the parsed trace changed its bytes (err %v)", err)
 	}
 	return got
 }
@@ -51,6 +58,9 @@ func sameTrace(t *testing.T, name string, a, b trace.Reader) {
 			t.Fatalf("%s: streams end at different lengths near %d", name, i)
 		}
 		if !okx {
+			if ca.Err() != nil || cb.Err() != nil {
+				t.Fatalf("%s: cursor errors %v, %v at a clean end", name, ca.Err(), cb.Err())
+			}
 			return
 		}
 		if x != y {
@@ -59,8 +69,8 @@ func sameTrace(t *testing.T, name string, a, b trace.Reader) {
 	}
 }
 
-// TestCodecRoundTripBuiltins encodes and decodes every built-in app's
-// filtered trace at small scale and requires the decoded stream to be
+// TestCodecRoundTripBuiltins encodes and parses every built-in app's
+// filtered trace at small scale and requires the parsed stream to be
 // identical to the generator's.
 func TestCodecRoundTripBuiltins(t *testing.T) {
 	if testing.Short() {
@@ -81,7 +91,7 @@ func TestCodecRoundTripEmpty(t *testing.T) {
 }
 
 // encodeOne builds a small deterministic trace for robustness tests.
-func encodeOne(t *testing.T) []byte {
+func encodeOne(t testing.TB) []byte {
 	t.Helper()
 	tr := &trace.LLCTrace{}
 	for i := 0; i < 1000; i++ {
@@ -104,30 +114,27 @@ func TestCodecTruncated(t *testing.T) {
 	data := encodeOne(t)
 	cuts := []int{0, 1, 3, 4, 7, 8, 20, len(data) / 4, len(data) / 2, len(data) - 5, len(data) - 1}
 	for _, cut := range cuts {
-		got := &trace.LLCTrace{}
-		if _, err := got.ReadFrom(bytes.NewReader(data[:cut])); err == nil {
+		if _, err := trace.ParseForTest(data[:cut]); err == nil {
 			t.Fatalf("truncation at %d of %d bytes decoded without error", cut, len(data))
 		}
 	}
 }
 
 // TestCodecCorrupt flips single bytes across the file: every flip must
-// surface as an error (header sanity, CRC, or varint validation).
+// surface as a parse error (header sanity or CRC).
 func TestCodecCorrupt(t *testing.T) {
 	data := encodeOne(t)
 	for _, pos := range []int{8, 16, 40, 80, len(data) / 2, len(data) - 2} {
 		bad := bytes.Clone(data)
 		bad[pos] ^= 0x5a
-		got := &trace.LLCTrace{}
-		if _, err := got.ReadFrom(bytes.NewReader(bad)); err == nil {
+		if _, err := trace.ParseForTest(bad); err == nil {
 			t.Fatalf("corrupt byte at %d decoded without error", pos)
 		}
 	}
 }
 
 func TestCodecBadMagic(t *testing.T) {
-	got := &trace.LLCTrace{}
-	_, err := got.ReadFrom(strings.NewReader("ELF\x7fnot a trace at all, padding padding"))
+	_, err := trace.ParseForTest([]byte("ELF\x7fnot a trace at all, padding padding"))
 	if err == nil || !strings.Contains(err.Error(), "magic") {
 		t.Fatalf("bad magic error = %v", err)
 	}
@@ -137,8 +144,7 @@ func TestCodecWrongVersion(t *testing.T) {
 	data := encodeOne(t)
 	bad := bytes.Clone(data)
 	bad[4] = 0x63 // version 99
-	got := &trace.LLCTrace{}
-	_, err := got.ReadFrom(bytes.NewReader(bad))
+	_, err := trace.ParseForTest(bad)
 	if err == nil || !strings.Contains(err.Error(), "version") {
 		t.Fatalf("wrong version error = %v", err)
 	}
@@ -151,10 +157,11 @@ func TestWriteFileReadFile(t *testing.T) {
 	if err := trace.WriteFile(path, tr); err != nil {
 		t.Fatal(err)
 	}
-	got, err := trace.ReadFile(path)
+	got, err := trace.OpenMapped(path)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer got.Close()
 	sameTrace(t, "delaunay file", tr, got)
 	// No temp droppings left behind by the atomic write.
 	ents, err := os.ReadDir(filepath.Dir(path))
@@ -163,12 +170,6 @@ func TestWriteFileReadFile(t *testing.T) {
 	}
 	if len(ents) != 1 {
 		t.Fatalf("cache dir has %d entries, want 1", len(ents))
-	}
-}
-
-func TestReadFileMissing(t *testing.T) {
-	if _, err := trace.ReadFile(filepath.Join(t.TempDir(), "nope.wtrc")); err == nil {
-		t.Fatal("missing file must error")
 	}
 }
 

@@ -3,6 +3,7 @@ package trace_test
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -24,19 +25,10 @@ func writeWTRC(t *testing.T, tr *trace.LLCTrace) string {
 	return path
 }
 
-// cursorErr extracts the optional error channel from a cursor.
-func cursorErr(t *testing.T, c trace.Cursor) error {
-	t.Helper()
-	ec, ok := c.(interface{ Err() error })
-	if !ok {
-		t.Fatalf("cursor %T has no Err()", c)
-	}
-	return ec.Err()
-}
-
-// TestMappedBitIdentityBuiltins decodes every built-in app's trace both
-// eagerly and via the mapping and requires identical streams and stats —
-// the invariant that lets the harness swap decode paths freely.
+// TestMappedBitIdentityBuiltins writes every built-in app's filtered
+// trace to a file and requires the mapped file to replay the identical
+// stream and stats — the invariant that lets the harness serve cache
+// hits in place of freshly filtered traces.
 func TestMappedBitIdentityBuiltins(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-suite comparison is not short")
@@ -45,17 +37,13 @@ func TestMappedBitIdentityBuiltins(t *testing.T) {
 		w := workloads.Build(spec, 0.002)
 		tr := trace.FilterPrivate(w.Stream(1))
 		path := writeWTRC(t, tr)
-		eager, err := trace.ReadFile(path)
-		if err != nil {
-			t.Fatalf("%s: ReadFile: %v", spec.Name, err)
-		}
 		mapped, err := trace.OpenMapped(path)
 		if err != nil {
 			t.Fatalf("%s: OpenMapped: %v", spec.Name, err)
 		}
-		sameTrace(t, spec.Name+" eager", tr, eager)
 		sameTrace(t, spec.Name+" mapped", tr, mapped)
-		if mapped.DemandAccesses() != tr.DemandAccesses() || mapped.LLCAPKI() != tr.LLCAPKI() {
+		if mapped.DemandAccesses() != tr.DemandAccesses() || mapped.LLCAPKI() != tr.LLCAPKI() ||
+			mapped.EncodedBytes() != tr.EncodedBytes() {
 			t.Fatalf("%s: mapped derived stats diverge", spec.Name)
 		}
 		if err := mapped.Close(); err != nil {
@@ -81,11 +69,6 @@ func TestMappedFallbackBitIdentity(t *testing.T) {
 		t.Fatal("fallback path reports a real mapping")
 	}
 	sameTrace(t, "fallback", tr, mapped)
-	eager, err := trace.ReadFile(path) // ReadFile's fallback arm too
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameTrace(t, "fallback ReadFile", tr, eager)
 }
 
 // TestMappedIsMapped asserts the real-mmap path engages on this
@@ -143,7 +126,7 @@ func TestMappedCursorReset(t *testing.T) {
 	if n != mapped.NumAccesses() {
 		t.Fatalf("second full pass saw %d accesses, want %d", n, mapped.NumAccesses())
 	}
-	if err := cursorErr(t, cur); err != nil {
+	if err := cur.Err(); err != nil {
 		t.Fatalf("clean replay left cursor error %v", err)
 	}
 }
@@ -215,14 +198,14 @@ func TestMappedUseAfterClose(t *testing.T) {
 	if _, ok := before.Next(); ok {
 		t.Fatal("Next succeeded after Close")
 	}
-	if err := cursorErr(t, before); !errors.Is(err, trace.ErrClosed) {
+	if err := before.Err(); !errors.Is(err, trace.ErrClosed) {
 		t.Fatalf("pre-Close cursor error = %v, want ErrClosed", err)
 	}
 	after := mapped.NewCursor()
 	if _, ok := after.Next(); ok {
 		t.Fatal("post-Close cursor returned an access")
 	}
-	if err := cursorErr(t, after); !errors.Is(err, trace.ErrClosed) {
+	if err := after.Err(); !errors.Is(err, trace.ErrClosed) {
 		t.Fatalf("post-Close cursor error = %v, want ErrClosed", err)
 	}
 	// Reset does not resurrect a closed mapping.
@@ -230,27 +213,46 @@ func TestMappedUseAfterClose(t *testing.T) {
 	if _, ok := before.Next(); ok {
 		t.Fatal("Reset revived a closed cursor")
 	}
+	// Nor can the closed trace be re-recorded.
+	if err := trace.WriteFile(filepath.Join(t.TempDir(), "x.wtrc"), mapped); !errors.Is(err, trace.ErrClosed) {
+		t.Fatalf("WriteFile after Close: err = %v, want ErrClosed", err)
+	}
+	if mapped.NumAccesses() != 100 || mapped.EncodedBytes() == 0 {
+		t.Fatal("accessors must keep answering from the header after Close")
+	}
+}
+
+// damage is one broken variant of a valid encoding.
+type damage struct {
+	name string
+	data []byte
+}
+
+// damaged returns data cut short at every region and with one byte
+// flipped in every region.
+func damaged(data []byte) []damage {
+	var out []damage
+	for _, cut := range []int{0, 1, 3, 4, 7, 8, 20, 79, 80, len(data) / 4, len(data) / 2, len(data) - 5, len(data) - 3, len(data) - 1} {
+		out = append(out, damage{fmt.Sprintf("cut %d", cut), data[:cut]})
+	}
+	for _, pos := range []int{0, 4, 8, 16, 40, 80, len(data) / 2, len(data) - 2} {
+		bad := bytes.Clone(data)
+		bad[pos] ^= 0x5a
+		out = append(out, damage{fmt.Sprintf("flip at %d", pos), bad})
+	}
+	return out
 }
 
 // TestMappedErrorParity truncates and corrupts a file at every region
-// and requires OpenMapped to fail exactly when the streaming reader
-// does, with the same error class in the message.
+// and requires the mmap path, the io fallback and the in-memory parse
+// to fail alike, with a known error class in the message.
 func TestMappedErrorParity(t *testing.T) {
-	data := encodeOne(t)
 	dir := t.TempDir()
-	write := func(b []byte) string {
-		path := filepath.Join(dir, "x.wtrc")
-		if err := os.WriteFile(path, b, 0o666); err != nil {
-			t.Fatal(err)
-		}
-		return path
-	}
 	classOf := func(err error) string {
 		for _, class := range []string{
 			"not a .wtrc trace", "unsupported .wtrc version", "truncated header",
 			"truncated delta column", "truncated gap column", "truncated flag bitsets",
 			"truncated checksum", "checksum mismatch", "corrupt .wtrc header",
-			"corrupt .wtrc delta column", "corrupt .wtrc gap column", "corrupt .wtrc payload",
 		} {
 			if strings.Contains(err.Error(), class) {
 				return class
@@ -258,39 +260,42 @@ func TestMappedErrorParity(t *testing.T) {
 		}
 		return "other: " + err.Error()
 	}
-	cuts := []int{0, 1, 3, 4, 7, 8, 20, 79, 80, len(data) / 4, len(data) / 2, len(data) - 5, len(data) - 3, len(data) - 1}
-	for _, cut := range cuts {
-		path := write(data[:cut])
-		ref := &trace.LLCTrace{}
-		_, refErr := ref.ReadFrom(bytes.NewReader(data[:cut]))
-		_, mapErr := trace.OpenMapped(path)
-		if refErr == nil || mapErr == nil {
-			t.Fatalf("cut %d: reader err %v, mapped err %v (both must fail)", cut, refErr, mapErr)
+	open := func(path string, noMmap bool) error {
+		trace.SetMmapDisabledForTest(noMmap)
+		defer trace.SetMmapDisabledForTest(false)
+		m, err := trace.OpenMapped(path)
+		if err == nil {
+			m.Close()
 		}
-		if classOf(refErr) != classOf(mapErr) {
-			t.Fatalf("cut %d: reader %q vs mapped %q", cut, refErr, mapErr)
-		}
+		return err
 	}
-	for _, pos := range []int{0, 4, 8, 16, 40, 80, len(data) / 2, len(data) - 2} {
-		bad := bytes.Clone(data)
-		bad[pos] ^= 0x5a
-		path := write(bad)
-		ref := &trace.LLCTrace{}
-		_, refErr := ref.ReadFrom(bytes.NewReader(bad))
-		_, mapErr := trace.OpenMapped(path)
-		if refErr == nil || mapErr == nil {
-			t.Fatalf("flip at %d: reader err %v, mapped err %v (both must fail)", pos, refErr, mapErr)
+	for _, d := range damaged(encodeOne(t)) {
+		path := filepath.Join(dir, "x.wtrc")
+		if err := os.WriteFile(path, d.data, 0o666); err != nil {
+			t.Fatal(err)
 		}
-		if classOf(refErr) != classOf(mapErr) {
-			t.Fatalf("flip at %d: reader %q vs mapped %q", pos, refErr, mapErr)
+		_, parseErr := trace.ParseForTest(d.data)
+		mapErr, readErr := open(path, false), open(path, true)
+		if parseErr == nil || mapErr == nil || readErr == nil {
+			t.Fatalf("%s: parse err %v, mapped err %v, fallback err %v (all must fail)", d.name, parseErr, mapErr, readErr)
+		}
+		class := classOf(parseErr)
+		if strings.HasPrefix(class, "other") || classOf(mapErr) != class || classOf(readErr) != class {
+			t.Fatalf("%s: parse %q, mapped %q, fallback %q", d.name, parseErr, mapErr, readErr)
 		}
 	}
 }
 
-// TestMappedMissingFile errors cleanly on both paths.
+// TestMappedMissingFile errors cleanly with and without mmap.
 func TestMappedMissingFile(t *testing.T) {
-	if _, err := trace.OpenMapped(filepath.Join(t.TempDir(), "nope.wtrc")); err == nil {
+	path := filepath.Join(t.TempDir(), "nope.wtrc")
+	if _, err := trace.OpenMapped(path); err == nil {
 		t.Fatal("missing file must error")
+	}
+	trace.SetMmapDisabledForTest(true)
+	defer trace.SetMmapDisabledForTest(false)
+	if _, err := trace.OpenMapped(path); err == nil {
+		t.Fatal("missing file must error on the fallback path")
 	}
 }
 
@@ -310,12 +315,13 @@ func TestMappedEmptyTrace(t *testing.T) {
 	}
 }
 
-// TestMaterializeMapped re-encodes a mapped trace and requires the
-// round trip to be bit-identical (WriteFile on a MappedTrace).
+// TestMaterializeMapped re-records a mapped trace with WriteFile and
+// requires the copy to be byte-identical to the original file.
 func TestMaterializeMapped(t *testing.T) {
 	w := workloads.Build(mustSpec(t, "delaunay"), 0.005)
 	tr := trace.FilterPrivate(w.Stream(1))
-	mapped, err := trace.OpenMapped(writeWTRC(t, tr))
+	path := writeWTRC(t, tr)
+	mapped, err := trace.OpenMapped(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -324,9 +330,9 @@ func TestMaterializeMapped(t *testing.T) {
 	if err := trace.WriteFile(path2, mapped); err != nil {
 		t.Fatal(err)
 	}
-	again, err := trace.ReadFile(path2)
-	if err != nil {
-		t.Fatal(err)
+	orig, err1 := os.ReadFile(path)
+	copied, err2 := os.ReadFile(path2)
+	if err1 != nil || err2 != nil || !bytes.Equal(orig, copied) {
+		t.Fatalf("re-recorded copy differs from the original (errs %v, %v)", err1, err2)
 	}
-	sameTrace(t, "materialized copy", tr, again)
 }

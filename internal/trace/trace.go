@@ -9,12 +9,15 @@
 // The LLC trace itself is a columnar, delta-encoded stream (LLCTrace)
 // replayed through cursors (Reader/Cursor), not a materialized slice of
 // structs: traces dominate the simulator's resident memory, and the
-// columnar form both shrinks them severalfold and serializes directly to
-// the on-disk .wtrc format (docs/trace-format.md).
+// columnar form both shrinks them severalfold and is byte-for-byte the
+// payload of the on-disk .wtrc format (docs/trace-format.md), so a
+// mapped file replays through the same cursor as a fresh trace.
 package trace
 
 import (
 	"encoding/binary"
+	"fmt"
+	"sync/atomic"
 
 	"whirlpool/internal/addr"
 	"whirlpool/internal/cache"
@@ -91,9 +94,9 @@ type Summary struct {
 }
 
 // Reader is a replayable LLC access trace: the simulator's view of a
-// filtered app. The concrete implementations are *LLCTrace (columnar,
-// in-memory or decoded from a .wtrc file) and the wrapper returned by
-// Offset.
+// filtered app. The concrete implementations are *LLCTrace (heap
+// columns), *MappedTrace (the same columns in a mapped .wtrc file) and
+// the wrapper returned by Offset.
 type Reader interface {
 	// NewCursor returns an independent cursor positioned at the start.
 	NewCursor() Cursor
@@ -109,13 +112,18 @@ type Reader interface {
 type Cursor interface {
 	Next() (LLCAccess, bool)
 	Reset()
+	// Err reports why Next stopped before NumAccesses accesses: nil at
+	// a clean end of trace, ErrClosed after the backing MappedTrace was
+	// closed, or a corrupt-column error. The error is sticky: Reset
+	// keeps it, so a stopped cursor stays stopped.
+	Err() error
 }
 
 // TraceReader is the full trace surface the tooling and harness consume:
 // replayable like any Reader, plus the derived statistics CLI reports
-// print. Both the eager *LLCTrace and the zero-copy *MappedTrace satisfy
-// it, so callers holding a TraceReader never care which decode path
-// produced their trace.
+// print. Both *LLCTrace and *MappedTrace satisfy it, so callers holding
+// a TraceReader never care whether the columns live on the heap or in a
+// mapping.
 type TraceReader interface {
 	Reader
 	// DemandAccesses counts non-writeback accesses.
@@ -126,55 +134,56 @@ type TraceReader interface {
 	EncodedBytes() int
 }
 
-// Materialize returns an eager, heap-resident LLCTrace equivalent to r:
-// r itself when it already is one, otherwise a replay of r's stream into
-// a fresh encoder (how a mapped or offset trace becomes writable again —
-// WriteFile uses it).
-func Materialize(r Reader) *LLCTrace {
-	t, _ := materializeErr(r)
-	return t
-}
-
-// materializeErr is Materialize plus the cursor's error channel: a
-// replay cut short (mapping closed mid-copy) surfaces instead of
-// silently producing a truncated trace.
-func materializeErr(r Reader) (*LLCTrace, error) {
-	if t, ok := r.(*LLCTrace); ok {
-		return t, nil
-	}
-	t := &LLCTrace{Summary: r.Stats()}
-	cur := r.NewCursor()
-	for {
-		a, ok := cur.Next()
-		if !ok {
-			break
-		}
-		t.Append(a)
-	}
-	if ec, ok := cur.(interface{ Err() error }); ok && ec.Err() != nil {
-		return t, ec.Err()
-	}
-	return t, nil
-}
-
-// LLCTrace is a core's filtered access stream plus the cycle/energy
-// contributions of the private levels. The access stream is stored
-// column-wise — line deltas and instruction gaps as varints, the
-// write/writeback flags as bitsets — which is both ~4x smaller than a
-// []LLCAccess and exactly the .wtrc wire format.
-type LLCTrace struct {
+// columns is a trace's access stream stored column-wise, in exactly the
+// .wtrc payload layout: line deltas and instruction gaps as varints, the
+// write/writeback flags as little-endian bitsets. An LLCTrace owns heap
+// columns it appends to; a MappedTrace's columns are a read-only view of
+// its file, produced by parseWTRC.
+type columns struct {
 	Summary
 
 	n      int    // total accesses
 	demand uint64 // non-writeback accesses
 
+	deltas []byte // per access: uvarint(zigzag(line - prev line))
+	gaps   []byte // per demand access: uvarint(gap)
+	write  []byte // bitset over access index, 8*ceil(n/64) bytes: demand store
+	wback  []byte // bitset over access index, 8*ceil(n/64) bytes: L2 dirty eviction
+}
+
+// NumAccesses implements Reader.
+func (c *columns) NumAccesses() int { return c.n }
+
+// Stats implements Reader.
+func (c *columns) Stats() Summary { return c.Summary }
+
+// DemandAccesses counts non-writeback accesses in the trace.
+func (c *columns) DemandAccesses() uint64 { return c.demand }
+
+// LLCAPKI returns demand LLC accesses per kilo-instruction.
+func (c *columns) LLCAPKI() float64 {
+	if c.Instrs == 0 {
+		return 0
+	}
+	return float64(c.demand) / float64(c.Instrs) * 1000
+}
+
+// EncodedBytes reports the resident size of the columnar payload — the
+// number the bench trajectory tracks (a []LLCAccess costs 16 bytes per
+// access; this is typically 3-5). For a MappedTrace these are bytes
+// shared with the page cache rather than heap.
+func (c *columns) EncodedBytes() int {
+	return len(c.deltas) + len(c.gaps) + len(c.write) + len(c.wback)
+}
+
+// LLCTrace is a core's filtered access stream plus the cycle/energy
+// contributions of the private levels, held in heap columns — ~4x
+// smaller than a []LLCAccess and byte-for-byte the .wtrc payload.
+type LLCTrace struct {
+	columns
+
 	// Encoder state: the previous appended line (deltas chain off it).
 	lastLine addr.Line
-
-	deltas []byte   // per access: uvarint(zigzag(line - prev line))
-	gaps   []byte   // per demand access: uvarint(gap)
-	write  []uint64 // bitset over access index: demand store
-	wback  []uint64 // bitset over access index: L2 dirty eviction
 }
 
 // zigzag maps signed deltas to unsigned varint-friendly values.
@@ -184,82 +193,76 @@ func zigzag(v int64) uint64 { return uint64((v << 1) ^ (v >> 63)) }
 func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 
 // Append adds one access to the trace. Traces are append-only: the
-// private filter and the .wtrc decoder are the only writers.
+// private filter is the only writer.
 func (t *LLCTrace) Append(a LLCAccess) {
 	i := uint(t.n)
 	if i%64 == 0 {
-		t.write = append(t.write, 0)
-		t.wback = append(t.wback, 0)
+		t.write = append(t.write, make([]byte, 8)...)
+		t.wback = append(t.wback, make([]byte, 8)...)
 	}
 	// Line deltas use wrapping uint64 subtraction, so any jump — including
 	// the 2^44-sized per-core mix offsets — round-trips exactly.
 	t.deltas = binary.AppendUvarint(t.deltas, zigzag(int64(a.Line-t.lastLine)))
 	t.lastLine = a.Line
 	if a.Writeback {
-		t.wback[i/64] |= 1 << (i % 64)
+		t.wback[i/8] |= 1 << (i % 8)
 	} else {
 		t.gaps = binary.AppendUvarint(t.gaps, uint64(a.Gap))
 		t.demand++
 	}
 	if a.Write {
-		t.write[i/64] |= 1 << (i % 64)
+		t.write[i/8] |= 1 << (i % 8)
 	}
 	t.n++
 }
 
-// NumAccesses implements Reader.
-func (t *LLCTrace) NumAccesses() int {
-	if t == nil {
-		return 0
-	}
-	return t.n
-}
-
-// Stats implements Reader.
-func (t *LLCTrace) Stats() Summary {
-	if t == nil {
-		return Summary{}
-	}
-	return t.Summary
-}
-
-// EncodedBytes reports the resident size of the columnar payload — the
-// number the bench trajectory tracks (a []LLCAccess costs 16 bytes per
-// access; this is typically 3-5).
-func (t *LLCTrace) EncodedBytes() int {
-	return len(t.deltas) + len(t.gaps) + 8*(len(t.write)+len(t.wback))
-}
-
 // NewCursor implements Reader.
-func (t *LLCTrace) NewCursor() Cursor { return &llcCursor{t: t} }
+func (t *LLCTrace) NewCursor() Cursor { return &cursor{c: &t.columns} }
 
-// llcCursor decodes the columnar stream sequentially.
-type llcCursor struct {
-	t    *LLCTrace
-	i    int
-	dpos int
-	gpos int
-	line addr.Line
+// cursor decodes a trace's columns sequentially; it serves heap and
+// mapped traces alike. Every varint is bounds-checked, so a corrupt
+// column stops the cursor with an error instead of a panic.
+type cursor struct {
+	c      *columns
+	closed *atomic.Bool // the owning MappedTrace's flag; nil on the heap
+	i      int
+	dpos   int
+	gpos   int
+	line   addr.Line
+	err    error
 }
 
-// Next implements Cursor.
-func (c *llcCursor) Next() (LLCAccess, bool) {
-	t := c.t
-	if c.i >= t.n {
+// Next implements Cursor. After Close, or on a malformed varint, it
+// returns ok=false and records the cause for Err.
+func (c *cursor) Next() (LLCAccess, bool) {
+	t := c.c
+	if c.err != nil || c.i >= t.n {
+		return LLCAccess{}, false
+	}
+	if c.closed != nil && c.closed.Load() {
+		c.err = ErrClosed
 		return LLCAccess{}, false
 	}
 	u, k := binary.Uvarint(t.deltas[c.dpos:])
+	if k <= 0 {
+		c.err = fmt.Errorf("trace: corrupt .wtrc delta column at access %d", c.i)
+		return LLCAccess{}, false
+	}
 	c.dpos += k
 	c.line += addr.Line(unzigzag(u))
-	i := uint(c.i)
-	bit := uint64(1) << (i % 64)
+	i := c.i
+	bit := byte(1) << (i & 7)
 	a := LLCAccess{
 		Line:      c.line,
-		Writeback: t.wback[i/64]&bit != 0,
-		Write:     t.write[i/64]&bit != 0,
+		Writeback: t.wback[i>>3]&bit != 0,
+		Write:     t.write[i>>3]&bit != 0,
 	}
 	if !a.Writeback {
 		g, k := binary.Uvarint(t.gaps[c.gpos:])
+		if k <= 0 || g > 1<<32-1 {
+			c.err = fmt.Errorf("trace: corrupt .wtrc gap column at access %d", c.i)
+			return LLCAccess{}, false
+		}
 		c.gpos += k
 		a.Gap = uint32(g)
 	}
@@ -267,8 +270,11 @@ func (c *llcCursor) Next() (LLCAccess, bool) {
 	return a, true
 }
 
-// Reset implements Cursor.
-func (c *llcCursor) Reset() { *c = llcCursor{t: c.t} }
+// Reset implements Cursor, rewinding to the start. The error stays.
+func (c *cursor) Reset() { *c = cursor{c: c.c, closed: c.closed, err: c.err} }
+
+// Err implements Cursor.
+func (c *cursor) Err() error { return c.err }
 
 // Offset wraps a reader so every access line is shifted by off: how
 // multi-programmed mixes give each core a disjoint address space without
@@ -300,7 +306,8 @@ func (c *offsetCursor) Next() (LLCAccess, bool) {
 	return a, ok
 }
 
-func (c *offsetCursor) Reset() { c.c.Reset() }
+func (c *offsetCursor) Reset()     { c.c.Reset() }
+func (c *offsetCursor) Err() error { return c.c.Err() }
 
 // BaseCPI is the core's cycles-per-instruction when never stalled on the
 // LLC (a Nehalem-like OOO sustains ~2 IPC on compute; docs/design.md
@@ -361,15 +368,4 @@ func FilterPrivate(s Stream) *LLCTrace {
 	}
 	t.BaseCycles = uint64(float64(t.Instrs)*BaseCPI) + t.L2Hits*L2HitStall
 	return t
-}
-
-// DemandAccesses counts non-writeback accesses in the trace.
-func (t *LLCTrace) DemandAccesses() uint64 { return t.demand }
-
-// LLCAPKI returns demand LLC accesses per kilo-instruction.
-func (t *LLCTrace) LLCAPKI() float64 {
-	if t.Instrs == 0 {
-		return 0
-	}
-	return float64(t.demand) / float64(t.Instrs) * 1000
 }
