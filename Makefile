@@ -33,12 +33,13 @@ test:
 race:
 	$(GO) test -race -count=1 -timeout 20m ./internal/experiments/... ./internal/sim/ ./internal/trace/ ./internal/results/ ./internal/server/ ./internal/dispatch/ ./internal/fleet/ ./internal/traffic/ ./internal/obs/
 
-# Ten seconds of coverage-guided fuzzing of the .wtrc parser and cursor
-# on top of the committed seeds (which `go test ./...` already runs).
-# Minimization is capped so a new input's shrinking cannot eat the
-# whole budget.
+# Ten seconds of coverage-guided fuzzing of the .wtrc parser and cursor,
+# then five of CapLRU against its naive reference LRU, on top of the
+# committed seeds (which `go test ./...` already runs). Minimization is
+# capped so a new input's shrinking cannot eat the whole budget.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzParseWTRC -fuzztime 10s -fuzzminimizetime 1s ./internal/trace/
+	$(GO) test -run '^$$' -fuzz FuzzCapLRU -fuzztime 5s -fuzzminimizetime 1s ./internal/cache/
 
 vet:
 	$(GO) vet ./...
@@ -67,14 +68,15 @@ bench:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
 # The perf trajectory: trace-pipeline benchmarks (filter, cursor replay,
-# codec, warm vs cold harness load, one sim pass), plus the observability
+# codec, warm vs cold harness load, one sim pass), the D-NUCA hot path
+# (CapLRU and Dnuca accesses with no scheduler), plus the observability
 # alloc guards (span emission, the traced sweep loop), rendered as
 # BENCH_trace.json. The raw benchmark lines ride along inside the JSON,
 # so benchstat can compare two snapshots:
 #   jq -r '.raw[]' BENCH_trace.json | benchstat /dev/stdin
 bench-json:
-	$(GO) test -run '^$$' -bench 'FilterPrivate|TraceCursor|TraceCodec|TraceMmap|HarnessTrace|SimRun|SweepBatched|SpanEmit|SweepSpan' \
-		-benchmem -benchtime 200ms -count 1 ./internal/trace/ ./internal/sim/ ./internal/experiments/ ./internal/obs/ \
+	$(GO) test -run '^$$' -bench 'FilterPrivate|TraceCursor|TraceCodec|TraceMmap|HarnessTrace|SimRun|SweepBatched|SpanEmit|SweepSpan|CapLRUAccess|DnucaAccess' \
+		-benchmem -benchtime 200ms -count 1 ./internal/trace/ ./internal/sim/ ./internal/experiments/ ./internal/obs/ ./internal/cache/ ./internal/jigsaw/ \
 		| $(GO) run ./cmd/whirltool benchjson > BENCH_trace.json
 	@echo "wrote BENCH_trace.json"
 

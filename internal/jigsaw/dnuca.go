@@ -1,7 +1,9 @@
 package jigsaw
 
 import (
-	"sort"
+	"cmp"
+	"fmt"
+	"slices"
 
 	"whirlpool/internal/energy"
 	"whirlpool/internal/llc"
@@ -34,9 +36,13 @@ type Config struct {
 // Dnuca is the shared-baseline D-NUCA engine behind both Jigsaw and
 // Whirlpool. It satisfies llc.LLC.
 type Dnuca struct {
-	cfg  Config
-	vcs  map[llc.VCKey]*VC
-	keys []llc.VCKey // stable iteration order
+	cfg Config
+	// tab[Core+1][Pool] is the VC for a key (nil until first touch); the
+	// +1 gives llc.SharedVC row 0. Rows grow on demand.
+	tab [][]*VC
+	// vcs holds every VC in (Core, Pool) order, the stable order of
+	// reconfigurations and introspection.
+	vcs []*VC
 
 	lastReconfig uint64
 	// Stats.
@@ -62,19 +68,44 @@ func New(cfg Config) *Dnuca {
 	if cfg.SchemeName == "" {
 		cfg.SchemeName = "Jigsaw"
 	}
-	return &Dnuca{cfg: cfg, vcs: make(map[llc.VCKey]*VC)}
+	return &Dnuca{cfg: cfg}
 }
 
 // Name implements llc.LLC.
 func (d *Dnuca) Name() string { return d.cfg.SchemeName }
 
+// vc returns key's VC: two indexed loads once the VC exists.
 func (d *Dnuca) vc(key llc.VCKey) *VC {
-	if v, ok := d.vcs[key]; ok {
-		return v
+	// Negative indices wrap to huge uints and fall through to addVC.
+	if r := uint(int(key.Core) + 1); r < uint(len(d.tab)) {
+		if row := d.tab[r]; uint(key.Pool) < uint(len(row)) {
+			if v := row[key.Pool]; v != nil {
+				return v
+			}
+		}
+	}
+	return d.addVC(key)
+}
+
+// addVC creates key's VC on its first access, growing the table to reach
+// it and inserting it into vcs in (Core, Pool) order.
+func (d *Dnuca) addVC(key llc.VCKey) *VC {
+	if key.Core < llc.SharedVC || key.Pool < 0 {
+		panic(fmt.Sprintf("jigsaw: classifier returned VC key %+v; want Core >= llc.SharedVC and Pool >= 0", key))
+	}
+	r, p := int(key.Core)+1, int(key.Pool)
+	if r >= len(d.tab) {
+		d.tab = append(d.tab, make([][]*VC, r+1-len(d.tab))...)
+	}
+	if p >= len(d.tab[r]) {
+		d.tab[r] = append(d.tab[r], make([]*VC, p+1-len(d.tab[r]))...)
 	}
 	v := newVC(key, d.cfg.Chip, d.cfg.Gran)
-	d.vcs[key] = v
-	d.keys = append(d.keys, key)
+	d.tab[r][p] = v
+	i, _ := slices.BinarySearchFunc(d.vcs, key, func(w *VC, k llc.VCKey) int {
+		return cmp.Or(cmp.Compare(w.Key.Core, k.Core), cmp.Compare(w.Key.Pool, k.Pool))
+	})
+	d.vcs = slices.Insert(d.vcs, i, v)
 	return v
 }
 
@@ -159,21 +190,11 @@ func (d *Dnuca) Tick(now uint64) {
 // movement for migrated lines).
 func (d *Dnuca) Reconfigure() {
 	d.Reconfigs++
-	if len(d.keys) == 0 {
+	if len(d.vcs) == 0 {
 		return
 	}
 	chip := d.cfg.Chip
-	// Stable order: sort keys (map iteration is randomized).
-	sort.Slice(d.keys, func(i, j int) bool {
-		a, b := d.keys[i], d.keys[j]
-		if a.Core != b.Core {
-			return a.Core < b.Core
-		}
-		return a.Pool < b.Pool
-	})
-	vcs := make([]*VC, 0, len(d.keys))
-	for _, k := range d.keys {
-		v := d.vcs[k]
+	for _, v := range d.vcs {
 		v.lastAccesses = v.Mon.Accesses
 		// Refresh centroid weights from observed per-core accesses
 		// (EWMA to damp noise).
@@ -188,10 +209,9 @@ func (d *Dnuca) Reconfigure() {
 			}
 			v.recomputeDistances(chip)
 		}
-		vcs = append(vcs, v)
 	}
 
-	allocs := sizeVCs(chip, vcs, d.cfg.Gran, d.cfg.BypassEnabled, d.cfg.MissCurveSizing)
+	allocs := sizeVCs(chip, d.vcs, d.cfg.Gran, d.cfg.BypassEnabled, d.cfg.MissCurveSizing)
 
 	// Snapshot old shares to charge migration costs.
 	old := make([][]uint64, len(allocs))
@@ -247,23 +267,9 @@ func (d *Dnuca) Reconfigure() {
 	}
 }
 
-// VCs returns the engine's virtual caches in stable order (for
-// introspection: placement maps, allocation time series).
-func (d *Dnuca) VCs() []*VC {
-	out := make([]*VC, 0, len(d.keys))
-	keys := append([]llc.VCKey(nil), d.keys...)
-	sort.Slice(keys, func(i, j int) bool {
-		a, b := keys[i], keys[j]
-		if a.Core != b.Core {
-			return a.Core < b.Core
-		}
-		return a.Pool < b.Pool
-	})
-	for _, k := range keys {
-		out = append(out, d.vcs[k])
-	}
-	return out
-}
+// VCs returns a copy of the engine's virtual caches in (Core, Pool) order
+// (for introspection: placement maps, allocation time series).
+func (d *Dnuca) VCs() []*VC { return slices.Clone(d.vcs) }
 
 // BankOwnerMap returns, for each bank, the VC holding the plurality of its
 // lines (-1 for unused banks) — the data behind the Fig 3-5 placement

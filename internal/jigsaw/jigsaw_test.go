@@ -1,6 +1,9 @@
 package jigsaw
 
 import (
+	"fmt"
+	"slices"
+	"strings"
 	"testing"
 
 	"whirlpool/internal/addr"
@@ -292,5 +295,45 @@ func TestEnergyAccounted(t *testing.T) {
 	}
 	if cfg.Meter.MemoryPJ == 0 {
 		t.Fatal("misses must charge DRAM energy")
+	}
+}
+
+// A key outside the dense VC table's range is a classifier bug; Access
+// must name the key rather than fail with an index error.
+func TestAccessPanicsOnBadKey(t *testing.T) {
+	for _, key := range []llc.VCKey{{Core: llc.SharedVC - 1}, {Core: 0, Pool: -1}} {
+		d := New(testConfig(func(int, addr.Line) llc.VCKey { return key }, false))
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if want := fmt.Sprintf("%+v", key); !strings.Contains(msg, want) {
+					t.Errorf("key %+v: panic %q does not name %s", key, msg, want)
+				}
+			}()
+			d.Access(0, trace.LLCAccess{Line: 1})
+		}()
+	}
+}
+
+func TestVCsInKeyOrder(t *testing.T) {
+	touch := []llc.VCKey{
+		{Core: 2, Pool: 1}, {Core: llc.SharedVC, Pool: 3}, {Core: 0, Pool: 0},
+		{Core: 2, Pool: 0}, {Core: llc.SharedVC, Pool: 0}, {Core: 1, Pool: 5},
+		{Core: 2, Pool: 1}, // already exists
+	}
+	d := New(testConfig(func(_ int, l addr.Line) llc.VCKey { return touch[l] }, false))
+	for l := range touch {
+		d.Access(0, trace.LLCAccess{Line: addr.Line(l)})
+	}
+	var got []llc.VCKey
+	for _, v := range d.VCs() {
+		got = append(got, v.Key)
+	}
+	want := []llc.VCKey{
+		{Core: llc.SharedVC, Pool: 0}, {Core: llc.SharedVC, Pool: 3}, {Core: 0, Pool: 0},
+		{Core: 1, Pool: 5}, {Core: 2, Pool: 0}, {Core: 2, Pool: 1},
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("VCs() keys %+v, want %+v", got, want)
 	}
 }

@@ -38,6 +38,9 @@ $GO build -o "$dir/whirlsweep" ./cmd/whirlsweep
 start() {
     name=$1
     shift
+    # Create the file first: on a loaded host the backgrounded redirect
+    # may not have created it before the first sed reads it.
+    : > "$dir/$name.out"
     "$dir/whirld" -addr 127.0.0.1:0 "$@" > "$dir/$name.out" 2> "$dir/$name.err" &
     eval "${name}_pid=$!"
     i=0

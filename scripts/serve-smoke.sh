@@ -28,6 +28,9 @@ fail() {
 $GO build -o "$dir/whirld" ./cmd/whirld
 $GO build -o "$dir/whirlsweep" ./cmd/whirlsweep
 
+# Create the file first: on a loaded host the backgrounded redirect may
+# not have created it before the first sed reads it.
+: > "$dir/whirld.out"
 "$dir/whirld" -addr 127.0.0.1:0 -store "$dir/store" -parallel 2 \
     > "$dir/whirld.out" 2> "$dir/whirld.err" &
 pid=$!
