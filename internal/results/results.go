@@ -6,15 +6,11 @@
 // under that digest and served forever after without re-simulation, by
 // any process sharing the store directory.
 //
-// On disk a store is two files under one directory:
-//
-//	rows.jsonl  — one JSON record per line, append-only, the source of
-//	              truth. Writers append whole lines with O_APPEND, so
-//	              concurrent processes interleave records, never bytes.
-//	index.json  — a snapshot of the decoded records plus the rows.jsonl
-//	              byte offset it covers. Purely an open-time
-//	              accelerator: a missing, corrupt, or stale index is
-//	              rebuilt from rows.jsonl and never loses data.
+// On disk a store is one file, rows.jsonl, under its directory: one
+// JSON record per line, append-only. Writers append whole lines with
+// O_APPEND, so concurrent processes interleave records, never bytes.
+// Open reads the whole file once; an index.json left beside it by older
+// versions is ignored.
 //
 // Torn writes (a process killed mid-append) surface as unparsable
 // JSONL lines; they are skipped and counted, and the next Open heals
@@ -28,18 +24,10 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
+	"strconv"
 	"sync"
 )
-
-// FormatVersion is the store's on-disk schema version; records and
-// index snapshots from other versions are ignored (and rebuilt where
-// possible) rather than misread.
-const FormatVersion = 1
-
-// snapshotEvery bounds index staleness: a snapshot is rewritten after
-// this many appends (and on Close), so reopening a long-lived store
-// replays at most this many JSONL lines.
-const snapshotEvery = 64
 
 // Record is one stored result row.
 type Record struct {
@@ -56,6 +44,9 @@ type Record struct {
 	Unix int64 `json:"unix,omitempty"`
 	// Row is the full metric row as produced by the sweep engine
 	// (experiments.SweepRow JSON: MPKI, cycles, NoC/energy breakdowns).
+	// A Row returned by the store may alias the record's retained JSONL
+	// bytes, which AppendRaw serves to other callers: it must not be
+	// modified.
 	Row json.RawMessage `json:"row"`
 }
 
@@ -84,9 +75,6 @@ type Stats struct {
 	// (torn writes from killed processes; the data before and after
 	// them is unaffected).
 	CorruptRows int64
-	// IndexRebuilds counts opens that could not use index.json (missing,
-	// corrupt, or stale) and rescanned rows.jsonl from the start.
-	IndexRebuilds int64
 	// Records is the number of distinct keys currently loaded.
 	Records int
 }
@@ -108,27 +96,17 @@ type Store struct {
 	// replacement (duplicate key) swaps in a fresh slice rather than
 	// mutating the old one — so AppendRaw results stay valid after the
 	// store lock is released.
-	raws     [][]byte
-	loaded   int64 // rows.jsonl bytes consumed into recs
-	sinceSnp int   // appends since the last index snapshot
-	closed   bool
+	raws   [][]byte
+	loaded int64 // rows.jsonl bytes consumed into recs
+	closed bool
 
-	hits, misses, puts, corrupt, rebuilds int64
+	hits, misses, puts, corrupt int64
 }
 
-func (s *Store) rowsPath() string  { return filepath.Join(s.dir, "rows.jsonl") }
-func (s *Store) indexPath() string { return filepath.Join(s.dir, "index.json") }
+func (s *Store) rowsPath() string { return filepath.Join(s.dir, "rows.jsonl") }
 
-// index is the snapshot schema.
-type index struct {
-	Version int      `json:"version"`
-	Offset  int64    `json:"offset"` // rows.jsonl bytes the snapshot covers
-	Records []Record `json:"records"`
-}
-
-// Open opens (creating if needed) the store rooted at dir, loading
-// existing records via the index snapshot plus a tail scan of
-// rows.jsonl — or a full scan when the snapshot is unusable.
+// Open opens (creating if needed) the store rooted at dir and loads
+// every record in rows.jsonl.
 func Open(dir string) (*Store, error) {
 	if dir == "" {
 		return nil, fmt.Errorf("results: store directory must be non-empty")
@@ -146,7 +124,6 @@ func Open(dir string) (*Store, error) {
 		f.Close()
 		return nil, err
 	}
-	s.loadIndex()
 	if _, err := s.scanTail(); err != nil {
 		f.Close()
 		return nil, err
@@ -178,51 +155,9 @@ func (s *Store) healTail() error {
 	return nil
 }
 
-// loadIndex seeds the in-memory map from index.json when it is valid
-// and consistent with rows.jsonl; otherwise it leaves the store empty
-// (offset 0) so scanTail rebuilds everything. Never fails: the index
-// is an accelerator, rows.jsonl is the truth.
-func (s *Store) loadIndex() {
-	data, err := os.ReadFile(s.indexPath())
-	if err != nil {
-		if !os.IsNotExist(err) {
-			s.rebuilds++
-		}
-		return
-	}
-	var ix index
-	if json.Unmarshal(data, &ix) != nil || ix.Version != FormatVersion || ix.Offset < 0 {
-		s.rebuilds++
-		return
-	}
-	st, err := s.f.Stat()
-	if err != nil || ix.Offset > st.Size() {
-		// The snapshot claims more bytes than rows.jsonl holds — the
-		// JSONL was truncated or replaced. Distrust the whole snapshot.
-		s.rebuilds++
-		return
-	}
-	for _, r := range ix.Records {
-		if r.Key == "" {
-			s.rebuilds++
-			s.byKey = make(map[string]int)
-			s.recs = nil
-			s.raws = nil
-			return
-		}
-		s.insert(r, nil)
-	}
-	s.loaded = ix.Offset
-}
-
 // insert adds or replaces (last writer wins) one record in memory.
-// raw is the record's marshaled JSON line without the trailing newline;
-// nil means "marshal it now" (the index-snapshot load path, where the
-// line bytes are not at hand).
+// raw is the record's JSON line without the trailing newline.
 func (s *Store) insert(r Record, raw []byte) {
-	if raw == nil {
-		raw, _ = json.Marshal(r)
-	}
 	if i, ok := s.byKey[r.Key]; ok {
 		s.recs[i] = r
 		s.raws[i] = raw
@@ -247,7 +182,6 @@ func (s *Store) scanTail() (int, error) {
 		s.recs = nil
 		s.raws = nil
 		s.loaded = 0
-		s.rebuilds++
 	}
 	if st.Size() == s.loaded {
 		return 0, nil
@@ -263,24 +197,117 @@ func (s *Store) scanTail() (int, error) {
 	if end < 0 {
 		return 0, nil
 	}
+	// Each line stays a capacity-limited subslice of tail: no copy, and
+	// nothing ever writes to tail again, so retained lines are immutable.
+	lines := bytes.Count(tail[:end], []byte("\n")) + 1
+	if len(s.recs) == 0 {
+		s.byKey = make(map[string]int, lines)
+	}
+	s.recs = slices.Grow(s.recs, lines)
+	s.raws = slices.Grow(s.raws, lines)
 	n := 0
-	for _, line := range bytes.Split(tail[:end], []byte("\n")) {
+	for rest := tail[:end+1]; len(rest) > 0; {
+		i := bytes.IndexByte(rest, '\n')
+		line := rest[:i:i]
+		rest = rest[i+1:]
 		if len(line) == 0 {
 			continue
 		}
-		var r Record
-		if err := json.Unmarshal(line, &r); err != nil || r.Key == "" {
+		r, ok := decodeLine(line)
+		if !ok {
 			s.corrupt++
 			continue
 		}
-		// Clone the line out of the scan buffer so retaining it does not
-		// pin the whole tail read (and so a replaced record's raw bytes
-		// stay immutable).
-		s.insert(r, append([]byte(nil), line...))
+		s.insert(r, line)
 		n++
 	}
 	s.loaded += int64(end) + 1
 	return n, nil
+}
+
+// decodeLine decodes one rows.jsonl line. It accepts exactly the lines
+// json.Unmarshal decodes into a Record with a non-empty Key, with the
+// same result; lines in the layout Put writes skip the reflection.
+func decodeLine(line []byte) (Record, bool) {
+	if r, ok := decodePut(line); ok {
+		return r, true
+	}
+	var r Record
+	if json.Unmarshal(line, &r) != nil || r.Key == "" {
+		return Record{}, false
+	}
+	return r, true
+}
+
+// decodePut parses the layout Put writes,
+// {"key":"…","app":"…","scheme":"…"[,"unix":<digits>],"row":<value>},
+// with no whitespace between tokens. It reports false for anything
+// else, and for anything json.Unmarshal would decode differently, so
+// decodeLine can fall back. Row aliases line.
+func decodePut(line []byte) (r Record, ok bool) {
+	p, ok := bytes.CutPrefix(line, []byte(`{"key":`))
+	if ok {
+		r.Key, p, ok = plainString(p)
+	}
+	if ok {
+		p, ok = bytes.CutPrefix(p, []byte(`,"app":`))
+	}
+	if ok {
+		r.App, p, ok = plainString(p)
+	}
+	if ok {
+		p, ok = bytes.CutPrefix(p, []byte(`,"scheme":`))
+	}
+	if ok {
+		r.Scheme, p, ok = plainString(p)
+	}
+	if !ok || r.Key == "" {
+		return Record{}, false
+	}
+	if q, ok := bytes.CutPrefix(p, []byte(`,"unix":`)); ok {
+		n := 0
+		for n < len(q) && '0' <= q[n] && q[n] <= '9' {
+			n++
+		}
+		if n == 0 || n > 1 && q[0] == '0' {
+			return Record{}, false
+		}
+		unix, err := strconv.ParseInt(string(q[:n]), 10, 64)
+		if err != nil {
+			return Record{}, false
+		}
+		r.Unix, p = unix, q[n:]
+	}
+	if p, ok = bytes.CutPrefix(p, []byte(`,"row":`)); !ok || len(p) < 2 || p[len(p)-1] != '}' {
+		return Record{}, false
+	}
+	// json.Valid allows surrounding whitespace, but json.Unmarshal
+	// leaves it out of a RawMessage.
+	row := p[: len(p)-1 : len(p)-1]
+	if len(bytes.TrimSpace(row)) != len(row) || !json.Valid(row) {
+		return Record{}, false
+	}
+	r.Row = row
+	return r, true
+}
+
+// plainString decodes the JSON string at the front of p when its bytes
+// are its value: printable ASCII with no backslash. Other strings need
+// unescaping or, for invalid UTF-8, the replacement json.Unmarshal
+// makes, so they report false.
+func plainString(p []byte) (string, []byte, bool) {
+	if len(p) == 0 || p[0] != '"' {
+		return "", p, false
+	}
+	for i := 1; i < len(p); i++ {
+		switch c := p[i]; {
+		case c == '"':
+			return string(p[1:i]), p[i+1:], true
+		case c < 0x20 || c > 0x7e || c == '\\':
+			return "", p, false
+		}
+	}
+	return "", p, false
 }
 
 // Get returns the record stored under key. A miss first refreshes from
@@ -332,10 +359,6 @@ func (s *Store) Put(r Record) error {
 		_, _ = s.scanTail()
 	}
 	s.puts++
-	s.sinceSnp++
-	if s.sinceSnp >= snapshotEvery {
-		s.snapshotLocked()
-	}
 	return nil
 }
 
@@ -422,46 +445,12 @@ func (s *Store) Stats() Stats {
 	defer s.mu.Unlock()
 	return Stats{
 		Hits: s.hits, Misses: s.misses, Puts: s.puts,
-		CorruptRows: s.corrupt, IndexRebuilds: s.rebuilds,
-		Records: len(s.recs),
+		CorruptRows: s.corrupt, Records: len(s.recs),
 	}
 }
 
-// snapshotLocked atomically rewrites index.json to cover everything
-// loaded so far. Failures are ignored: the snapshot is an accelerator,
-// and a stale one is detected and rebuilt on the next Open.
-func (s *Store) snapshotLocked() {
-	s.sinceSnp = 0
-	ix := index{Version: FormatVersion, Offset: s.loaded, Records: s.recs}
-	data, err := json.Marshal(&ix)
-	if err != nil {
-		return
-	}
-	tmp, err := os.CreateTemp(s.dir, ".index-*")
-	if err != nil {
-		return
-	}
-	_, werr := tmp.Write(data)
-	cerr := tmp.Close()
-	if werr != nil || cerr != nil {
-		os.Remove(tmp.Name())
-		return
-	}
-	if os.Rename(tmp.Name(), s.indexPath()) != nil {
-		os.Remove(tmp.Name())
-	}
-}
-
-// Sync rewrites the index snapshot now (normally done every
-// snapshotEvery appends and on Close).
-func (s *Store) Sync() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.snapshotLocked()
-}
-
-// Close snapshots the index and releases the store's file handle. The
-// directory remains valid for other handles and future Opens.
+// Close releases the store's file handle. The directory remains valid
+// for other handles and future Opens.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -469,6 +458,5 @@ func (s *Store) Close() error {
 		return nil
 	}
 	s.closed = true
-	s.snapshotLocked()
 	return s.f.Close()
 }

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -45,9 +47,7 @@ func TestReopenLoadsRecords(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// More than snapshotEvery records so the index snapshot path runs,
-	// plus a few appended after the last snapshot (tail-scan path).
-	n := snapshotEvery + 5
+	const n = 100
 	for i := 0; i < n; i++ {
 		if err := s.Put(rec(fmt.Sprintf("k%03d", i), "app", "s", i)); err != nil {
 			t.Fatal(err)
@@ -65,8 +65,8 @@ func TestReopenLoadsRecords(t *testing.T) {
 	if s2.Len() != n {
 		t.Fatalf("reopened store has %d records, want %d", s2.Len(), n)
 	}
-	if st := s2.Stats(); st.IndexRebuilds != 0 || st.CorruptRows != 0 {
-		t.Fatalf("clean reopen rebuilt or skipped rows: %+v", st)
+	if st := s2.Stats(); st.CorruptRows != 0 {
+		t.Fatalf("clean reopen skipped rows: %+v", st)
 	}
 	for i := 0; i < n; i++ {
 		if _, ok := s2.Get(fmt.Sprintf("k%03d", i)); !ok {
@@ -173,63 +173,114 @@ func TestCrossHandleVisibility(t *testing.T) {
 	}
 }
 
-// TestCorruptIndexSelfHeals: a mangled index.json must not lose data or
-// fail Open — the store rebuilds from rows.jsonl and counts the rebuild.
-func TestCorruptIndexSelfHeals(t *testing.T) {
-	dir := t.TempDir()
-	s, _ := Open(dir)
-	for i := 0; i < 5; i++ {
-		s.Put(rec(fmt.Sprintf("k%d", i), "app", "s", i))
-	}
-	s.Close() // writes a valid index.json
-
-	for _, garbage := range []string{"{not json", `{"version":99,"offset":0}`, ""} {
-		if err := os.WriteFile(filepath.Join(dir, "index.json"), []byte(garbage), 0o666); err != nil {
+// TestOldIndexIgnored: an index.json that an older version left beside
+// rows.jsonl (valid, stale or garbage) changes nothing. Open serves
+// exactly the records and corrupt-line count of rows.jsonl, and the
+// old file is never touched.
+func TestOldIndexIgnored(t *testing.T) {
+	good, _ := json.Marshal(rec("k1", "app", "s", 1))
+	rows := string(good) + "\n{torn garbage\n"
+	ghost, _ := json.Marshal(rec("ghost", "app", "s", 9))
+	for _, old := range []string{
+		`{"version":1,"offset":` + fmt.Sprint(len(rows)) + `,"records":[` + string(good) + `,` + string(ghost) + `]}`,
+		`{"version":1,"offset":99999,"records":[` + string(ghost) + `]}`,
+		`{"version":99,"offset":0}`,
+		"{not json",
+		"",
+	} {
+		dir := t.TempDir()
+		ix := filepath.Join(dir, "index.json")
+		if err := os.WriteFile(filepath.Join(dir, "rows.jsonl"), []byte(rows), 0o666); err != nil {
 			t.Fatal(err)
 		}
-		s2, err := Open(dir)
+		if err := os.WriteFile(ix, []byte(old), 0o666); err != nil {
+			t.Fatal(err)
+		}
+		s, err := Open(dir)
 		if err != nil {
-			t.Fatalf("Open with corrupt index %q: %v", garbage, err)
+			t.Fatalf("index %q: Open: %v", old, err)
 		}
-		if s2.Len() != 5 {
-			t.Fatalf("corrupt index %q: %d records, want 5", garbage, s2.Len())
+		if _, ok := s.Get("ghost"); ok || s.Len() != 1 {
+			t.Errorf("index %q: store holds %d records (ghost served: %v), want only k1", old, s.Len(), ok)
 		}
-		if st := s2.Stats(); st.IndexRebuilds == 0 {
-			t.Fatalf("corrupt index %q: rebuild not counted: %+v", garbage, st)
+		if st := s.Stats(); st.CorruptRows != 1 {
+			t.Errorf("index %q: CorruptRows = %d, want 1", old, st.CorruptRows)
 		}
-		s2.Close() // heals: writes a fresh valid snapshot
-	}
-	s3, _ := Open(dir)
-	defer s3.Close()
-	if st := s3.Stats(); st.IndexRebuilds != 0 || s3.Len() != 5 {
-		t.Fatalf("index not healed after rewrite: %+v len=%d", st, s3.Len())
+		if err := s.Put(rec("k2", "app", "s", 2)); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if data, err := os.ReadFile(ix); err != nil || string(data) != old {
+			t.Errorf("index %q: rewritten to %q (%v)", old, data, err)
+		}
 	}
 }
 
-// TestStaleIndexAfterTruncation: an index claiming more bytes than
-// rows.jsonl holds (file replaced/truncated) is distrusted wholesale.
-func TestStaleIndexAfterTruncation(t *testing.T) {
+// TestShrinkRescans: when rows.jsonl is replaced by a shorter file under
+// an open handle, the handle drops what it loaded and rescans.
+func TestShrinkRescans(t *testing.T) {
 	dir := t.TempDir()
 	s, _ := Open(dir)
+	defer s.Close()
 	for i := 0; i < 3; i++ {
 		s.Put(rec(fmt.Sprintf("k%d", i), "app", "s", i))
 	}
-	s.Sync()
 	one, _ := json.Marshal(rec("only", "app", "s", 9))
 	if err := os.WriteFile(filepath.Join(dir, "rows.jsonl"), append(one, '\n'), 0o666); err != nil {
 		t.Fatal(err)
 	}
-	s.Close()
-	s2, err := Open(dir)
+	if _, ok := s.Get("only"); !ok {
+		t.Fatal("record of the replacement file not served")
+	}
+	if s.Len() != 1 {
+		t.Fatalf("store holds %d records after the shrink, want 1", s.Len())
+	}
+	if _, ok := s.Get("k0"); ok {
+		t.Fatal("record of the replaced file still served")
+	}
+}
+
+// TestOpenRetainsLinesVerbatim: after Open, every retained line is the
+// byte-exact line on disk and every Row is what json.Unmarshal yields,
+// whichever decoder path the line took.
+func TestOpenRetainsLinesVerbatim(t *testing.T) {
+	lines := []string{
+		`{"key":"k1","app":"a","scheme":"s","unix":1700000000,"row":{"mpki":1}}`,
+		`{"key":"k2","app":"a","scheme":"s","row":{"mpki":2}}`,
+		`{"key":"k3","app":"a\u00e9","scheme":"s","row":[1, 2]}`,
+		`{"app":"a","scheme":"s","row":{"mpki":4},"key":"k4"}`,
+		` {"key":"k5","app":"a","scheme":"s","row": "x" } `,
+	}
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "rows.jsonl"), []byte(strings.Join(lines, "\n")+"\n"), 0o666); err != nil {
+		t.Fatal(err)
+	}
+	s, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s2.Close()
-	if s2.Len() != 1 {
-		t.Fatalf("store served %d records from a stale index, want 1", s2.Len())
+	defer s.Close()
+	if len(s.raws) != len(lines) {
+		t.Fatalf("loaded %d lines, want %d", len(s.raws), len(lines))
 	}
-	if _, ok := s2.Get("only"); !ok {
-		t.Fatal("surviving record lost")
+	for i, line := range lines {
+		if string(s.raws[i]) != line {
+			t.Errorf("raws[%d] = %s, want %s", i, s.raws[i], line)
+		}
+		var want Record
+		if err := json.Unmarshal([]byte(line), &want); err != nil {
+			t.Fatal(err)
+		}
+		if got := s.recs[i]; !reflect.DeepEqual(got, want) {
+			t.Errorf("record %d = %+v, want %+v", i, got, want)
+		}
+	}
+	for i := 0; i < 2; i++ {
+		if _, ok := decodePut([]byte(lines[i])); !ok {
+			t.Errorf("line %d is in Put's layout but missed the fast path", i)
+		}
 	}
 }
 
@@ -241,7 +292,6 @@ func TestCorruptRowsSkipped(t *testing.T) {
 	s, _ := Open(dir)
 	s.Put(rec("good1", "a", "s", 1))
 	s.Close()
-	os.Remove(filepath.Join(dir, "index.json")) // force a full rescan
 
 	f, err := os.OpenFile(filepath.Join(dir, "rows.jsonl"), os.O_APPEND|os.O_WRONLY, 0o666)
 	if err != nil {
@@ -316,15 +366,13 @@ func TestOpenRejectsEmptyDir(t *testing.T) {
 
 // TestAppendRawMatchesQuery: the raw serving path answers exactly what
 // Query answers — same records, same order, same filters — across the
-// three ways a record can enter memory (Put, JSONL tail scan, index
-// snapshot).
+// two ways a record can enter memory (Put and the JSONL scan).
 func TestAppendRawMatchesQuery(t *testing.T) {
 	dir := t.TempDir()
 	s, _ := Open(dir)
 	s.Put(rec("k1", "delaunay", "whirlpool", 1))
 	s.Put(rec("k2", "delaunay", "jigsaw", 2))
 	s.Put(rec("k3", "mcf", "whirlpool", 3))
-	s.Sync() // snapshot so the reopen below loads via index.json
 	s.Close()
 
 	s, err := Open(dir)
@@ -403,5 +451,132 @@ func BenchmarkQueryWarm(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = s.Query(Query{})
+	}
+}
+
+// FuzzDecodeLine checks decodeLine against its definition: a line is a
+// record exactly when json.Unmarshal decodes it with a non-empty Key,
+// and then decodes to the same Record, byte for byte on Row.
+func FuzzDecodeLine(f *testing.F) {
+	put := func(r Record) string { b, _ := json.Marshal(r); return string(b) }
+	canon := put(rec("k1", "delaunay", "whirlpool", 7))
+	withUnix := put(Record{Key: "k2", App: "mcf", Scheme: "jigsaw", Unix: 1700000000, Row: json.RawMessage(`{"mpki":1.5e-3,"error":""}`)})
+	for _, s := range []string{
+		canon, withUnix,
+		canon[:len(canon)/2], canon[:len(canon)-1], withUnix[:strings.Index(withUnix, `"row":`)+6],
+		put(Record{Key: `k"q\`, App: "<a&b>", Scheme: "naïve", Row: json.RawMessage(`"é\n"`)}),
+		"{\"key\":\"k\xff\",\"app\":\"a\",\"scheme\":\"s\",\"row\":1}",
+		"{\"key\":\"k\",\"app\":\"a\x01\",\"scheme\":\"s\",\"row\":1}",
+		"{\"key\":\"k\",\"app\":\"a\",\"scheme\":\"s\x7f\",\"row\":\"\xfe\"}",
+		`{"key":"k","app":"a","scheme":"s","unix":-5,"row":1}`,
+		`{"key":"k","app":"a","scheme":"s","unix":99999999999999999999,"row":1}`,
+		`{"key":"k","app":"a","scheme":"s","unix":1e3,"row":1}`,
+		`{"key":"k","app":"a","scheme":"s","unix":01,"row":1}`,
+		`{"key":"k","app":"a","scheme":"s","unix":0,"row":null}`,
+		`{"key":"k","app":"a","scheme":"s","row":1,"extra":2}`,
+		`{"key":"k","app":"a","scheme":"s","row":1,"key":""}`,
+		`{"key":"k","key":"j","app":"a","scheme":"s","row":1}`,
+		`{"KEY":"k","app":"a","scheme":"s","row":1}`,
+		`{"key":"k","App":"a","scheme":"s","row":[1,{"a":[]}]}`,
+		`{"key":"","app":"a","scheme":"s","row":1}`,
+		`{"key":"k","app":"a","scheme":"s","row":{}`,
+		` {"key":"k","app":"a","scheme":"s","row":1}`,
+		`{"key":"k","app":"a","scheme":"s","row": 1}`,
+		`{"key":"k","app":"a","scheme":"s","row":1 }`,
+		"{\"key\":\"k\",\"app\":\"a\",\"scheme\":\"s\",\"row\":1}\r",
+		`{ "key" : "k" , "app" : "a" , "scheme" : "s" , "row" : true }`,
+		"",
+	} {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(func(t *testing.T, line []byte) {
+		got, ok := decodeLine(line)
+		var want Record
+		wantOK := json.Unmarshal(line, &want) == nil && want.Key != ""
+		if ok != wantOK {
+			t.Fatalf("decodeLine(%q) ok = %v, json.Unmarshal says %v", line, ok, wantOK)
+		}
+		if ok && !reflect.DeepEqual(got, want) {
+			t.Fatalf("decodeLine(%q) = %+v, json.Unmarshal gives %+v", line, got, want)
+		}
+	})
+}
+
+// storeRecord is the i-th record of a store shaped like the benchmark's
+// filled stores: a 64-hex-digit cell key and an experiments.SweepRow.
+func storeRecord(i int) Record {
+	key := fmt.Sprintf("%032x%032x", uint64(i)*0x9e3779b97f4a7c15, i)
+	app := fmt.Sprintf("fill-%05d", i/6)
+	scheme := [...]string{"snuca-lru", "snuca-drrip", "idealspd", "awasthi", "jigsaw", "whirlpool"}[i%6]
+	x := float64(i+1) * 1.0000001
+	row := fmt.Sprintf(`{"app":%q,"scheme":%q,"cycles":%d,"instrs":%d,"ipc":%v,"apki":%v,"mpki":%v,`+
+		`"llc_accesses":%d,"hits":%d,"misses":%d,"bypasses":0,"energy_pj":%v,"network_energy_pj":%v,`+
+		`"bank_energy_pj":%v,"memory_energy_pj":%v,"wall_ms":%v,"key":%q}`,
+		app, scheme, 9876543*i, 5432109*i, 0.55*x, 31.7*x, 7.3*x, 123456*i, 98765*i, 24691*i,
+		2.345e9*x, 3.21e8*x, 4.56e8*x, 1.234e9*x, 12.3456*x, key)
+	return Record{Key: key, App: app, Scheme: scheme, Row: json.RawMessage(row)}
+}
+
+// BenchmarkOpen opens a 20 000-record store, the size the benchmark's
+// sweep-cold and serve workloads keep.
+func BenchmarkOpen(b *testing.B) {
+	const n = 20000
+	dir := b.TempDir()
+	var buf []byte
+	for i := range n {
+		line, _ := json.Marshal(storeRecord(i))
+		buf = append(append(buf, line...), '\n')
+	}
+	if err := os.WriteFile(filepath.Join(dir, "rows.jsonl"), buf, 0o666); err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(len(buf)))
+	b.ReportAllocs()
+	for b.Loop() {
+		s, err := Open(dir)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if s.Len() != n {
+			b.Fatalf("opened %d records, want %d", s.Len(), n)
+		}
+		s.Close()
+	}
+}
+
+func BenchmarkGet(b *testing.B) {
+	const n = 1000
+	s, _ := Open(b.TempDir())
+	defer s.Close()
+	keys := make([]string, n)
+	for i := range n {
+		r := storeRecord(i)
+		keys[i] = r.Key
+		s.Put(r)
+	}
+	b.ReportAllocs()
+	i := 0
+	for b.Loop() {
+		if _, ok := s.Get(keys[i%n]); !ok {
+			b.Fatal("miss")
+		}
+		i++
+	}
+}
+
+func BenchmarkPut(b *testing.B) {
+	s, _ := Open(b.TempDir())
+	defer s.Close()
+	recs := make([]Record, 1000)
+	for i := range recs {
+		recs[i] = storeRecord(i)
+	}
+	b.ReportAllocs()
+	i := 0
+	for b.Loop() {
+		if err := s.Put(recs[i%len(recs)]); err != nil {
+			b.Fatal(err)
+		}
+		i++
 	}
 }

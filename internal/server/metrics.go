@@ -143,8 +143,6 @@ var metricTable = []metric{
 		func(m *metricsSnap, _ int) float64 { return float64(m.store.Puts) }},
 	{"store.corrupt_rows", "whirld_store_corrupt_rows_total", "Corrupt rows skipped while reading the store.", "counter", nil,
 		func(m *metricsSnap, _ int) float64 { return float64(m.store.CorruptRows) }},
-	{"store.index_rebuilds", "whirld_store_index_rebuilds_total", "Store opens that rescanned rows.jsonl instead of using the index.", "counter", nil,
-		func(m *metricsSnap, _ int) float64 { return float64(m.store.IndexRebuilds) }},
 	{"store.records", "whirld_store_records", "Records currently in the result store.", "gauge", nil,
 		func(m *metricsSnap, _ int) float64 { return float64(m.store.Records) }},
 

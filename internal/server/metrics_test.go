@@ -15,7 +15,7 @@ import (
 var promLabelRE = regexp.MustCompile(`([a-z_]+)="(?:[^"\\]|\\.)*"`)
 
 // promFamilies is every family GET /metrics?format=prom exposes, with
-// its type and label names. The families before whirld_store_index_rebuilds_total
+// its type and label names. The families before whirld_endpoint_limit
 // are the ones the daemon has always exposed; a renamed or retyped
 // family breaks scrapers, so this list is literal, not derived from
 // metricTable.
@@ -54,9 +54,8 @@ var promFamilies = map[string]string{
 	"whirld_worker_cells_total":                  "counter{worker,kind}",
 	"whirld_worker_dead":                         "gauge{worker}",
 
-	"whirld_store_index_rebuilds_total": "counter",
-	"whirld_endpoint_limit":             "gauge{endpoint}",
-	"whirld_endpoint_latency_mean_ms":   "gauge{endpoint}",
+	"whirld_endpoint_limit":           "gauge{endpoint}",
+	"whirld_endpoint_latency_mean_ms": "gauge{endpoint}",
 }
 
 // TestMetricsFormatsAgree renders /metrics as JSON and as Prometheus
