@@ -34,14 +34,16 @@ race:
 	$(GO) test -race -count=1 -timeout 20m ./internal/experiments/... ./internal/sim/ ./internal/trace/ ./internal/results/ ./internal/server/ ./internal/dispatch/ ./internal/fleet/ ./internal/traffic/ ./internal/obs/
 
 # Ten seconds of coverage-guided fuzzing of the .wtrc parser and cursor,
-# then five of CapLRU against its naive reference LRU and five of the
-# rows.jsonl line decoder against json.Unmarshal, on top of the
-# committed seeds (which `go test ./...` already runs). Minimization is
-# capped so a new input's shrinking cannot eat the whole budget.
+# then five of CapLRU against its naive reference LRU, five of the
+# rows.jsonl line decoder against json.Unmarshal, and five of the W3C
+# traceparent parser every request runs, on top of the committed seeds
+# (which `go test ./...` already runs). Minimization is capped so a new
+# input's shrinking cannot eat the whole budget.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzParseWTRC -fuzztime 10s -fuzzminimizetime 1s ./internal/trace/
 	$(GO) test -run '^$$' -fuzz FuzzCapLRU -fuzztime 5s -fuzzminimizetime 1s ./internal/cache/
 	$(GO) test -run '^$$' -fuzz FuzzDecodeLine -fuzztime 5s -fuzzminimizetime 1s ./internal/results/
+	$(GO) test -run '^$$' -fuzz FuzzParseTraceparent -fuzztime 5s -fuzzminimizetime 1s ./internal/obs/
 
 vet:
 	$(GO) vet ./...

@@ -95,7 +95,7 @@ func (j *job) addRow(done, total int, row experiments.SweepRow) {
 }
 
 // progress snapshots the job's state and cell counts (for fleet load
-// samples).
+// samples, and for whether a new stream must flush its headers first).
 func (j *job) progress() (state string, total, done int) {
 	j.mu.Lock()
 	defer j.mu.Unlock()

@@ -189,9 +189,10 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		}
 		writeJSON(w, http.StatusOK, tree)
 	case "prom":
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		w.WriteHeader(http.StatusOK)
-		s.snapshotMetrics().writeProm(w)
+		body := getBody()
+		defer putBody(body)
+		s.snapshotMetrics().writeProm(body)
+		writeBody(w, http.StatusOK, "text/plain; version=0.0.4; charset=utf-8", body.Bytes())
 	default:
 		httpErr(w, http.StatusBadRequest, errBadRequest, "unknown format %q (valid: json, prom)", format)
 	}

@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -12,6 +13,7 @@ import (
 
 	"whirlpool/internal/experiments"
 	"whirlpool/internal/obs"
+	"whirlpool/internal/results"
 )
 
 // fetchTrace pulls a finished job's span tree off the trace endpoint.
@@ -242,6 +244,45 @@ func TestInstrumentAddsNoAllocs(t *testing.T) {
 	wrappedAllocs := testing.AllocsPerRun(200, func() { wrapped(w, req) })
 	if extra := wrappedAllocs - baseAllocs; extra > 0 {
 		t.Fatalf("instrument adds %.1f allocs/request, want 0", extra)
+	}
+}
+
+// resultsHandlerAllocs is the whole warm /v1/results handler's
+// allocation budget at limit=50, middleware included: the one URL
+// query parse, the store's Stat of rows.jsonl, and the Content-Type and
+// Content-Length header values. Joining the 50 rows into the pooled
+// body allocates nothing.
+const resultsHandlerAllocs = 8
+
+// TestResultsHandlerAllocs pins the allocations of a warm
+// GET /v1/results?app=delaunay&limit=50 through the instrumented handler.
+// Rows cost nothing per row, so a regression shows as a count above
+// the pin; a change that lowers it should lower the pin too.
+func TestResultsHandlerAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops Puts at random under -race, so the count is not exact")
+	}
+	srv, _, store := newTestServer(t)
+	for i := 0; i < 60; i++ {
+		row, _ := json.Marshal(map[string]any{"app": "delaunay", "scheme": "jigsaw", "cycles": 1000 + i})
+		if err := store.Put(results.Record{Key: fmt.Sprintf("k%03d", i), App: "delaunay", Scheme: "jigsaw", Row: row}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	h := srv.instrument(srv.newEndpoint("results"), false, srv.handleResults)
+	req, err := http.NewRequest("GET", "/v1/results?app=delaunay&limit=50", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := nopResponseWriter{hdr: http.Header{}}
+	for i := 0; i < 100; i++ {
+		h(w, req)
+	}
+	if n := len(store.AppendRaw(results.Query{App: "delaunay", Limit: 50}, nil)); n != 50 {
+		t.Fatalf("query matches %d records, want 50", n)
+	}
+	if got := testing.AllocsPerRun(200, func() { h(w, req) }); got != resultsHandlerAllocs {
+		t.Fatalf("warm /v1/results handler = %v allocs/request, want %d", got, resultsHandlerAllocs)
 	}
 }
 

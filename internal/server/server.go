@@ -529,11 +529,13 @@ const (
 //
 //whirl:envelope the designated error-envelope writer; everything else routes errors here
 func httpErr(w http.ResponseWriter, status int, code, format string, args ...any) {
-	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(map[string]any{
+	body := getBody()
+	defer putBody(body)
+	// Strings always encode, so the envelope itself cannot fail.
+	json.NewEncoder(body).Encode(map[string]any{
 		"error": map[string]string{"code": code, "message": fmt.Sprintf(format, args...)},
 	})
+	writeBody(w, status, ctJSON, body.Bytes())
 }
 
 // httpErrRetry is httpErr plus a Retry-After hint — the back-pressure
@@ -544,12 +546,18 @@ func httpErrRetry(w http.ResponseWriter, status, retryAfterSecs int, code, forma
 	httpErr(w, status, code, format, args...)
 }
 
+// writeJSON sends v as two-space-indented JSON. A value that does not
+// encode (a NaN, say) gets a 500 envelope, not a truncated body.
 func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
+	body := getBody()
+	defer putBody(body)
+	enc := json.NewEncoder(body)
 	enc.SetIndent("", "  ")
-	enc.Encode(v)
+	if err := enc.Encode(v); err != nil {
+		httpErr(w, http.StatusInternalServerError, errInternal, "encoding the response: %v", err)
+		return
+	}
+	writeBody(w, code, ctJSON, body.Bytes())
 }
 
 // handleSubmit validates a SweepRequest, registers its inline spec,
@@ -898,15 +906,25 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Cache-Control", "no-cache")
 	w.Header().Set("Connection", "keep-alive")
 	w.WriteHeader(http.StatusOK)
-	fl.Flush()
+	// A job with rows or a terminal state answers the first wait at
+	// once, so its headers go out with the first events. Only a stream
+	// that may block flushes them now, so the client sees it open.
+	if state, _, done := j.progress(); done == 0 && !isTerminal(state) {
+		fl.Flush()
+	}
 
+	// Each wakeup's events (and the done event, once terminal) are built
+	// here and sent in one Write and one Flush.
+	buf := getBody()
+	defer putBody(buf)
 	cursor := 0
 	for {
 		rows, next, terminal := j.wait(cursor, r.Context(), s.baseCtx)
+		buf.Reset()
 		for i, row := range rows {
 			// A client gone mid-replay must release the connection (and
 			// the endpoint's inflight slot) now, not after the remaining
-			// rows are serialized into a dead socket — on a big replay
+			// rows are serialized for a dead socket — on a big replay
 			// that lag kept the stream gauge inflated long after the
 			// disconnect.
 			if r.Context().Err() != nil {
@@ -930,18 +948,18 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 					continue // unreachable: error rows marshal
 				}
 			}
-			fmt.Fprintf(w, "id: %d\nevent: row\ndata: %s\n\n", cursor+i+1, data)
+			fmt.Fprintf(buf, "id: %d\nevent: row\ndata: %s\n\n", cursor+i+1, data)
 		}
 		cursor = next
-		fl.Flush()
 		if terminal {
-			st := j.status()
-			data, _ := json.Marshal(st)
-			fmt.Fprintf(w, "event: done\ndata: %s\n\n", data)
-			fl.Flush()
-			return
+			data, _ := json.Marshal(j.status())
+			fmt.Fprintf(buf, "event: done\ndata: %s\n\n", data)
 		}
-		if r.Context().Err() != nil || s.baseCtx.Err() != nil {
+		if buf.Len() > 0 {
+			w.Write(buf.Bytes())
+			fl.Flush()
+		}
+		if terminal || r.Context().Err() != nil || s.baseCtx.Err() != nil {
 			return
 		}
 	}
@@ -959,19 +977,26 @@ func (s *Server) handleRows(w http.ResponseWriter, r *http.Request) {
 		httpErr(w, http.StatusConflict, errJobNotFinished, "job %s is %s; rows are available once it finishes", j.id, state)
 		return
 	}
+	var write func(io.Writer, []experiments.SweepRow) error
+	var ct string
 	switch format := r.URL.Query().Get("format"); format {
 	case "", "json":
-		w.Header().Set("Content-Type", "application/json; charset=utf-8")
-		experiments.WriteRowsJSON(w, rows)
+		write, ct = experiments.WriteRowsJSON, ctJSON
 	case "csv":
-		w.Header().Set("Content-Type", "text/csv; charset=utf-8")
-		experiments.WriteRowsCSV(w, rows)
+		write, ct = experiments.WriteRowsCSV, "text/csv; charset=utf-8"
 	case "table":
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		experiments.WriteRowsTable(w, rows)
+		write, ct = experiments.WriteRowsTable, "text/plain; charset=utf-8"
 	default:
 		httpErr(w, http.StatusBadRequest, errBadRequest, "unknown format %q (valid: json, csv, table)", format)
+		return
 	}
+	body := getBody()
+	defer putBody(body)
+	if err := write(body, rows); err != nil {
+		httpErr(w, http.StatusInternalServerError, errInternal, "rendering job %s rows: %v", j.id, err)
+		return
+	}
+	writeBody(w, http.StatusOK, ct, body.Bytes())
 }
 
 // rawRowsPool recycles the raw-line gathering slice across /v1/results
@@ -981,29 +1006,21 @@ var rawRowsPool = sync.Pool{
 	New: func() any { s := make([][]byte, 0, 256); return &s },
 }
 
-// The JSON framing bytes of /v1/results, hoisted so the handler never
-// converts string constants per request (each []byte("...") in the
-// body would be one heap allocation under an escaping w.Write).
-var (
-	resultsOpen  = []byte("[")
-	resultsComma = []byte(",\n")
-	resultsClose = []byte("]\n")
-)
-
 // handleResults queries the persistent store directly; filters are
 // ?app=, ?scheme=, ?key=, ?limit=. Rows are served from the store's
-// retained JSONL bytes (results.Store.AppendRaw) — the warm path does
-// no per-row marshaling or allocation, which is what keeps p99 flat
-// when whirlload overdrives this endpoint.
+// retained JSONL bytes (results.Store.AppendRaw), joined into a pooled
+// body — the warm path does no per-row marshaling or allocation, which
+// is what keeps p99 flat when whirlload overdrives this endpoint.
 //
 //whirl:zeroalloc
 func (s *Server) handleResults(w http.ResponseWriter, r *http.Request) {
+	params := r.URL.Query()
 	q := results.Query{
-		App:    r.URL.Query().Get("app"),
-		Scheme: r.URL.Query().Get("scheme"),
-		Key:    r.URL.Query().Get("key"),
+		App:    params.Get("app"),
+		Scheme: params.Get("scheme"),
+		Key:    params.Get("key"),
 	}
-	if lim := r.URL.Query().Get("limit"); lim != "" {
+	if lim := params.Get("limit"); lim != "" {
 		// strconv.Atoi, not Sscanf: "10abc" must be a 400, not a 10.
 		n, err := strconv.Atoi(lim)
 		if err != nil || n < 0 {
@@ -1014,16 +1031,22 @@ func (s *Server) handleResults(w http.ResponseWriter, r *http.Request) {
 	}
 	ptr := rawRowsPool.Get().(*[][]byte)
 	raws := s.cfg.Store.AppendRaw(q, (*ptr)[:0])
-	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	w.WriteHeader(http.StatusOK)
-	w.Write(resultsOpen)
+	size := len("[]\n")
+	for _, raw := range raws {
+		size += len(raw) + len(",\n")
+	}
+	body := getBody()
+	body.Grow(size)
+	body.WriteByte('[')
 	for i, raw := range raws {
 		if i > 0 {
-			w.Write(resultsComma)
+			body.WriteString(",\n")
 		}
-		w.Write(raw)
+		body.Write(raw)
 	}
-	w.Write(resultsClose)
+	body.WriteString("]\n")
+	writeBody(w, http.StatusOK, ctJSON, body.Bytes())
+	putBody(body)
 	// Drop the row references before pooling so the pool does not pin
 	// store bytes between requests.
 	for i := range raws {
@@ -1049,15 +1072,14 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	spans := s.tracer.Collect(sc.Trace)
-	w.Header().Set("Content-Type", "application/x-ndjson; charset=utf-8")
-	w.Header().Set("Trace-Id", sc.Trace.String())
-	w.WriteHeader(http.StatusOK)
-	buf := make([]byte, 0, 512)
+	body := getBody()
+	defer putBody(body)
 	for i := range spans {
-		buf = obs.AppendSpanJSON(buf[:0], &spans[i])
-		buf = append(buf, '\n')
-		w.Write(buf)
+		line := append(obs.AppendSpanJSON(body.AvailableBuffer(), &spans[i]), '\n')
+		body.Write(line)
 	}
+	w.Header().Set("Trace-Id", sc.Trace.String())
+	writeBody(w, http.StatusOK, "application/x-ndjson; charset=utf-8", body.Bytes())
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {

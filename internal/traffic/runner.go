@@ -33,11 +33,18 @@ type ClassReport struct {
 	// RPS is the achieved completion rate: OK / wall-clock.
 	RPS float64 `json:"rps"`
 	// Latency quantiles over OK requests, milliseconds (exact, from the
-	// full sample set — not the server's bucketed estimates).
+	// full sample set — not the server's bucketed estimates). Each
+	// request is timed from its due time, the moment the schedule says
+	// it should be sent, so a stall counts against every request queued
+	// behind it instead of hiding their wait (coordinated omission).
 	P50MS  float64 `json:"p50_ms"`
 	P95MS  float64 `json:"p95_ms"`
 	P99MS  float64 `json:"p99_ms"`
 	MeanMS float64 `json:"mean_ms"`
+	// LateP99MS is the generator's own lateness, send time minus due
+	// time, at p99 over the sent arrivals: how far the schedule itself
+	// slipped, apart from any wait for a free worker.
+	LateP99MS float64 `json:"late_p99_ms"`
 	// SLO / MinRPS echo the spec's targets; Violations holds one line
 	// per breached target (empty = class passed).
 	SLO        *SLO     `json:"slo,omitempty"`
@@ -205,11 +212,16 @@ func runClass(ctx context.Context, api *apiclient.Client, seed uint64, c *Client
 	if workers <= 0 {
 		workers = 1
 	}
-	ticks := make(chan struct{}, backlogBound)
+	// Each tick carries its arrival's due time; latency runs from it.
+	ticks := make(chan time.Time, backlogBound)
 	var dropped, sent atomic.Int64
 
-	// Generator: walk the deterministic schedule in real time.
+	// Generator: walk the deterministic schedule in real time. lateMS is
+	// its own; it is read only after genDone closes.
+	var lateMS []float64
+	genDone := make(chan struct{})
 	go func() {
+		defer close(genDone)
 		defer close(ticks)
 		ar := newArrivals(seed, c)
 		timer := time.NewTimer(0)
@@ -220,7 +232,8 @@ func runClass(ctx context.Context, api *apiclient.Client, seed uint64, c *Client
 			if off >= d {
 				return
 			}
-			if wait := time.Until(start.Add(off)); wait > 0 {
+			due := start.Add(off)
+			if wait := time.Until(due); wait > 0 {
 				timer.Reset(wait)
 				select {
 				case <-ctx.Done():
@@ -231,7 +244,8 @@ func runClass(ctx context.Context, api *apiclient.Client, seed uint64, c *Client
 				return
 			}
 			select {
-			case ticks <- struct{}{}:
+			case ticks <- due:
+				lateMS = append(lateMS, msSince(due))
 			default:
 				dropped.Add(1)
 			}
@@ -244,18 +258,18 @@ func runClass(ctx context.Context, api *apiclient.Client, seed uint64, c *Client
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for range ticks {
+			for due := range ticks {
 				if ctx.Err() != nil {
 					return
 				}
 				sent.Add(1)
-				t0 := time.Now()
 				err := issue(ctx, api, c)
-				st.record(float64(time.Since(t0).Microseconds())/1000, err)
+				st.record(msSince(due), err)
 			}
 		}()
 	}
 	wg.Wait()
+	<-genDone
 	elapsed := time.Since(start)
 
 	cr := &ClassReport{
@@ -270,6 +284,7 @@ func runClass(ctx context.Context, api *apiclient.Client, seed uint64, c *Client
 	cr.P50MS = stats.Percentile(st.latMS, 50)
 	cr.P95MS = stats.Percentile(st.latMS, 95)
 	cr.P99MS = stats.Percentile(st.latMS, 99)
+	cr.LateP99MS = stats.Percentile(lateMS, 99)
 	if len(st.latMS) > 0 {
 		sum := 0.0
 		for _, v := range st.latMS {
@@ -279,6 +294,12 @@ func runClass(ctx context.Context, api *apiclient.Client, seed uint64, c *Client
 	}
 	cr.Violations = judge(cr)
 	return cr
+}
+
+// msSince returns the milliseconds elapsed since t, at microsecond
+// resolution.
+func msSince(t time.Time) float64 {
+	return float64(time.Since(t).Microseconds()) / 1000
 }
 
 // judge compares a class's measurements against its targets.

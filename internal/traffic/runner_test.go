@@ -158,6 +158,46 @@ func TestRunSLOBreachFailsCheck(t *testing.T) {
 	}
 }
 
+// TestRunTimesFromDueTime: one ~50 ms server stall under a constant
+// 100 rps class with one worker. The requests due during the stall
+// queue behind it, and their latencies must include that wait (about
+// 40 + 30 + 20 + 10 ms on top of the stall's own 50), rather than
+// starting the clock when the worker finally picks them up.
+func TestRunTimesFromDueTime(t *testing.T) {
+	const stall = 50 * time.Millisecond
+	var n atomic.Int64
+	mux := http.NewServeMux()
+	mux.HandleFunc("GET /v1/results", func(w http.ResponseWriter, r *http.Request) {
+		if n.Add(1) == 5 {
+			time.Sleep(stall)
+		}
+		w.Write([]byte("[]"))
+	})
+	api, _ := testClient(t, mux)
+	spec, err := Parse([]byte(`{
+	  "clients": [{"id": "readers", "op": "results", "rate": 100}]
+	}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := Run(context.Background(), api, spec, Options{Duration: 400 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := rep.Classes[0]
+	if c.OK < 10 || c.Errors != 0 || n.Load() < 5 {
+		t.Fatalf("class = %+v after %d requests, want the stall and at least 10 OK", c, n.Load())
+	}
+	// Timed from pickup, the latencies sum to about the stall alone.
+	if sum := c.MeanMS * float64(c.OK); sum < 2.4*float64(stall.Milliseconds()) {
+		t.Fatalf("latencies sum to %.1f ms, want the queued requests' wait on top of the %v stall", sum, stall)
+	}
+	// The generator itself never waits for the stalled worker.
+	if c.LateP99MS < 0 || c.LateP99MS >= float64(stall.Milliseconds()) {
+		t.Fatalf("generator lateness p99 = %.2f ms, want below the %v stall", c.LateP99MS, stall)
+	}
+}
+
 // TestRunDeterministicSchedule: two runs of one spec issue the same
 // number of requests per class (the schedule, not the latencies, is
 // the deterministic part).
