@@ -35,8 +35,10 @@ race:
 
 # Ten seconds of coverage-guided fuzzing of the .wtrc parser and cursor,
 # then five of CapLRU against its naive reference LRU, five of the
-# rows.jsonl line decoder against json.Unmarshal, and five of the W3C
-# traceparent parser every request runs, on top of the committed seeds
+# rows.jsonl line decoder against json.Unmarshal, five of the W3C
+# traceparent parser every request runs, and five of the /v1/sweeps and
+# /v1/cells job builder against the engine's grid validation, on top of
+# the committed seeds
 # (which `go test ./...` already runs). Minimization is capped so a new
 # input's shrinking cannot eat the whole budget.
 fuzz:
@@ -44,6 +46,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzCapLRU -fuzztime 5s -fuzzminimizetime 1s ./internal/cache/
 	$(GO) test -run '^$$' -fuzz FuzzDecodeLine -fuzztime 5s -fuzzminimizetime 1s ./internal/results/
 	$(GO) test -run '^$$' -fuzz FuzzParseTraceparent -fuzztime 5s -fuzzminimizetime 1s ./internal/obs/
+	$(GO) test -run '^$$' -fuzz FuzzSweepRequest -fuzztime 5s -fuzzminimizetime 1s ./internal/server/
 
 vet:
 	$(GO) vet ./...

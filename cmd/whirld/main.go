@@ -76,6 +76,13 @@ func parseInflight(s string) (map[string]int, error) {
 	return limits, nil
 }
 
+// inflightUsage is the -inflight help text, naming every endpoint the
+// daemon accepts a limit for.
+func inflightUsage() string {
+	return "per-endpoint concurrency limits as name=N pairs (e.g. results=64,sweeps=8); N<0 lifts an endpoint's default limit; endpoints: " +
+		strings.Join(server.EndpointNames(), ", ")
+}
+
 // resolveWorkers parses -workers, the coordinator's static worker URL
 // list. Only the scheme is validated here; the fleet registry owns URL
 // normalization (trimming, dedup) for every caller.
@@ -115,7 +122,7 @@ func main() {
 	leaseTTL := flag.Duration("lease-ttl", 0, "coordinator: how long a joined worker survives without a heartbeat before its lease expires and its cells re-route to survivors (0 = 10s)")
 	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0), "parallel simulation workers per job")
 	queue := flag.Int("queue", 64, "max queued jobs before submits get 503")
-	inflight := flag.String("inflight", "", "per-endpoint concurrency limits as name=N pairs (e.g. results=64,sweeps=8); N<0 lifts an endpoint's default limit; endpoints: sweeps, cells, jobs, stream, rows, results, healthz, metrics")
+	inflight := flag.String("inflight", "", inflightUsage())
 	debugAddr := flag.String("debug-addr", "", "serve net/http/pprof profiling on this separate address (e.g. 127.0.0.1:6060); empty disables it")
 	version := cliutil.VersionFlag()
 	flag.Parse()

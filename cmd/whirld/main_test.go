@@ -4,6 +4,8 @@ import (
 	"net"
 	"strings"
 	"testing"
+
+	"whirlpool/internal/server"
 )
 
 func TestResolveWorkersURLs(t *testing.T) {
@@ -41,6 +43,22 @@ func TestAdvertiseURL(t *testing.T) {
 	for in, want := range cases {
 		if got := advertiseURL(net.Addr(fakeAddr(in))); got != want {
 			t.Errorf("advertiseURL(%q) = %q, want %q", in, got, want)
+		}
+	}
+}
+
+func TestInflightUsageNamesEveryEndpoint(t *testing.T) {
+	_, list, ok := strings.Cut(inflightUsage(), "endpoints: ")
+	if !ok {
+		t.Fatalf("usage lists no endpoints: %q", inflightUsage())
+	}
+	named := map[string]bool{}
+	for _, n := range strings.Split(list, ", ") {
+		named[n] = true
+	}
+	for _, n := range server.EndpointNames() {
+		if !named[n] {
+			t.Errorf("-inflight help omits endpoint %q: %q", n, inflightUsage())
 		}
 	}
 }

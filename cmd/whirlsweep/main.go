@@ -21,7 +21,6 @@ import (
 	"os"
 	"os/signal"
 	"runtime"
-	"slices"
 	"strings"
 	"syscall"
 	"time"
@@ -31,7 +30,6 @@ import (
 	"whirlpool/internal/results"
 	"whirlpool/internal/schemes"
 	"whirlpool/internal/spec"
-	"whirlpool/internal/workloads"
 )
 
 func fatal(err error) {
@@ -67,78 +65,17 @@ func main() {
 		return
 	}
 
-	// Load spec files; their apps register into the workload registry
-	// and their mixes become sweepable by name.
-	var files []*spec.File
-	var specAppNames []string
-	for _, path := range cliutil.SplitList(*specFiles) {
-		f, err := spec.Load(path)
-		if err != nil {
+	h, cfg, files, err := resolveGrid(*appsFlag, *mixFlag, *schemesFlag, *specFiles, *scale)
+	if err != nil {
+		fatal(err)
+	}
+	for _, f := range files {
+		if _, err := f.Register(); err != nil {
 			fatal(err)
 		}
-		names, err := f.Register()
-		if err != nil {
-			fatal(err)
-		}
-		specAppNames = append(specAppNames, names...)
-		files = append(files, f)
 	}
-
-	cfg := experiments.SweepConfig{Workers: *workers, NoBypass: *noBypass}
-
-	switch {
-	case *appsFlag == "all":
-		cfg.Apps = workloads.Names()
-	case *appsFlag != "":
-		cfg.Apps = cliutil.SplitList(*appsFlag)
-	case *mixFlag != "":
-		// -mix without -apps sweeps only the mixes.
-	case len(specAppNames) > 0:
-		cfg.Apps = specAppNames
-	default:
-		cfg.Apps = workloads.Names()
-	}
-
-	if *mixFlag != "" {
-		if len(files) == 0 {
-			fatal(fmt.Errorf("-mix needs -spec files that define mixes"))
-		}
-		want := cliutil.SplitList(*mixFlag)
-		all := *mixFlag == "all"
-		found := map[string]bool{}
-		for _, f := range files {
-			for _, m := range f.Mixes {
-				if all || slices.Contains(want, m.Name) {
-					if found[m.Name] {
-						fatal(fmt.Errorf("mix %q defined in more than one -spec file; rows would be ambiguous", m.Name))
-					}
-					cfg.Mixes = append(cfg.Mixes, experiments.SweepMix{
-						Name: m.Name, Apps: m.Apps, Pins: m.Pins, Chip: m.BuildChip(),
-					})
-					found[m.Name] = true
-				}
-			}
-		}
-		if !all {
-			for _, name := range want {
-				if !found[name] {
-					fatal(fmt.Errorf("mix %q not defined in the loaded spec files", name))
-				}
-			}
-		} else if len(cfg.Mixes) == 0 {
-			fatal(fmt.Errorf("-mix all: the loaded spec files define no mixes"))
-		}
-	}
-
-	if *schemesFlag != "all" && *schemesFlag != "" {
-		for _, name := range cliutil.SplitList(*schemesFlag) {
-			k, err := schemes.ParseKind(name)
-			if err != nil {
-				fatal(err)
-			}
-			cfg.Kinds = append(cfg.Kinds, k)
-		}
-	}
+	cfg.Workers = *workers
+	cfg.NoBypass = *noBypass
 
 	switch *format {
 	case "table", "csv", "json":
@@ -162,7 +99,6 @@ func main() {
 	defer stop()
 	cfg.Context = ctx
 
-	h := experiments.NewHarness(*scale)
 	if *seed != 0 {
 		h.Seed = *seed
 	}
@@ -254,6 +190,34 @@ func main() {
 				countErrs(rows), len(rows), r.App, r.Scheme, r.Err))
 		}
 	}
+}
+
+// resolveGrid loads the -spec files and resolves the grid flags
+// against them with the resolver whirld runs on every POST /v1/sweeps
+// body, returning a harness at the checked scale and the grid. The
+// files come back unregistered, as whirld holds an inline spec until
+// its job runs: their apps count as known, and their mixes are
+// sweepable by name.
+func resolveGrid(apps, mixes, schemeList, specFiles string, scale float64) (*experiments.Harness, experiments.SweepConfig, []*spec.File, error) {
+	var files []*spec.File
+	for _, path := range cliutil.SplitList(specFiles) {
+		f, err := spec.Load(path)
+		if err != nil {
+			return nil, experiments.SweepConfig{}, nil, err
+		}
+		files = append(files, f)
+	}
+	grid, _, err := experiments.ResolveGrid(experiments.GridRequest{
+		Apps:    cliutil.SplitList(apps),
+		Mixes:   cliutil.SplitList(mixes),
+		Schemes: cliutil.SplitList(schemeList),
+		Specs:   files,
+		Scale:   scale,
+	})
+	if err != nil {
+		return nil, experiments.SweepConfig{}, nil, err
+	}
+	return experiments.NewHarness(grid.Scale), grid.Config, files, nil
 }
 
 func countErrs(rows []experiments.SweepRow) int {

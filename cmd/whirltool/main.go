@@ -129,7 +129,11 @@ func traceRecord(args []string) {
 			fatal(err)
 		}
 	}
-	h := experiments.NewHarness(*scale)
+	checked, err := experiments.CheckScale(*scale)
+	if err != nil {
+		fatal(err)
+	}
+	h := experiments.NewHarness(checked)
 	if *seed != 0 {
 		h.Seed = *seed
 	}

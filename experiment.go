@@ -43,7 +43,7 @@ type Option func(*Experiment)
 // New builds an experiment for one app under one scheme. Option errors
 // are deferred to Run, so call sites stay chainable.
 func New(app string, scheme Scheme, opts ...Option) *Experiment {
-	e := &Experiment{app: app, scheme: scheme}
+	e := &Experiment{app: app, scheme: scheme, scale: 1}
 	for _, o := range opts {
 		o(e)
 	}
@@ -60,11 +60,12 @@ func (e *Experiment) fail(err error) {
 // runs; smaller is faster).
 func WithScale(scale float64) Option {
 	return func(e *Experiment) {
-		if scale < 0 {
-			e.fail(fmt.Errorf("whirlpool: scale must be >= 0, got %g", scale))
+		s, err := experiments.CheckScale(scale)
+		if err != nil {
+			e.fail(fmt.Errorf("whirlpool: %w", err))
 			return
 		}
-		e.scale = scale
+		e.scale = s
 	}
 }
 

@@ -38,8 +38,9 @@ func Figure(id string, opt *FigureOptions) (string, error) {
 	if opt != nil {
 		o = *opt
 	}
-	if o.Scale == 0 {
-		o.Scale = 1.0
+	scale, err := experiments.CheckScale(o.Scale)
+	if err != nil {
+		return "", fmt.Errorf("whirlpool: %w", err)
 	}
 	if o.Mixes == 0 {
 		o.Mixes = 20
@@ -50,7 +51,7 @@ func Figure(id string, opt *FigureOptions) (string, error) {
 	if apps == nil {
 		apps = workloads.BuiltinNames()
 	}
-	h := harnessFor(harnessKey{scale: o.Scale, seed: o.Seed})
+	h := harnessFor(harnessKey{scale: scale, seed: o.Seed})
 	switch id {
 	case "fig2":
 		return h.Fig02().String(), nil

@@ -276,7 +276,14 @@ func (p *sweepProgress) emit(row SweepRow) {
 
 // buildGrid resolves the configured grid into ordered cells: the
 // explicit Cells list when set, else apps × kinds then mixes × kinds.
-func buildGrid(cfg *SweepConfig, kinds []schemes.Kind) ([]sweepJob, error) {
+func buildGrid(cfg *SweepConfig) ([]sweepJob, error) {
+	mixNames := make([]string, len(cfg.Mixes))
+	for i := range cfg.Mixes {
+		mixNames[i] = cfg.Mixes[i].Name
+	}
+	if err := duplicate("mix", mixNames); err != nil {
+		return nil, err
+	}
 	if len(cfg.Cells) > 0 {
 		mixByName := map[string]*SweepMix{}
 		for i := range cfg.Mixes {
@@ -316,15 +323,15 @@ func buildGrid(cfg *SweepConfig, kinds []schemes.Kind) ([]sweepJob, error) {
 	if len(cfg.Apps) == 0 && len(cfg.Mixes) == 0 {
 		return nil, fmt.Errorf("experiments: sweep has no apps and no mixes")
 	}
-	mixNames := make([]string, len(cfg.Mixes))
-	for i := range cfg.Mixes {
-		mixNames[i] = cfg.Mixes[i].Name
+	kinds := cfg.Kinds
+	if len(kinds) == 0 {
+		kinds = schemes.AllKinds()
 	}
 	kindIDs := make([]string, len(kinds))
 	for i, k := range kinds {
 		kindIDs[i] = k.ID()
 	}
-	for _, err := range []error{duplicate("app", cfg.Apps), duplicate("mix", mixNames), duplicate("scheme", kindIDs)} {
+	for _, err := range []error{duplicate("app", cfg.Apps), duplicate("scheme", kindIDs)} {
 		if err != nil {
 			return nil, err
 		}
@@ -343,9 +350,9 @@ func buildGrid(cfg *SweepConfig, kinds []schemes.Kind) ([]sweepJob, error) {
 	return jobs, nil
 }
 
-// duplicate reports the first name that repeats in names, in whirld's
-// wording: a repeated name would cross into identical cells, simulated
-// and printed once per copy.
+// duplicate reports the first name that repeats in names: a repeated
+// name would cross into identical cells, simulated and printed once per
+// copy.
 func duplicate(what string, names []string) error {
 	seen := make(map[string]bool, len(names))
 	for _, n := range names {
@@ -357,26 +364,34 @@ func duplicate(what string, names []string) error {
 	return nil
 }
 
-// validateGrid fails fast on unresolvable names and malformed mixes,
-// before any expensive trace generation.
-func validateGrid(cfg *SweepConfig, jobs []sweepJob) error {
+// validateGrid builds cfg's grid and fails fast on unresolvable names
+// and malformed mixes, before any expensive trace generation. The apps
+// in known count as registered.
+func validateGrid(cfg *SweepConfig, known []string) ([]sweepJob, error) {
+	jobs, err := buildGrid(cfg)
+	if err != nil {
+		return nil, err
+	}
+	if len(jobs) == 0 {
+		return nil, fmt.Errorf("experiments: sweep has no cells")
+	}
 	for i := range cfg.Mixes {
 		m := &cfg.Mixes[i]
 		cores := mixChip(m).NCores()
 		if len(m.Apps) == 0 || len(m.Apps) > cores {
-			return fmt.Errorf("experiments: mix %q has %d apps (want 1..%d)", m.Name, len(m.Apps), cores)
+			return nil, fmt.Errorf("experiments: mix %q has %d apps (want 1..%d)", m.Name, len(m.Apps), cores)
 		}
 		if m.Pins != nil {
 			if len(m.Pins) != len(m.Apps) {
-				return fmt.Errorf("experiments: mix %q has %d pins for %d apps", m.Name, len(m.Pins), len(m.Apps))
+				return nil, fmt.Errorf("experiments: mix %q has %d pins for %d apps", m.Name, len(m.Pins), len(m.Apps))
 			}
 			seen := map[int]bool{}
 			for _, p := range m.Pins {
 				if p < 0 || p >= cores {
-					return fmt.Errorf("experiments: mix %q pins core %d (chip has %d cores)", m.Name, p, cores)
+					return nil, fmt.Errorf("experiments: mix %q pins core %d (chip has %d cores)", m.Name, p, cores)
 				}
 				if seen[p] {
-					return fmt.Errorf("experiments: mix %q pins core %d twice", m.Name, p)
+					return nil, fmt.Errorf("experiments: mix %q pins core %d twice", m.Name, p)
 				}
 				seen[p] = true
 			}
@@ -392,6 +407,9 @@ func validateGrid(cfg *SweepConfig, jobs []sweepJob) error {
 			needed[j.app] = true
 		}
 	}
+	for _, a := range known {
+		delete(needed, a)
+	}
 	var unknown []string
 	//whirl:unordered unknown names are sorted before they reach the error message
 	for a := range needed {
@@ -401,9 +419,9 @@ func validateGrid(cfg *SweepConfig, jobs []sweepJob) error {
 	}
 	if len(unknown) > 0 {
 		sort.Strings(unknown)
-		return fmt.Errorf("experiments: unknown apps in sweep: %v (whirlsim -list shows valid names)", unknown)
+		return nil, fmt.Errorf("experiments: unknown apps in sweep: %v (whirlsim -list shows valid names)", unknown)
 	}
-	return nil
+	return jobs, nil
 }
 
 // Sweep fans the app × scheme grid out across a worker pool and returns
@@ -422,18 +440,8 @@ func (h *Harness) Sweep(cfg SweepConfig) ([]SweepRow, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	kinds := cfg.Kinds
-	if len(kinds) == 0 {
-		kinds = schemes.AllKinds()
-	}
-	jobs, err := buildGrid(&cfg, kinds)
+	jobs, err := validateGrid(&cfg, nil)
 	if err != nil {
-		return nil, err
-	}
-	if len(jobs) == 0 {
-		return nil, fmt.Errorf("experiments: sweep has no cells")
-	}
-	if err := validateGrid(&cfg, jobs); err != nil {
 		return nil, err
 	}
 

@@ -7,23 +7,18 @@ import (
 
 	"whirlpool/internal/experiments"
 	"whirlpool/internal/obs"
-	"whirlpool/internal/schemes"
 	"whirlpool/internal/spec"
 )
 
 // job is one submitted sweep. Rows accumulate in arrival order for SSE
 // replay; the grid-ordered result lands when the sweep finishes.
 type job struct {
-	id    string
-	req   SweepRequest
-	scale float64
-	apps  []string
-	mixes []experiments.SweepMix
-	kinds []schemes.Kind
-	// cells, when non-nil, marks a shard job (POST /v1/cells): the grid
-	// is exactly this list, and it always runs locally — never
-	// re-dispatched — even on a coordinator.
-	cells   []experiments.SweepCell
+	id  string
+	req SweepRequest
+	// grid is the resolved grid. Cells set marks a shard job (POST
+	// /v1/cells): the grid is exactly that list, and it always runs
+	// locally — never re-dispatched — even on a coordinator.
+	grid    experiments.Grid
 	total   int
 	created time.Time
 	// specFile is the parsed inline spec, registered when the job runs

@@ -42,7 +42,6 @@ import (
 	"whirlpool/internal/fleet"
 	"whirlpool/internal/obs"
 	"whirlpool/internal/results"
-	"whirlpool/internal/schemes"
 	"whirlpool/internal/spec"
 	"whirlpool/internal/workloads"
 )
@@ -92,10 +91,10 @@ type Config struct {
 	// evicted. <= 0 means 256.
 	JobHistory int
 	// EndpointLimits overrides per-endpoint concurrency limits by
-	// endpoint name (sweeps, cells, jobs, stream, rows, results,
-	// healthz, metrics). Requests beyond an endpoint's limit are shed
-	// with 429 + Retry-After instead of queuing behind it. Absent
-	// entries use defaultLimits; negative values mean unlimited.
+	// endpoint name (EndpointNames lists them). Requests beyond an
+	// endpoint's limit are shed with 429 + Retry-After instead of
+	// queuing behind it. Absent entries use defaultLimits; negative
+	// values mean unlimited.
 	EndpointLimits map[string]int
 	// Version is reported by /healthz (cliutil.Version in whirld).
 	Version string
@@ -157,7 +156,7 @@ type Server struct {
 }
 
 // SweepRequest is the POST /v1/sweeps body. Semantics mirror the
-// whirlsweep flags.
+// whirlsweep flags: both resolve through experiments.ResolveGrid.
 type SweepRequest struct {
 	// Spec is an optional inline workload-spec file (the same JSON
 	// schema as docs/workload-specs.md); its apps are registered and
@@ -228,8 +227,8 @@ func New(cfg Config) (*Server, error) {
 	// the handler (submit paths, where the job must inherit the caller's
 	// trace); plain route skips that injection so hot read paths like
 	// /v1/results stay allocation-free.
-	s.routeTraced("POST /v1/sweeps", "sweeps", s.handleSubmit)
-	s.routeTraced("POST /v1/cells", "cells", s.handleCells)
+	s.routeTraced("POST /v1/sweeps", "sweeps", s.handleSubmit(false))
+	s.routeTraced("POST /v1/cells", "cells", s.handleSubmit(true))
 	s.route("GET /v1/jobs", "jobs", s.handleJobs)
 	s.route("GET /v1/jobs/{id}", "jobs", s.handleJob)
 	s.route("DELETE /v1/jobs/{id}", "jobs", s.handleCancel)
@@ -327,7 +326,7 @@ func (s *Server) runJob(j *job) {
 	jobSpan := s.tracer.Start(j.parentSC, "job")
 	jobSpan.SetStr("id", j.id)
 	jobSpan.SetInt("cells", int64(j.total))
-	if j.cells != nil {
+	if j.grid.Config.Cells != nil {
 		jobSpan.SetBool("shard", true)
 	}
 	j.setTrace(jobSpan.Context())
@@ -357,7 +356,7 @@ func (s *Server) runJob(j *job) {
 		}
 	}
 
-	h := experiments.NewHarness(j.scale)
+	h := experiments.NewHarness(j.grid.Scale)
 	if j.req.Seed != 0 {
 		h.Seed = j.req.Seed
 	}
@@ -367,30 +366,25 @@ func (s *Server) runJob(j *job) {
 	h.CacheDir = s.cfg.TraceCacheDir
 
 	var stats experiments.SweepStats
-	cfg := experiments.SweepConfig{
-		Apps:     j.apps,
-		Mixes:    j.mixes,
-		Kinds:    j.kinds,
-		Cells:    j.cells,
-		Workers:  s.cfg.Workers,
-		NoBypass: j.req.NoBypass,
-		Context:  ctx,
-		Store:    s.cfg.Store,
-		Stats:    &stats,
-		Tracer:   s.tracer,
-		OnRow: func(done, total int, row experiments.SweepRow) {
-			s.cellsDone.Add(1)
-			j.addRow(done, total, row)
-		},
+	cfg := j.grid.Config
+	cfg.Workers = s.cfg.Workers
+	cfg.NoBypass = j.req.NoBypass
+	cfg.Context = ctx
+	cfg.Store = s.cfg.Store
+	cfg.Stats = &stats
+	cfg.Tracer = s.tracer
+	cfg.OnRow = func(done, total int, row experiments.SweepRow) {
+		s.cellsDone.Add(1)
+		j.addRow(done, total, row)
 	}
 	// Coordinator mode: shard this grid across the fleet's current
 	// alive set instead of simulating here. The membership snapshot is
 	// taken per dispatch round, so workers joining or dying mid-job
 	// change the routing live. A job that starts against an empty
 	// fleet runs locally even if workers join later. Shard jobs
-	// (j.cells) always run locally — that is the recursion anchor.
+	// (cfg.Cells) always run locally — that is the recursion anchor.
 	var pool *dispatch.Pool
-	if j.cells == nil && len(s.fleet.Snapshot().Members) > 0 {
+	if cfg.Cells == nil && len(s.fleet.Snapshot().Members) > 0 {
 		var perr error
 		pool, perr = dispatch.NewPool(s.fleet, dispatch.Options{Log: s.log, Tracer: s.tracer})
 		if perr != nil {
@@ -404,7 +398,7 @@ func (s *Server) runJob(j *job) {
 		}
 		cfg.Remote = pool.Exec(dispatch.JobParams{
 			Spec:     forward,
-			Scale:    j.req.Scale,
+			Scale:    j.grid.Scale,
 			Seed:     j.req.Seed,
 			Reconfig: j.req.Reconfig,
 			NoBypass: j.req.NoBypass,
@@ -467,10 +461,11 @@ func forwardSpec(j *job) (json.RawMessage, error) {
 			names = append(names, n)
 		}
 	}
-	for _, a := range j.apps {
+	grid := &j.grid.Config
+	for _, a := range grid.Apps {
 		add(a)
 	}
-	for _, m := range j.mixes {
+	for _, m := range grid.Mixes {
 		for _, a := range m.Apps {
 			add(a)
 		}
@@ -487,9 +482,9 @@ func forwardSpec(j *job) (json.RawMessage, error) {
 	// Only the mixes this job sweeps: an unswept spec mix may reference
 	// spec-only apps that are not in the forwarded app list, and the
 	// worker's spec validation would reject the whole file over them.
-	if j.specFile != nil && len(j.mixes) > 0 {
-		want := make(map[string]bool, len(j.mixes))
-		for _, m := range j.mixes {
+	if j.specFile != nil && len(grid.Mixes) > 0 {
+		want := make(map[string]bool, len(grid.Mixes))
+		for _, m := range grid.Mixes {
 			want[m.Name] = true
 		}
 		for _, m := range j.specFile.Mixes {
@@ -560,48 +555,23 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	writeBody(w, code, ctJSON, body.Bytes())
 }
 
-// handleSubmit validates a SweepRequest, registers its inline spec,
-// and enqueues the job.
-func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	body := http.MaxBytesReader(w, r.Body, 16<<20)
-	var req SweepRequest
-	dec := json.NewDecoder(body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		httpErr(w, http.StatusBadRequest, errBadRequest, "bad request body: %v", err)
-		return
-	}
-	j, err := s.buildJob(&req)
-	if err != nil {
-		httpErr(w, http.StatusBadRequest, errBadRequest, "%v", err)
-		return
-	}
-	j.parentSC, _ = obs.FromContext(r.Context())
-	s.enqueue(w, j)
-}
-
-// handleCells runs an explicit cell list — one shard of a distributed
-// sweep — as a regular job (same queue, SSE stream, and store commit
-// path as /v1/sweeps). The coordinator's dispatch layer is the intended
-// caller, but the endpoint is plain HTTP: anything that can name cells
-// can use it.
-func (s *Server) handleCells(w http.ResponseWriter, r *http.Request) {
-	body := http.MaxBytesReader(w, r.Body, 16<<20)
-	var req dispatch.CellsRequest
-	dec := json.NewDecoder(body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		httpErr(w, http.StatusBadRequest, errBadRequest, "bad request body: %v", err)
-		return
-	}
-	j, err := s.buildCellsJob(&req)
-	if err != nil {
-		httpErr(w, http.StatusBadRequest, errBadRequest, "%v", err)
-		return
-	}
-	j.parentSC, _ = obs.FromContext(r.Context())
-	if s.enqueue(w, j) {
-		s.metrics.shardJobs.Add(1)
+// handleSubmit enqueues a job built from a POST /v1/sweeps body, or
+// with shard set a POST /v1/cells body: an explicit cell list (one
+// shard of a distributed sweep) run as a regular job, with the same
+// queue, SSE stream, and store commit path. The coordinator's dispatch
+// layer is the intended caller of /v1/cells, but the endpoint is plain
+// HTTP: anything that can name cells can use it.
+func (s *Server) handleSubmit(shard bool) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		j, err := buildJob(http.MaxBytesReader(w, r.Body, 16<<20), shard)
+		if err != nil {
+			httpErr(w, http.StatusBadRequest, errBadRequest, "%v", err)
+			return
+		}
+		j.parentSC, _ = obs.FromContext(r.Context())
+		if s.enqueue(w, j) && shard {
+			s.metrics.shardJobs.Add(1)
+		}
 	}
 }
 
@@ -646,204 +616,45 @@ func (s *Server) enqueue(w http.ResponseWriter, j *job) bool {
 	return true
 }
 
-// buildCellsJob resolves a shard request: the inline spec is parsed
-// (registered at run time, like /v1/sweeps) and every cell must name a
-// resolvable app or a mix the spec defines.
-func (s *Server) buildCellsJob(req *dispatch.CellsRequest) (*job, error) {
-	j := &job{
-		req: SweepRequest{
-			Spec: req.Spec, Scale: req.Scale, Seed: req.Seed,
-			Reconfig: req.Reconfig, NoBypass: req.NoBypass,
-		},
-		state: "queued", created: time.Now(), changed: make(chan struct{}),
-	}
-	j.scale = req.Scale
-	if j.scale == 0 {
-		j.scale = 1
-	}
-	if j.scale < 0 {
-		return nil, fmt.Errorf("scale must be >= 0, got %g", j.scale)
-	}
-	inSpec := map[string]bool{}
-	mixes := map[string]bool{}
-	if len(req.Spec) > 0 {
-		f, err := spec.Parse(req.Spec)
-		if err != nil {
-			return nil, err
+// buildJob decodes a POST /v1/sweeps body, or with shard set a POST
+// /v1/cells body, and resolves its grid (experiments.ResolveGrid, the
+// resolver whirlsweep uses) into a queued job. The inline spec is
+// parsed and validated now but registered only when the job runs
+// (runJob): a rejected or queue-full submit must not mutate the
+// process-global workload registry other clients sweep.
+func buildJob(body io.Reader, shard bool) (*job, error) {
+	dec := json.NewDecoder(body)
+	dec.DisallowUnknownFields()
+	var req SweepRequest
+	var cells []experiments.SweepCell
+	if shard {
+		var cr dispatch.CellsRequest
+		if err := dec.Decode(&cr); err != nil {
+			return nil, fmt.Errorf("bad request body: %v", err)
 		}
-		j.specFile = f
-		for _, a := range f.Apps {
-			inSpec[a.Name] = true
+		if len(cr.Cells) == 0 {
+			return nil, fmt.Errorf("cells request has no cells")
 		}
-		for _, m := range f.Mixes {
-			mixes[m.Name] = true
-			j.mixes = append(j.mixes, experiments.SweepMix{
-				Name: m.Name, Apps: m.Apps, Pins: m.Pins, Chip: m.BuildChip(),
-			})
-		}
+		req = SweepRequest{Spec: cr.Spec, Scale: cr.Scale, Seed: cr.Seed, Reconfig: cr.Reconfig, NoBypass: cr.NoBypass}
+		cells = cr.Cells
+	} else if err := dec.Decode(&req); err != nil {
+		return nil, fmt.Errorf("bad request body: %v", err)
 	}
-	if len(req.Cells) == 0 {
-		return nil, fmt.Errorf("cells request has no cells")
-	}
-	seen := map[string]bool{}
-	for _, c := range req.Cells {
-		switch {
-		case c.App != "" && c.Mix != "":
-			return nil, fmt.Errorf("cell names both app %q and mix %q", c.App, c.Mix)
-		case c.App != "":
-			if _, ok := workloads.ByName(c.App); !ok && !inSpec[c.App] {
-				return nil, fmt.Errorf("unknown app %q", c.App)
-			}
-		case c.Mix != "":
-			if !mixes[c.Mix] {
-				return nil, fmt.Errorf("mix %q not defined in the spec", c.Mix)
-			}
-		default:
-			return nil, fmt.Errorf("cell names neither an app nor a mix")
-		}
-		if _, err := schemes.ParseKind(c.Scheme); err != nil {
-			return nil, err
-		}
-		ident := c.App + "|" + c.Mix + "|" + c.Scheme
-		if seen[ident] {
-			return nil, fmt.Errorf("duplicate cell %s/%s", c.App+c.Mix, c.Scheme)
-		}
-		seen[ident] = true
-	}
-	j.cells = req.Cells
-	j.total = len(req.Cells)
-	return j, nil
-}
-
-// buildJob resolves a request into a runnable job: registers the
-// inline spec, resolves apps/mixes/schemes, and sizes the grid.
-func (s *Server) buildJob(req *SweepRequest) (*job, error) {
-	j := &job{req: *req, state: "queued", created: time.Now(), changed: make(chan struct{})}
-	j.scale = req.Scale
-	if j.scale == 0 {
-		j.scale = 1
-	}
-	if j.scale < 0 {
-		return nil, fmt.Errorf("scale must be >= 0, got %g", j.scale)
-	}
-
-	// The spec is parsed and validated now but registered only when the
-	// job runs (runJob): a rejected or queue-full submit must not
-	// mutate the process-global workload registry other clients sweep.
+	gr := experiments.GridRequest{Apps: req.Apps, Mixes: req.Mixes, Schemes: req.Schemes, Cells: cells, Scale: req.Scale}
 	var f *spec.File
-	var specApps []string
-	inSpec := map[string]bool{}
 	if len(req.Spec) > 0 {
 		var err error
-		f, err = spec.Parse(req.Spec)
-		if err != nil {
+		if f, err = spec.Parse(req.Spec); err != nil {
 			return nil, err
 		}
-		j.specFile = f
-		for _, a := range f.Apps {
-			specApps = append(specApps, a.Name)
-			inSpec[a.Name] = true
-		}
+		gr.Specs = []*spec.File{f}
 	}
-
-	// "all" (explicit or defaulted) means the registry plus this spec's
-	// own apps — registration is deferred to run time, so the spec's
-	// names are unioned in here to match whirlsweep, which registers
-	// -spec files before resolving "all".
-	allApps := func() []string {
-		names := workloads.Names()
-		have := make(map[string]bool, len(names))
-		for _, n := range names {
-			have[n] = true
-		}
-		for _, n := range specApps {
-			if !have[n] {
-				names = append(names, n)
-			}
-		}
-		return names
+	grid, total, err := experiments.ResolveGrid(gr)
+	if err != nil {
+		return nil, err
 	}
-	switch {
-	case len(req.Apps) == 1 && req.Apps[0] == "all":
-		j.apps = allApps()
-	case len(req.Apps) > 0:
-		// Exact duplicates would silently sweep (and double-commit) the
-		// same cells; reject them instead of deduping quietly.
-		seen := make(map[string]bool, len(req.Apps))
-		for _, a := range req.Apps {
-			if seen[a] {
-				return nil, fmt.Errorf("duplicate app %q in request", a)
-			}
-			seen[a] = true
-		}
-		j.apps = req.Apps
-	case len(req.Mixes) > 0:
-		// Mixes only.
-	case len(specApps) > 0:
-		j.apps = specApps
-	default:
-		j.apps = allApps()
-	}
-	for _, a := range j.apps {
-		if _, ok := workloads.ByName(a); !ok && !inSpec[a] {
-			return nil, fmt.Errorf("unknown app %q", a)
-		}
-	}
-
-	if len(req.Mixes) > 0 {
-		if f == nil {
-			return nil, fmt.Errorf("mixes need an inline spec that defines them")
-		}
-		all := len(req.Mixes) == 1 && req.Mixes[0] == "all"
-		want := map[string]bool{}
-		for _, m := range req.Mixes {
-			want[m] = true
-		}
-		for _, m := range f.Mixes {
-			if all || want[m.Name] {
-				j.mixes = append(j.mixes, experiments.SweepMix{
-					Name: m.Name, Apps: m.Apps, Pins: m.Pins, Chip: m.BuildChip(),
-				})
-				delete(want, m.Name)
-			}
-		}
-		if all && len(j.mixes) == 0 {
-			return nil, fmt.Errorf("the spec defines no mixes")
-		}
-		if !all {
-			for m := range want {
-				return nil, fmt.Errorf("mix %q not defined in the spec", m)
-			}
-		}
-	}
-
-	if len(req.Schemes) > 0 && !(len(req.Schemes) == 1 && req.Schemes[0] == "all") {
-		seen := make(map[string]bool, len(req.Schemes))
-		for _, name := range req.Schemes {
-			k, err := schemes.ParseKind(name)
-			if err != nil {
-				return nil, err
-			}
-			// Like duplicate apps: a repeated scheme would cross into
-			// identical cells — double-simulated and double-committed
-			// locally, and poison for a coordinator (every worker would
-			// reject the duplicated shard).
-			if seen[k.ID()] {
-				return nil, fmt.Errorf("duplicate scheme %q in request", name)
-			}
-			seen[k.ID()] = true
-			j.kinds = append(j.kinds, k)
-		}
-	}
-	nk := len(j.kinds)
-	if nk == 0 {
-		nk = len(schemes.AllKinds())
-	}
-	j.total = (len(j.apps) + len(j.mixes)) * nk
-	if j.total == 0 {
-		return nil, fmt.Errorf("sweep has no apps and no mixes")
-	}
-	return j, nil
+	return &job{req: req, grid: grid, total: total, specFile: f,
+		state: "queued", created: time.Now(), changed: make(chan struct{})}, nil
 }
 
 func (s *Server) job(w http.ResponseWriter, r *http.Request) *job {

@@ -127,9 +127,6 @@ type harnessKey struct {
 }
 
 func (k harnessKey) withDefaults() harnessKey {
-	if k.scale == 0 {
-		k.scale = 1.0
-	}
 	if k.seed == 0 {
 		k.seed = experiments.DefaultSeed
 	}

@@ -2,6 +2,7 @@
 package whirlpool_test
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -132,6 +133,21 @@ func TestRunParallelVariants(t *testing.T) {
 func TestFigureUnknown(t *testing.T) {
 	if _, err := whirlpool.Figure("fig999", nil); err == nil {
 		t.Fatal("expected error")
+	}
+}
+
+// A bad scale must be an error, not a run that never ends: these cases
+// would otherwise ask the workload generator for an unbounded trace.
+func TestBadScaleRejected(t *testing.T) {
+	for _, scale := range []float64{-1, math.NaN(), math.Inf(1)} {
+		if _, err := whirlpool.Figure("fig16", &whirlpool.FigureOptions{Scale: scale, Apps: []string{"delaunay"}}); err == nil ||
+			!strings.Contains(err.Error(), "scale must be a finite number >= 0") {
+			t.Errorf("Figure(fig16, Scale %g) = %v, want the scale error", scale, err)
+		}
+		if _, err := whirlpool.New("delaunay", whirlpool.SNUCALRU, whirlpool.WithScale(scale)).Run(); err == nil ||
+			!strings.Contains(err.Error(), "scale must be a finite number >= 0") {
+			t.Errorf("WithScale(%g).Run() = %v, want the scale error", scale, err)
+		}
 	}
 }
 
