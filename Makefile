@@ -37,7 +37,8 @@ race:
 # then five of CapLRU against its naive reference LRU, five of the
 # rows.jsonl line decoder against json.Unmarshal, five of the W3C
 # traceparent parser every request runs, and five of the /v1/sweeps and
-# /v1/cells job builder against the engine's grid validation, on top of
+# /v1/cells job builder against the engine's grid validation, and five
+# of the workload-spec parser (round trip, every app streams), on top of
 # the committed seeds
 # (which `go test ./...` already runs). Minimization is capped so a new
 # input's shrinking cannot eat the whole budget.
@@ -47,6 +48,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzDecodeLine -fuzztime 5s -fuzzminimizetime 1s ./internal/results/
 	$(GO) test -run '^$$' -fuzz FuzzParseTraceparent -fuzztime 5s -fuzzminimizetime 1s ./internal/obs/
 	$(GO) test -run '^$$' -fuzz FuzzSweepRequest -fuzztime 5s -fuzzminimizetime 1s ./internal/server/
+	$(GO) test -run '^$$' -fuzz FuzzParseSpec -fuzztime 5s -fuzzminimizetime 1s ./internal/spec/
 
 vet:
 	$(GO) vet ./...

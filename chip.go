@@ -5,7 +5,6 @@ import (
 	"strconv"
 	"strings"
 
-	"whirlpool/internal/addr"
 	"whirlpool/internal/noc"
 )
 
@@ -21,100 +20,60 @@ import (
 // Chip is a value type: refiners return copies, so presets can be
 // shared and specialized freely.
 type Chip struct {
-	preset string // "", "4core" or "16core": the paper's exact layouts
-	w, h   int
-	cores  int
-	bankKB int
+	d noc.Desc
 }
 
 // FourCore is the paper's 4-core, 5×5-bank, 512KB/bank chip (Fig 1).
-func FourCore() Chip { return Chip{preset: "4core"} }
+func FourCore() Chip { return Chip{noc.Desc{Preset: "4core"}} }
 
 // SixteenCore is the paper's 16-core, 9×9-bank chip (Fig 12).
-func SixteenCore() Chip { return Chip{preset: "16core"} }
+func SixteenCore() Chip { return Chip{noc.Desc{Preset: "16core"}} }
 
 // Mesh describes a custom w×h-bank mesh. Cores default to 4, spread
 // evenly around the border; banks default to the paper's 512KB.
-func Mesh(w, h int) Chip { return Chip{w: w, h: h} }
+func Mesh(w, h int) Chip { return Chip{noc.Desc{W: w, H: h}} }
 
 // Cores returns a copy of the chip with n border-attached cores.
-func (c Chip) Cores(n int) Chip { c.cores = n; return c }
+func (c Chip) Cores(n int) Chip { c.d.Cores = n; return c }
 
 // BankKB returns a copy of the chip with kb-kilobyte LLC banks.
-func (c Chip) BankKB(kb int) Chip { c.bankKB = kb; return c }
+func (c Chip) BankKB(kb int) Chip { c.d.BankKB = kb; return c }
+
+// desc resolves the zero Chip to the paper's 4-core preset.
+func (c Chip) desc() noc.Desc {
+	if c.d.Preset == "" && c.d.W == 0 && c.d.H == 0 {
+		c.d.Preset = "4core"
+	}
+	return c.d
+}
 
 // String renders the topology in the format ParseChip accepts
 // ("4core", "16core:1024", "8x8:6", "8x8:6:1024").
 func (c Chip) String() string {
+	d := c.desc()
 	bank := ""
-	if c.bankKB != 0 && c.bankKB != 512 {
-		bank = fmt.Sprintf(":%d", c.bankKB)
+	if d.BankKB != 0 && d.BankKB != 512 {
+		bank = fmt.Sprintf(":%d", d.BankKB)
 	}
-	if c.isPreset() {
-		return c.preset + bank
+	if d.Preset != "" {
+		return d.Preset + bank
 	}
-	if c.w == 0 && c.h == 0 {
-		return "4core" + bank
-	}
-	return fmt.Sprintf("%dx%d:%d%s", c.w, c.h, c.coreCount(), bank)
-}
-
-func (c Chip) isPreset() bool { return c.preset != "" }
-
-func (c Chip) coreCount() int {
-	switch c.preset {
-	case "4core":
-		return 4
-	case "16core":
-		return 16
-	}
-	if c.cores == 0 {
-		return 4
-	}
-	return c.cores
+	return fmt.Sprintf("%dx%d:%d%s", d.W, d.H, d.NCores(), bank)
 }
 
 // NCores reports how many cores the chip has — the bound on mix size
 // and core pinning.
-func (c Chip) NCores() int { return c.coreCount() }
+func (c Chip) NCores() int { return c.desc().NCores() }
 
 // toNoc validates the topology and builds the internal chip. The zero
 // Chip maps to the paper's exact 4-core layout, so default runs stay
 // bit-identical to the presets.
 func (c Chip) toNoc() (*noc.Chip, error) {
-	if c.bankKB < 0 {
-		return nil, fmt.Errorf("whirlpool: bank size %dKB out of range", c.bankKB)
-	}
-	bankBytes := uint64(c.bankKB) * addr.KB
-	if bankBytes != 0 && bankBytes < noc.MinBankBytes {
-		return nil, fmt.Errorf("whirlpool: bank size %dKB out of range (want >= %dKB)", c.bankKB, noc.MinBankBytes/addr.KB)
-	}
-	switch {
-	case c.preset == "4core", c.preset == "" && c.w == 0 && c.h == 0:
-		chip := noc.FourCoreChip()
-		if bankBytes != 0 {
-			chip.BankBytes = bankBytes
-		}
-		if c.preset == "4core" && c.cores != 0 && c.cores != 4 {
-			return nil, fmt.Errorf("whirlpool: the 4-core preset has exactly 4 cores")
-		}
-		return chip, nil
-	case c.preset == "16core":
-		chip := noc.SixteenCoreChip()
-		if bankBytes != 0 {
-			chip.BankBytes = bankBytes
-		}
-		if c.cores != 0 && c.cores != 16 {
-			return nil, fmt.Errorf("whirlpool: the 16-core preset has exactly 16 cores")
-		}
-		return chip, nil
-	case c.preset != "":
-		return nil, fmt.Errorf("whirlpool: unknown chip preset %q", c.preset)
-	}
-	if err := noc.ValidateCustom(c.w, c.h, c.coreCount(), bankBytes); err != nil {
+	chip, err := c.desc().Build()
+	if err != nil {
 		return nil, fmt.Errorf("whirlpool: %v", err)
 	}
-	return noc.Custom(c.w, c.h, c.coreCount(), bankBytes), nil
+	return chip, nil
 }
 
 // ParseChip parses a topology string: "4core" or "16core" (optionally

@@ -70,7 +70,7 @@ func (h *Harness) Fig05() string {
 		classify := llc.ThreadPrivate
 		name := "Jigsaw"
 		if whirl {
-			classify = poolClassifier(at.W, at.W.ManualGrouping())
+			classify = poolClassifier(at.W, at.W.ManualGrouping(), 0)
 			name = "Whirlpool"
 		}
 		must(h.RunSingle("delaunay", schemes.KindWhirlpool, RunOptions{
@@ -311,7 +311,7 @@ func (h *Harness) Fig11() *Table {
 		LLCOverride: func(chip *noc.Chip, m *energy.Meter) llc.LLC {
 			d = jigsaw.New(jigsaw.Config{
 				Chip: chip, Meter: m,
-				Classify:       poolClassifier(at.W, [][]int{{0}, {1}, {2}}),
+				Classify:       poolClassifier(at.W, [][]int{{0}, {1}, {2}}, 0),
 				SchemeName:     "Whirlpool",
 				BypassEnabled:  true,
 				ReconfigCycles: h.ReconfigCycles,

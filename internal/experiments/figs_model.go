@@ -59,7 +59,7 @@ func (h *Harness) AblationLatencyCurves(app string) *Table {
 			LLCOverride: func(chip *noc.Chip, m *energy.Meter) llc.LLC {
 				return jigsaw.New(jigsaw.Config{
 					Chip: chip, Meter: m,
-					Classify:        poolClassifier(at.W, at.W.ManualGrouping()),
+					Classify:        poolClassifier(at.W, at.W.ManualGrouping(), 0),
 					SchemeName:      "Whirlpool",
 					BypassEnabled:   true,
 					ReconfigCycles:  h.ReconfigCycles,
@@ -92,7 +92,7 @@ func (h *Harness) AblationTrading(app string) *Table {
 			LLCOverride: func(chip *noc.Chip, m *energy.Meter) llc.LLC {
 				return jigsaw.New(jigsaw.Config{
 					Chip: chip, Meter: m,
-					Classify:       poolClassifier(at.W, at.W.ManualGrouping()),
+					Classify:       poolClassifier(at.W, at.W.ManualGrouping(), 0),
 					SchemeName:     "Whirlpool",
 					BypassEnabled:  true,
 					ReconfigCycles: h.ReconfigCycles,

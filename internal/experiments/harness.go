@@ -247,10 +247,12 @@ func must(r *sim.Result, err error) *sim.Result {
 func (h *Harness) TraceBuilds() int64 { return h.builds.Load() }
 
 // poolClassifier builds the Whirlpool classifier for one app: line →
-// callpoint → pool (per grouping), giving each pool a per-core VC.
-// Trace-sourced apps have no structures (and their lines live in no
-// arena of the simulated space), so they classify as one pool per core.
-func poolClassifier(w *workloads.Workload, grouping [][]int) llc.Classifier {
+// callpoint → pool (per grouping), giving each pool a per-core VC. off
+// is the offset the app's trace lines were shifted by: its core's
+// mixLineOffset in a mix, 0 for a single-app run. Trace-sourced apps
+// have no structures (and their lines live in no arena of the simulated
+// space), so they classify as one pool per core.
+func poolClassifier(w *workloads.Workload, grouping [][]int, off addr.Line) llc.Classifier {
 	if len(w.Structs) == 0 {
 		return func(core int, line addr.Line) llc.VCKey {
 			return llc.VCKey{Core: int16(core)}
@@ -261,7 +263,7 @@ func poolClassifier(w *workloads.Workload, grouping [][]int) llc.Classifier {
 	return func(core int, line addr.Line) llc.VCKey {
 		return llc.VCKey{
 			Core: int16(core),
-			Pool: cpPools[space.CallpointOfLine(line)],
+			Pool: cpPools[space.CallpointOfLine(line-off)],
 		}
 	}
 }
@@ -309,7 +311,7 @@ func (h *Harness) RunSingle(app string, kind schemes.Kind, opt RunOptions) (*sim
 			Chip:              chip,
 			Meter:             meter,
 			JigsawClassify:    llc.ThreadPrivate,
-			WhirlpoolClassify: poolClassifier(at.W, grouping),
+			WhirlpoolClassify: poolClassifier(at.W, grouping, 0),
 			ReconfigCycles:    h.ReconfigCycles,
 			Bypass:            !opt.NoBypass,
 		})
@@ -367,13 +369,9 @@ func (h *Harness) RunMixPinned(apps []string, pins []int, kind schemes.Kind, chi
 	}
 	meter := &energy.Meter{}
 
-	// Whirlpool classification across the mix: decode the core's app from
-	// the line offset.
-	type appCtx struct {
-		w       *workloads.Workload
-		cpPools map[mem.Callpoint]mem.PoolID
-	}
-	ctxs := make([]appCtx, chip.NCores())
+	// Whirlpool classification across the mix: each core classifies its
+	// own app's lines.
+	classify := make([]llc.Classifier, chip.NCores())
 	traces := make([]trace.Reader, chip.NCores())
 	for i, name := range apps {
 		c := pins[i]
@@ -384,21 +382,15 @@ func (h *Harness) RunMixPinned(apps []string, pins []int, kind schemes.Kind, chi
 			panic(fmt.Sprintf("experiments: two apps pinned to core %d", c))
 		}
 		at := h.App(name)
-		ctxs[c] = appCtx{w: at.W, cpPools: at.W.CallpointPools(at.W.ManualGrouping())}
+		classify[c] = poolClassifier(at.W, at.W.ManualGrouping(), mixLineOffset(c))
 		traces[c] = trace.Offset(at.Tr, mixLineOffset(c))
 	}
 	whirlpoolClassify := func(core int, line addr.Line) llc.VCKey {
-		// Trace-sourced apps (no structures) fall into the default
-		// one-VC-per-core arm, like idle cores.
-		if core >= len(ctxs) || ctxs[core].w == nil || len(ctxs[core].w.Structs) == 0 {
+		// Idle cores get one VC each.
+		if core >= len(classify) || classify[core] == nil {
 			return llc.VCKey{Core: int16(core)}
 		}
-		orig := line - mixLineOffset(core)
-		ctx := &ctxs[core]
-		return llc.VCKey{
-			Core: int16(core),
-			Pool: ctx.cpPools[ctx.w.Space.CallpointOfLine(orig)],
-		}
+		return classify[core](core, line)
 	}
 	l := schemes.Build(kind, schemes.Options{
 		Chip:              chip,

@@ -295,10 +295,19 @@ func TestSweepPinValidation(t *testing.T) {
 	}
 }
 
+// hexaChip is a 6×6-bank mesh with six border cores.
+func hexaChip(t *testing.T) *noc.Chip {
+	chip, err := noc.Desc{W: 6, H: 6, Cores: 6}.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return chip
+}
+
 // A mix with its own chip runs on it.
 func TestSweepMixChipOverride(t *testing.T) {
 	h := NewHarness(0.05)
-	chip := noc.Custom(6, 6, 6, 0)
+	chip := hexaChip(t)
 	rows, err := h.Sweep(SweepConfig{
 		Mixes: []SweepMix{{
 			Name: "hexa",
@@ -315,7 +324,7 @@ func TestSweepMixChipOverride(t *testing.T) {
 	}
 	serial := NewHarness(0.05)
 	r := must(serial.RunMix([]string{"delaunay", "MIS", "mcf", "lbm", "hull", "cactus"},
-		schemes.KindSNUCALRU, noc.Custom(6, 6, 6, 0), false))
+		schemes.KindSNUCALRU, hexaChip(t), false))
 	if rows[0].Cycles != r.Cycles {
 		t.Fatalf("sweep on custom chip %+v != serial cycles=%d", rows[0], r.Cycles)
 	}

@@ -34,7 +34,9 @@ const NoCallpoint Callpoint = 0
 const (
 	// arenaShift gives each arena a 64GB region; arena id = addr >> 36.
 	arenaShift = 36
-	arenaBytes = uint64(1) << arenaShift
+	// ArenaBytes bounds one callpoint's allocations: past it, addresses
+	// spill into the next arena and classify as the wrong callpoint.
+	ArenaBytes = 1 << arenaShift
 	// minAlloc is the minimum allocation granule (dlmalloc-style).
 	minAlloc = 16
 	// largeCutoff and above are allocated as whole pages.

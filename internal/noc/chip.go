@@ -48,34 +48,66 @@ const (
 	MinBankBytes = 64 * addr.KB
 )
 
-// ValidateCustom checks custom chip parameters without building the
-// chip. bankBytes 0 means the 512KB default. This is the single home
-// of the custom-topology rules; Custom enforces it.
-func ValidateCustom(w, h, nCores int, bankBytes uint64) error {
-	if bankBytes != 0 && bankBytes < MinBankBytes {
-		return fmt.Errorf("noc: bank size %dB out of range (want >= %dKB)", bankBytes, MinBankBytes/addr.KB)
-	}
-	if w < MinMeshSide || h < MinMeshSide || w > MaxMeshSide || h > MaxMeshSide {
-		return fmt.Errorf("noc: mesh %dx%d out of range (want %d..%d per side)", w, h, MinMeshSide, MaxMeshSide)
-	}
-	if max := MaxBorderCores(w, h); nCores < 1 || nCores > max {
-		return fmt.Errorf("noc: %d cores do not fit a %dx%d mesh border (max %d)", nCores, w, h, max)
-	}
-	return nil
+// Desc describes a chip: one of the paper's presets or a custom mesh.
+// It is the one home of the rules every surface that builds topologies
+// shares (the public Chip type, spec-file mixes): the preset names and
+// their core counts, the 4-core default for meshes, and the bank-size
+// minimum and override.
+type Desc struct {
+	// Preset names a paper chip: "4core" (Fig 1) or "16core" (Fig 12).
+	// Empty means a custom W×H-bank mesh.
+	Preset string
+	W, H   int
+	// Cores attaches this many cores around a mesh's border (0 means 4).
+	// A preset takes 0 or its own count.
+	Cores int
+	// BankKB sizes each LLC bank in KB (0 means the paper's 512KB).
+	BankKB int
 }
 
-// Custom builds a w×h-bank chip with nCores border-attached cores and
-// the given per-bank capacity (0 = the paper's 512KB banks). It is the
-// constructor behind the public API's first-class chip topologies and
-// panics on parameters ValidateCustom rejects.
-func Custom(w, h, nCores int, bankBytes uint64) *Chip {
-	if err := ValidateCustom(w, h, nCores, bankBytes); err != nil {
-		panic(err.Error())
+// NCores reports the core count the description resolves to.
+func (d Desc) NCores() int {
+	switch {
+	case d.Preset == "4core":
+		return 4
+	case d.Preset == "16core":
+		return 16
+	case d.Cores == 0:
+		return 4
 	}
-	if bankBytes == 0 {
-		bankBytes = 512 * addr.KB
+	return d.Cores
+}
+
+// Build checks the description and builds the chip.
+func (d Desc) Build() (*Chip, error) {
+	if d.BankKB < 0 || (d.BankKB != 0 && uint64(d.BankKB)*addr.KB < MinBankBytes) {
+		return nil, fmt.Errorf("bank_kb %d out of range (want >= %d)", d.BankKB, MinBankBytes/addr.KB)
 	}
-	return &Chip{Mesh: BorderMesh(w, h, nCores), BankBytes: bankBytes}
+	var chip *Chip
+	switch d.Preset {
+	case "":
+		if d.W < MinMeshSide || d.H < MinMeshSide || d.W > MaxMeshSide || d.H > MaxMeshSide {
+			return nil, fmt.Errorf("mesh %dx%d out of range (want %d..%d per side)", d.W, d.H, MinMeshSide, MaxMeshSide)
+		}
+		n := d.NCores()
+		if max := MaxBorderCores(d.W, d.H); n < 1 || n > max {
+			return nil, fmt.Errorf("%d cores do not fit a %dx%d mesh border (max %d)", n, d.W, d.H, max)
+		}
+		chip = &Chip{Mesh: BorderMesh(d.W, d.H, n), BankBytes: 512 * addr.KB}
+	case "4core":
+		chip = FourCoreChip()
+	case "16core":
+		chip = SixteenCoreChip()
+	default:
+		return nil, fmt.Errorf("unknown chip preset %q (valid: 4core, 16core)", d.Preset)
+	}
+	if d.Preset != "" && (d.W != 0 || d.H != 0 || (d.Cores != 0 && d.Cores != chip.NCores())) {
+		return nil, fmt.Errorf("chip preset %q cannot combine with a mesh or a core count other than %d", d.Preset, chip.NCores())
+	}
+	if d.BankKB != 0 {
+		chip.BankBytes = uint64(d.BankKB) * addr.KB
+	}
+	return chip, nil
 }
 
 // FourCoreChip is the 4-core, 25-bank, 512KB/bank chip of Fig 1

@@ -478,7 +478,7 @@ func forwardSpec(j *job) (json.RawMessage, error) {
 		}
 		appSpecs = append(appSpecs, sp)
 	}
-	f := spec.FromAppSpecs("dispatch", appSpecs)
+	f := &spec.File{Version: 1, Name: "dispatch", Apps: appSpecs}
 	// Only the mixes this job sweeps: an unswept spec mix may reference
 	// spec-only apps that are not in the forwarded app list, and the
 	// worker's spec validation would reject the whole file over them.

@@ -1,9 +1,10 @@
 // Package spec parses declarative workload-spec files into the
 // workloads.AppSpec values the simulator runs. A spec file is JSON: a
-// set of apps (structures, access patterns, phase schedules) plus
-// optional multi-app mixes and a file-level scale factor. The format
-// round-trips the built-in suite exactly (see Builtin and the tests),
-// so the 31 hard-coded apps are just one loadable spec among many.
+// set of apps (structures, access patterns, phase schedules) in
+// workloads.AppSpec's own JSON form, plus optional multi-app mixes and a
+// file-level scale factor. The built-in suite encodes and parses back
+// exactly (see Builtin and the tests), so the 31 hard-coded apps are
+// just one loadable spec among many.
 //
 // See docs/workload-specs.md for the schema reference and examples.
 package spec
@@ -15,15 +16,15 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
-	"strconv"
-	"strings"
 
 	"whirlpool/internal/addr"
+	"whirlpool/internal/mem"
 	"whirlpool/internal/noc"
 	"whirlpool/internal/workloads"
 )
 
-// File is a parsed workload-spec file.
+// File is a parsed workload-spec file. Its apps are workloads.AppSpec
+// values: their JSON form is the schema.
 type File struct {
 	// Version is the schema version (currently 1; 0 means 1).
 	Version int `json:"version,omitempty"`
@@ -31,53 +32,15 @@ type File struct {
 	Name string `json:"name,omitempty"`
 	// Comment is free-form documentation.
 	Comment string `json:"comment,omitempty"`
-	// Scale multiplies every app's access count at load time (0 = 1.0).
+	// Scale multiplies every app's access count when the file is
+	// registered (0 = 1.0). Apps keep their unscaled counts, so encoding
+	// a parsed file never scales twice.
 	Scale float64 `json:"scale,omitempty"`
 	// Apps are the workload definitions.
-	Apps []App `json:"apps"`
+	Apps []workloads.AppSpec `json:"apps"`
 	// Mixes name multi-programmed combinations (one app per core). Mix
 	// members may be apps from this file or built-in suite apps.
 	Mixes []Mix `json:"mixes,omitempty"`
-}
-
-// App mirrors workloads.AppSpec with human-friendly encodings (string
-// patterns, size suffixes).
-type App struct {
-	Name string `json:"name"`
-	// Source selects how the app's LLC trace is produced: "synthetic"
-	// (the default: generated from structs/phases and private-filtered)
-	// or "trace" (replayed from a recorded .wtrc file, see Trace).
-	Source      string   `json:"source,omitempty"`
-	Suite       string   `json:"suite,omitempty"`
-	Structs     []Struct `json:"structs,omitempty"`
-	Phases      []Phase  `json:"phases,omitempty"`
-	PeriodFrac  float64  `json:"period_frac,omitempty"`
-	PhaseJitter float64  `json:"phase_jitter,omitempty"`
-	APKI        float64  `json:"apki,omitempty"`
-	Accesses    uint64   `json:"accesses,omitempty"`
-	ManualPools [][]int  `json:"manual_pools,omitempty"`
-	ManualLOC   int      `json:"manual_loc,omitempty"`
-	// Trace is the .wtrc file for source "trace" (whirltool trace
-	// record writes them). Relative paths resolve against the spec
-	// file's directory when loaded via Load.
-	Trace string `json:"trace,omitempty"`
-}
-
-// Struct is one data structure.
-type Struct struct {
-	Name      string   `json:"name"`
-	Bytes     ByteSize `json:"bytes"`
-	Pattern   string   `json:"pattern"`
-	Param     float64  `json:"param,omitempty"`
-	WriteFrac float64  `json:"write_frac,omitempty"`
-}
-
-// Phase is one phase of the app's phase schedule.
-type Phase struct {
-	Len      float64   `json:"len"`
-	Weights  []float64 `json:"weights"`
-	Patterns []string  `json:"patterns,omitempty"`
-	Params   []float64 `json:"params,omitempty"`
 }
 
 // Mix is a named multi-programmed combination.
@@ -96,7 +59,7 @@ type Mix struct {
 // paper's presets or a custom mesh.
 type ChipSpec struct {
 	// Preset names a paper chip: "4core" (Fig 1) or "16core" (Fig 12).
-	// Mutually exclusive with Mesh/Cores.
+	// It takes no Mesh, and Cores only if it repeats the preset's count.
 	Preset string `json:"preset,omitempty"`
 	// Mesh is a custom [width, height] bank grid.
 	Mesh []int `json:"mesh,omitempty"`
@@ -106,121 +69,27 @@ type ChipSpec struct {
 	BankKB int `json:"bank_kb,omitempty"`
 }
 
-// validate checks the chip description without building it. The
-// custom-mesh rules live in noc.ValidateCustom, shared with the public
-// Chip type.
-func (c *ChipSpec) validate() error {
-	if kb := uint64(c.BankKB) * addr.KB; c.BankKB < 0 || (kb != 0 && kb < noc.MinBankBytes) {
-		return fmt.Errorf("bank_kb %d out of range (want >= %d)", c.BankKB, noc.MinBankBytes/addr.KB)
+// Build checks the chip description and builds it. The rules live in
+// noc.Desc, shared with the public Chip type.
+func (c *ChipSpec) Build() (*noc.Chip, error) {
+	d := noc.Desc{Preset: c.Preset, Cores: c.Cores, BankKB: c.BankKB}
+	switch {
+	case len(c.Mesh) == 2:
+		d.W, d.H = c.Mesh[0], c.Mesh[1]
+	case len(c.Mesh) != 0 || c.Preset == "":
+		return nil, fmt.Errorf("chip needs either a preset or a [width, height] mesh")
 	}
-	if c.Preset != "" {
-		if c.Preset != "4core" && c.Preset != "16core" {
-			return fmt.Errorf("unknown chip preset %q (valid: 4core, 16core)", c.Preset)
-		}
-		if len(c.Mesh) != 0 || c.Cores != 0 {
-			return fmt.Errorf("chip preset %q cannot combine with mesh/cores", c.Preset)
-		}
-		return nil
-	}
-	if len(c.Mesh) != 2 {
-		return fmt.Errorf("chip needs either a preset or a [width, height] mesh")
-	}
-	return noc.ValidateCustom(c.Mesh[0], c.Mesh[1], c.NCores(), uint64(c.BankKB)*addr.KB)
+	return d.Build()
 }
 
-// NCores reports the core count the chip description resolves to.
-func (c *ChipSpec) NCores() int {
-	if c.Preset == "4core" {
-		return 4
-	}
-	if c.Preset == "16core" {
-		return 16
-	}
-	if c.Cores == 0 {
-		return 4
-	}
-	return c.Cores
-}
-
-// Build constructs the described chip. Call only after validation.
-func (c *ChipSpec) Build() *noc.Chip {
-	switch c.Preset {
-	case "4core":
-		chip := noc.FourCoreChip()
-		if c.BankKB > 0 {
-			chip.BankBytes = uint64(c.BankKB) * addr.KB
-		}
-		return chip
-	case "16core":
-		chip := noc.SixteenCoreChip()
-		if c.BankKB > 0 {
-			chip.BankBytes = uint64(c.BankKB) * addr.KB
-		}
-		return chip
-	}
-	return noc.Custom(c.Mesh[0], c.Mesh[1], c.NCores(), uint64(c.BankKB)*addr.KB)
-}
-
-// BuildChip resolves a mix's chip override, or nil for the default
-// topology.
+// BuildChip resolves a validated mix's chip override, or nil for the
+// default topology.
 func (m *Mix) BuildChip() *noc.Chip {
 	if m.Chip == nil {
 		return nil
 	}
-	return m.Chip.Build()
-}
-
-// ByteSize is a byte count that unmarshals from either a JSON number or
-// a string with a B/KB/MB/GB suffix ("96MB", "512 KB"), and marshals to
-// the most compact exact suffix form.
-type ByteSize uint64
-
-var sizeRe = regexp.MustCompile(`^([0-9]+(?:\.[0-9]+)?)\s*([KMGkmg]?)[Bb]?$`)
-
-// UnmarshalJSON implements json.Unmarshaler.
-func (b *ByteSize) UnmarshalJSON(data []byte) error {
-	if len(data) > 0 && data[0] == '"' {
-		var s string
-		if err := json.Unmarshal(data, &s); err != nil {
-			return err
-		}
-		m := sizeRe.FindStringSubmatch(strings.TrimSpace(s))
-		if m == nil {
-			return fmt.Errorf("bad size %q (want e.g. 4194304, \"4MB\", \"512KB\")", s)
-		}
-		v, err := strconv.ParseFloat(m[1], 64)
-		if err != nil {
-			return fmt.Errorf("bad size %q: %v", s, err)
-		}
-		switch strings.ToUpper(m[2]) {
-		case "K":
-			v *= addr.KB
-		case "M":
-			v *= addr.MB
-		case "G":
-			v *= addr.MB * 1024
-		}
-		*b = ByteSize(v)
-		return nil
-	}
-	var n uint64
-	if err := json.Unmarshal(data, &n); err != nil {
-		return fmt.Errorf("bad size %s (want a byte count or a \"4MB\"-style string)", data)
-	}
-	*b = ByteSize(n)
-	return nil
-}
-
-// MarshalJSON implements json.Marshaler.
-func (b ByteSize) MarshalJSON() ([]byte, error) {
-	n := uint64(b)
-	switch {
-	case n >= addr.MB && n%addr.MB == 0:
-		return json.Marshal(fmt.Sprintf("%dMB", n/addr.MB))
-	case n >= addr.KB && n%addr.KB == 0:
-		return json.Marshal(fmt.Sprintf("%dKB", n/addr.KB))
-	}
-	return json.Marshal(n)
+	chip, _ := m.Chip.Build()
+	return chip
 }
 
 // Defaults applied by Parse when a field is omitted.
@@ -233,24 +102,6 @@ const (
 // nameRe restricts app/mix names so they survive comma-separated CLI
 // flags and file paths.
 var nameRe = regexp.MustCompile(`^[A-Za-z0-9._+-]+$`)
-
-var patternNames = map[string]workloads.Pattern{
-	"inherit": workloads.Inherit,
-	"seq":     workloads.Seq,
-	"rand":    workloads.Rand,
-	"zipf":    workloads.Zipf,
-	"chase":   workloads.Chase,
-	"wsloop":  workloads.WSLoop,
-	"randws":  workloads.RandWS,
-}
-
-func parsePattern(s string, allowInherit bool) (workloads.Pattern, error) {
-	p, ok := patternNames[s]
-	if !ok || (p == workloads.Inherit && !allowInherit) {
-		return 0, fmt.Errorf("unknown pattern %q (valid: seq, rand, zipf, chase, wsloop, randws)", s)
-	}
-	return p, nil
-}
 
 // paramOK checks a (pattern, param) pair; shared by struct defaults and
 // phase overrides.
@@ -303,7 +154,8 @@ func Load(path string) (*File, error) {
 }
 
 // validate applies defaults and checks every constraint, reporting the
-// first violation with its JSON path.
+// first violation with its JSON path. It also drops empty lists, so an
+// accepted file encodes and re-parses to an equal value.
 func (f *File) validate() error {
 	if f.Version != 0 && f.Version != 1 {
 		return fmt.Errorf("spec: unsupported version %d (this build understands 1)", f.Version)
@@ -318,13 +170,16 @@ func (f *File) validate() error {
 	for i := range f.Apps {
 		a := &f.Apps[i]
 		at := fmt.Sprintf("apps[%d] (%s)", i, a.Name)
-		if err := a.applyDefaultsAndValidate(); err != nil {
+		if err := validateApp(a); err != nil {
 			return fmt.Errorf("spec: %s: %v", at, err)
 		}
 		if appNames[a.Name] {
 			return fmt.Errorf("spec: %s: duplicate app name", at)
 		}
 		appNames[a.Name] = true
+	}
+	if len(f.Mixes) == 0 {
+		f.Mixes = nil
 	}
 	mixNames := make(map[string]bool, len(f.Mixes))
 	for i := range f.Mixes {
@@ -337,16 +192,18 @@ func (f *File) validate() error {
 			return fmt.Errorf("spec: %s: duplicate mix name", at)
 		}
 		mixNames[m.Name] = true
-		if m.Chip != nil {
-			if err := m.Chip.validate(); err != nil {
-				return fmt.Errorf("spec: %s: chip: %v", at, err)
-			}
-		}
 		// The core budget: the mix's own chip, or the default choice
 		// (4-core when apps and pins fit, else 16-core).
 		cores := 16
 		if m.Chip != nil {
-			cores = m.Chip.NCores()
+			chip, err := m.Chip.Build()
+			if err != nil {
+				return fmt.Errorf("spec: %s: chip: %v", at, err)
+			}
+			cores = chip.NCores()
+			if len(m.Chip.Mesh) == 0 {
+				m.Chip.Mesh = nil
+			}
 		}
 		if len(m.Apps) < 1 || len(m.Apps) > cores {
 			return fmt.Errorf("spec: %s: mixes take 1..%d apps (one per core), got %d", at, cores, len(m.Apps))
@@ -378,7 +235,8 @@ func (f *File) validate() error {
 	return nil
 }
 
-func (a *App) applyDefaultsAndValidate() error {
+// validateApp applies defaults to one app in place and checks it.
+func validateApp(a *workloads.AppSpec) error {
 	if !nameRe.MatchString(a.Name) {
 		return fmt.Errorf("name must match %s", nameRe)
 	}
@@ -386,11 +244,11 @@ func (a *App) applyDefaultsAndValidate() error {
 	case "", "synthetic":
 		a.Source = ""
 	case "trace":
-		return a.validateTraceSource()
+		return validateTraceSource(a)
 	default:
 		return fmt.Errorf("unknown source %q (valid: synthetic, trace)", a.Source)
 	}
-	if a.Trace != "" {
+	if a.TracePath != "" {
 		return fmt.Errorf("trace is only valid with source \"trace\"")
 	}
 	if a.Suite == "" {
@@ -424,14 +282,13 @@ func (a *App) applyDefaultsAndValidate() error {
 			return fmt.Errorf("%s: duplicate struct name", at)
 		}
 		structNames[st.Name] = true
-		if st.Bytes < addr.LineBytes {
-			return fmt.Errorf("%s: bytes must be at least one cache line (%d), got %d", at, addr.LineBytes, st.Bytes)
+		if st.Bytes < addr.LineBytes || st.Bytes > mem.ArenaBytes {
+			return fmt.Errorf("%s: bytes must be at least one cache line (%d) and at most one arena (%d), got %d", at, addr.LineBytes, mem.ArenaBytes, st.Bytes)
 		}
-		p, err := parsePattern(st.Pattern, false)
-		if err != nil {
-			return fmt.Errorf("%s: %v", at, err)
+		if st.Pattern == workloads.Inherit {
+			return fmt.Errorf("%s: unknown pattern (structs need one of: %s; \"inherit\" is for phase overrides)", at, workloads.StructPatterns())
 		}
-		if err := paramOK(p, st.Param); err != nil {
+		if err := paramOK(st.Pattern, st.Param); err != nil {
 			return fmt.Errorf("%s: %v", at, err)
 		}
 		if st.WriteFrac < 0 || st.WriteFrac > 1 {
@@ -443,7 +300,7 @@ func (a *App) applyDefaultsAndValidate() error {
 		for i := range w {
 			w[i] = 1
 		}
-		a.Phases = []Phase{{Len: 1, Weights: w}}
+		a.Phases = []workloads.PhaseSpec{{Len: 1, Weights: w}}
 	}
 	for i, ph := range a.Phases {
 		at := fmt.Sprintf("phases[%d]", i)
@@ -475,15 +332,9 @@ func (a *App) applyDefaultsAndValidate() error {
 		// default — note the generator applies params even when the
 		// phase has no patterns array.
 		for j := range a.Structs {
-			p, _ := parsePattern(a.Structs[j].Pattern, false)
-			if ph.Patterns != nil {
-				op, err := parsePattern(ph.Patterns[j], true)
-				if err != nil {
-					return fmt.Errorf("%s: patterns[%d]: %v", at, j, err)
-				}
-				if op != workloads.Inherit {
-					p = op
-				}
+			p := a.Structs[j].Pattern
+			if ph.Patterns != nil && ph.Patterns[j] != workloads.Inherit {
+				p = ph.Patterns[j]
 			}
 			param := a.Structs[j].Param
 			if ph.Params != nil && ph.Params[j] != 0 {
@@ -493,6 +344,9 @@ func (a *App) applyDefaultsAndValidate() error {
 				return fmt.Errorf("%s: structs[%d] (%s) in this phase: %v", at, j, a.Structs[j].Name, err)
 			}
 		}
+	}
+	if len(a.ManualPools) == 0 {
+		a.ManualPools = nil
 	}
 	seenIdx := make(map[int]bool)
 	for gi, group := range a.ManualPools {
@@ -513,8 +367,8 @@ func (a *App) applyDefaultsAndValidate() error {
 // path and nothing that only makes sense for the synthetic generator.
 // The file itself is opened at run time, not load time, so specs can
 // describe traces recorded later.
-func (a *App) validateTraceSource() error {
-	if a.Trace == "" {
+func validateTraceSource(a *workloads.AppSpec) error {
+	if a.TracePath == "" {
 		return fmt.Errorf("source \"trace\" needs a trace file path (record one with: whirltool trace record)")
 	}
 	if len(a.Structs) != 0 || len(a.Phases) != 0 || len(a.ManualPools) != 0 {
@@ -526,6 +380,7 @@ func (a *App) validateTraceSource() error {
 	if a.Suite == "" {
 		a.Suite = "trace"
 	}
+	a.Structs, a.Phases, a.ManualPools = nil, nil, nil // drop empty lists
 	return nil
 }
 
@@ -534,61 +389,10 @@ func (a *App) validateTraceSource() error {
 func (f *File) resolvePaths(dir string) {
 	for i := range f.Apps {
 		a := &f.Apps[i]
-		if a.Trace != "" && !filepath.IsAbs(a.Trace) {
-			a.Trace = filepath.Join(dir, a.Trace)
+		if a.TracePath != "" && !filepath.IsAbs(a.TracePath) {
+			a.TracePath = filepath.Join(dir, a.TracePath)
 		}
 	}
-}
-
-// AppSpecs converts the file's apps into runnable workload specs, with
-// the file-level scale factor applied to access counts.
-func (f *File) AppSpecs() []workloads.AppSpec {
-	scale := f.Scale
-	if scale == 0 {
-		scale = 1
-	}
-	out := make([]workloads.AppSpec, len(f.Apps))
-	for i, a := range f.Apps {
-		out[i] = appToSpec(a, scale)
-	}
-	return out
-}
-
-func appToSpec(a App, scale float64) workloads.AppSpec {
-	if a.Source == "trace" {
-		return workloads.AppSpec{Name: a.Name, Suite: a.Suite, TracePath: a.Trace}
-	}
-	s := workloads.AppSpec{
-		Name:        a.Name,
-		Suite:       a.Suite,
-		PeriodFrac:  a.PeriodFrac,
-		PhaseJitter: a.PhaseJitter,
-		APKI:        a.APKI,
-		Accesses:    uint64(float64(a.Accesses) * scale),
-		ManualPools: a.ManualPools,
-		ManualLOC:   a.ManualLOC,
-	}
-	for _, st := range a.Structs {
-		p, _ := parsePattern(st.Pattern, false)
-		s.Structs = append(s.Structs, workloads.StructSpec{
-			Name:      st.Name,
-			Bytes:     uint64(st.Bytes),
-			Pattern:   p,
-			Param:     st.Param,
-			WriteFrac: st.WriteFrac,
-		})
-	}
-	for _, ph := range a.Phases {
-		wp := workloads.PhaseSpec{Len: ph.Len, Weights: ph.Weights, Params: ph.Params}
-		if ph.Patterns != nil {
-			wp.Patterns = make([]workloads.Pattern, len(ph.Patterns))
-			for j, ps := range ph.Patterns {
-				wp.Patterns[j], _ = parsePattern(ps, true)
-			}
-		}
-		s.Phases = append(s.Phases, wp)
-	}
-	return s
 }
 
 // MixApps resolves a mix name to its member app list.
@@ -601,69 +405,34 @@ func (f *File) MixApps(name string) ([]string, bool) {
 	return nil, false
 }
 
-// Register converts the file's apps and registers them with the
-// workloads registry (replacing same-named apps), returning the
-// registered names.
+// Register registers the file's apps with the workloads registry
+// (replacing same-named apps), with the file-level scale applied to
+// access counts, and returns the registered names.
 func (f *File) Register() ([]string, error) {
-	specs := f.AppSpecs()
+	scale := f.Scale
+	if scale == 0 {
+		scale = 1
+	}
+	specs := make([]workloads.AppSpec, len(f.Apps))
+	names := make([]string, len(f.Apps))
+	for i, a := range f.Apps {
+		a.Accesses = uint64(float64(a.Accesses) * scale)
+		specs[i], names[i] = a, a.Name
+	}
 	if err := workloads.RegisterAll(specs); err != nil {
 		return nil, err
-	}
-	names := make([]string, len(specs))
-	for i, s := range specs {
-		names[i] = s.Name
 	}
 	return names, nil
 }
 
-// FromAppSpecs converts runnable specs back into the file form, the
-// inverse of AppSpecs (at scale 1).
-func FromAppSpecs(name string, specs []workloads.AppSpec) *File {
-	f := &File{Version: 1, Name: name}
-	for _, s := range specs {
-		if s.TracePath != "" {
-			f.Apps = append(f.Apps, App{Name: s.Name, Source: "trace", Suite: s.Suite, Trace: s.TracePath})
-			continue
-		}
-		a := App{
-			Name:        s.Name,
-			Suite:       s.Suite,
-			PeriodFrac:  s.PeriodFrac,
-			PhaseJitter: s.PhaseJitter,
-			APKI:        s.APKI,
-			Accesses:    s.Accesses,
-			ManualPools: s.ManualPools,
-			ManualLOC:   s.ManualLOC,
-		}
-		for _, st := range s.Structs {
-			a.Structs = append(a.Structs, Struct{
-				Name:      st.Name,
-				Bytes:     ByteSize(st.Bytes),
-				Pattern:   st.Pattern.String(),
-				Param:     st.Param,
-				WriteFrac: st.WriteFrac,
-			})
-		}
-		for _, ph := range s.Phases {
-			p := Phase{Len: ph.Len, Weights: ph.Weights, Params: ph.Params}
-			if ph.Patterns != nil {
-				p.Patterns = make([]string, len(ph.Patterns))
-				for j, pt := range ph.Patterns {
-					p.Patterns[j] = pt.String()
-				}
-			}
-			a.Phases = append(a.Phases, p)
-		}
-		f.Apps = append(f.Apps, a)
-	}
-	return f
-}
-
 // Builtin returns the built-in suite in spec-file form.
 func Builtin() *File {
-	f := FromAppSpecs("builtin", workloads.Specs())
-	f.Comment = "The paper's 31-app synthetic suite, exported by whirlsweep -dump-builtin. Regenerate after editing internal/workloads/specs.go."
-	return f
+	return &File{
+		Version: 1,
+		Name:    "builtin",
+		Comment: "The paper's 31-app synthetic suite, exported by whirlsweep -dump-builtin. Regenerate after editing internal/workloads/specs.go.",
+		Apps:    workloads.Specs(),
+	}
 }
 
 // Encode renders a spec file as canonical indented JSON.

@@ -40,7 +40,7 @@ func TestParseValid(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Parse: %v", err)
 	}
-	specs := f.AppSpecs()
+	specs := f.Apps
 	if len(specs) != 1 {
 		t.Fatalf("got %d apps, want 1", len(specs))
 	}
@@ -83,68 +83,90 @@ func TestParseDefaultsPhases(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Parse: %v", err)
 	}
-	s := f.AppSpecs()[0]
+	s := f.Apps[0]
 	if len(s.Phases) != 1 || len(s.Phases[0].Weights) != 1 || s.Phases[0].Weights[0] != 1 {
 		t.Fatalf("default phase wrong: %+v", s.Phases)
 	}
 }
 
+// The file-level scale applies once, at registration: the parsed apps
+// keep their own counts, so encoding a parsed file never scales twice.
 func TestParseScale(t *testing.T) {
-	f, err := Parse([]byte(`{"scale":0.5,"apps":[{"name":"a","accesses":1000,"structs":[{"name":"x","bytes":"1MB","pattern":"rand"}]}]}`))
+	t.Cleanup(workloads.SnapshotRegistry())
+	f, err := Parse([]byte(`{"scale":0.5,"apps":[{"name":"spec_scaled","accesses":1000,"structs":[{"name":"x","bytes":"1MB","pattern":"rand"}]}]}`))
 	if err != nil {
 		t.Fatalf("Parse: %v", err)
 	}
-	if got := f.AppSpecs()[0].Accesses; got != 500 {
-		t.Fatalf("scaled accesses = %d, want 500", got)
+	if got := f.Apps[0].Accesses; got != 1000 {
+		t.Fatalf("parsed accesses = %d, want 1000 (unscaled)", got)
+	}
+	data, err := Encode(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	back, err := Parse(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := back.Register(); err != nil {
+		t.Fatal(err)
+	}
+	if s, _ := workloads.ByName("spec_scaled"); s.Accesses != 500 {
+		t.Fatalf("registered accesses = %d, want 500", s.Accesses)
 	}
 }
 
+// invalidSpecs are malformed spec files and the message each must fail
+// with. FuzzParseSpec seeds its corpus from them too.
+var invalidSpecs = []struct {
+	name, in, wantErr string
+}{
+	{"bad json", `{`, "unexpected"},
+	{"unknown field", `{"apps":[{"name":"a","bytes":1}]}`, "unknown field"},
+	{"no apps", `{"apps":[]}`, "no apps"},
+	{"empty name", `{"apps":[{"name":"","structs":[{"name":"x","bytes":"1MB","pattern":"rand"}]}]}`, "name must match"},
+	{"bad name", `{"apps":[{"name":"a b","structs":[{"name":"x","bytes":"1MB","pattern":"rand"}]}]}`, "name must match"},
+	{"dup app", `{"apps":[{"name":"a","structs":[{"name":"x","bytes":"1MB","pattern":"rand"}]},{"name":"a","structs":[{"name":"x","bytes":"1MB","pattern":"rand"}]}]}`, "duplicate app"},
+	{"no structs", `{"apps":[{"name":"a","structs":[]}]}`, "at least one struct"},
+	{"dup struct", `{"apps":[{"name":"a","structs":[{"name":"x","bytes":"1MB","pattern":"rand"},{"name":"x","bytes":"1MB","pattern":"rand"}]}]}`, "duplicate struct"},
+	{"tiny struct", `{"apps":[{"name":"a","structs":[{"name":"x","bytes":32,"pattern":"rand"}]}]}`, "at least one cache line"},
+	{"bad size", `{"apps":[{"name":"a","structs":[{"name":"x","bytes":"4XB","pattern":"rand"}]}]}`, "bad size"},
+	{"size overflow", `{"apps":[{"name":"a","structs":[{"name":"x","bytes":"99999999999GB","pattern":"rand"}]}]}`, "does not fit 64 bits"},
+	{"huge struct", `{"apps":[{"name":"a","structs":[{"name":"x","bytes":"128GB","pattern":"rand"}]}]}`, "at most one arena"},
+	{"bad pattern", `{"apps":[{"name":"a","structs":[{"name":"x","bytes":"1MB","pattern":"zipff"}]}]}`, "unknown pattern"},
+	{"inherit struct", `{"apps":[{"name":"a","structs":[{"name":"x","bytes":"1MB","pattern":"inherit"}]}]}`, "unknown pattern"},
+	{"zipf no param", `{"apps":[{"name":"a","structs":[{"name":"x","bytes":"1MB","pattern":"zipf"}]}]}`, "zipf needs param"},
+	{"ws bad param", `{"apps":[{"name":"a","structs":[{"name":"x","bytes":"1MB","pattern":"wsloop","param":1.5}]}]}`, "param in (0,1]"},
+	{"bad writefrac", `{"apps":[{"name":"a","structs":[{"name":"x","bytes":"1MB","pattern":"rand","write_frac":1.5}]}]}`, "write_frac"},
+	{"weights len", `{"apps":[{"name":"a","structs":[{"name":"x","bytes":"1MB","pattern":"rand"}],"phases":[{"len":1,"weights":[1,2]}]}]}`, "one entry per struct"},
+	{"weights zero", `{"apps":[{"name":"a","structs":[{"name":"x","bytes":"1MB","pattern":"rand"}],"phases":[{"len":1,"weights":[0]}]}]}`, "sum to > 0"},
+	{"phase len", `{"apps":[{"name":"a","structs":[{"name":"x","bytes":"1MB","pattern":"rand"}],"phases":[{"len":0,"weights":[1]}]}]}`, "len must be > 0"},
+	{"phase zipf param", `{"apps":[{"name":"a","structs":[{"name":"x","bytes":"1MB","pattern":"rand"}],"phases":[{"len":1,"weights":[1],"patterns":["zipf"]}]}]}`, "zipf needs param"},
+	{"phase bad pattern", `{"apps":[{"name":"a","structs":[{"name":"x","bytes":"1MB","pattern":"rand"}],"phases":[{"len":1,"weights":[1],"patterns":["zipff"]}]}]}`, "unknown pattern"},
+	{"phase param no patterns", `{"apps":[{"name":"a","structs":[{"name":"x","bytes":"1MB","pattern":"wsloop","param":0.5}],"phases":[{"len":1,"weights":[1],"params":[5]}]}]}`, "param in (0,1]"},
+	{"pool index", `{"apps":[{"name":"a","structs":[{"name":"x","bytes":"1MB","pattern":"rand"}],"manual_pools":[[1]]}]}`, "out of range"},
+	{"pool dup", `{"apps":[{"name":"a","structs":[{"name":"x","bytes":"1MB","pattern":"rand"}],"manual_pools":[[0],[0]]}]}`, "two pools"},
+	{"bad apki", `{"apps":[{"name":"a","apki":-1,"structs":[{"name":"x","bytes":"1MB","pattern":"rand"}]}]}`, "apki"},
+	{"bad period", `{"apps":[{"name":"a","period_frac":2,"structs":[{"name":"x","bytes":"1MB","pattern":"rand"}]}]}`, "period_frac"},
+	{"mix unknown app", `{"apps":[{"name":"a","structs":[{"name":"x","bytes":"1MB","pattern":"rand"}]}],"mixes":[{"name":"m","apps":["nosuch"]}]}`, "unknown app"},
+	{"mix too big", `{"apps":[{"name":"a","structs":[{"name":"x","bytes":"1MB","pattern":"rand"}]}],"mixes":[{"name":"m","apps":["a","a","a","a","a","a","a","a","a","a","a","a","a","a","a","a","a"]}]}`, "1..16"},
+	{"dup mix", `{"apps":[{"name":"a","structs":[{"name":"x","bytes":"1MB","pattern":"rand"}]}],"mixes":[{"name":"m","apps":["a"]},{"name":"m","apps":["a"]}]}`, "duplicate mix"},
+	{"bad version", `{"version":9,"apps":[{"name":"a","structs":[{"name":"x","bytes":"1MB","pattern":"rand"}]}]}`, "unsupported version"},
+	{"pins len", `{"apps":[{"name":"a","structs":[{"name":"x","bytes":"1MB","pattern":"rand"}]}],"mixes":[{"name":"m","apps":["a"],"pins":[0,1]}]}`, "one core per app"},
+	{"pins dup", `{"apps":[{"name":"a","structs":[{"name":"x","bytes":"1MB","pattern":"rand"}]},{"name":"b","structs":[{"name":"x","bytes":"1MB","pattern":"rand"}]}],"mixes":[{"name":"m","apps":["a","b"],"pins":[2,2]}]}`, "two apps to one core"},
+	{"pins range", `{"apps":[{"name":"a","structs":[{"name":"x","bytes":"1MB","pattern":"rand"}]}],"mixes":[{"name":"m","apps":["a"],"pins":[16]}]}`, "out of range"},
+	{"pins beyond chip", `{"apps":[{"name":"a","structs":[{"name":"x","bytes":"1MB","pattern":"rand"}]}],"mixes":[{"name":"m","apps":["a"],"pins":[5],"chip":{"preset":"4core"}}]}`, "out of range"},
+	{"chip bad preset", `{"apps":[{"name":"a","structs":[{"name":"x","bytes":"1MB","pattern":"rand"}]}],"mixes":[{"name":"m","apps":["a"],"chip":{"preset":"32core"}}]}`, "unknown chip preset"},
+	{"chip preset plus mesh", `{"apps":[{"name":"a","structs":[{"name":"x","bytes":"1MB","pattern":"rand"}]}],"mixes":[{"name":"m","apps":["a"],"chip":{"preset":"4core","mesh":[5,5]}}]}`, "cannot combine"},
+	{"chip mesh len", `{"apps":[{"name":"a","structs":[{"name":"x","bytes":"1MB","pattern":"rand"}]}],"mixes":[{"name":"m","apps":["a"],"chip":{"mesh":[5]}}]}`, "[width, height]"},
+	{"chip mesh range", `{"apps":[{"name":"a","structs":[{"name":"x","bytes":"1MB","pattern":"rand"}]}],"mixes":[{"name":"m","apps":["a"],"chip":{"mesh":[1,5]}}]}`, "out of range"},
+	{"chip too many cores", `{"apps":[{"name":"a","structs":[{"name":"x","bytes":"1MB","pattern":"rand"}]}],"mixes":[{"name":"m","apps":["a"],"chip":{"mesh":[3,3],"cores":99}}]}`, "do not fit"},
+	{"chip tiny bank", `{"apps":[{"name":"a","structs":[{"name":"x","bytes":"1MB","pattern":"rand"}]}],"mixes":[{"name":"m","apps":["a"],"chip":{"mesh":[5,5],"bank_kb":16}}]}`, "bank_kb"},
+	{"mix overflows chip", `{"apps":[{"name":"a","structs":[{"name":"x","bytes":"1MB","pattern":"rand"}]}],"mixes":[{"name":"m","apps":["a","a","a","a","a"],"chip":{"preset":"4core"}}]}`, "1..4"},
+}
+
 func TestParseInvalid(t *testing.T) {
-	cases := []struct {
-		name, in, wantErr string
-	}{
-		{"bad json", `{`, "unexpected"},
-		{"unknown field", `{"apps":[{"name":"a","bytes":1}]}`, "unknown field"},
-		{"no apps", `{"apps":[]}`, "no apps"},
-		{"empty name", `{"apps":[{"name":"","structs":[{"name":"x","bytes":"1MB","pattern":"rand"}]}]}`, "name must match"},
-		{"bad name", `{"apps":[{"name":"a b","structs":[{"name":"x","bytes":"1MB","pattern":"rand"}]}]}`, "name must match"},
-		{"dup app", `{"apps":[{"name":"a","structs":[{"name":"x","bytes":"1MB","pattern":"rand"}]},{"name":"a","structs":[{"name":"x","bytes":"1MB","pattern":"rand"}]}]}`, "duplicate app"},
-		{"no structs", `{"apps":[{"name":"a","structs":[]}]}`, "at least one struct"},
-		{"dup struct", `{"apps":[{"name":"a","structs":[{"name":"x","bytes":"1MB","pattern":"rand"},{"name":"x","bytes":"1MB","pattern":"rand"}]}]}`, "duplicate struct"},
-		{"tiny struct", `{"apps":[{"name":"a","structs":[{"name":"x","bytes":32,"pattern":"rand"}]}]}`, "at least one cache line"},
-		{"bad size", `{"apps":[{"name":"a","structs":[{"name":"x","bytes":"4XB","pattern":"rand"}]}]}`, "bad size"},
-		{"bad pattern", `{"apps":[{"name":"a","structs":[{"name":"x","bytes":"1MB","pattern":"zipff"}]}]}`, "unknown pattern"},
-		{"inherit struct", `{"apps":[{"name":"a","structs":[{"name":"x","bytes":"1MB","pattern":"inherit"}]}]}`, "unknown pattern"},
-		{"zipf no param", `{"apps":[{"name":"a","structs":[{"name":"x","bytes":"1MB","pattern":"zipf"}]}]}`, "zipf needs param"},
-		{"ws bad param", `{"apps":[{"name":"a","structs":[{"name":"x","bytes":"1MB","pattern":"wsloop","param":1.5}]}]}`, "param in (0,1]"},
-		{"bad writefrac", `{"apps":[{"name":"a","structs":[{"name":"x","bytes":"1MB","pattern":"rand","write_frac":1.5}]}]}`, "write_frac"},
-		{"weights len", `{"apps":[{"name":"a","structs":[{"name":"x","bytes":"1MB","pattern":"rand"}],"phases":[{"len":1,"weights":[1,2]}]}]}`, "one entry per struct"},
-		{"weights zero", `{"apps":[{"name":"a","structs":[{"name":"x","bytes":"1MB","pattern":"rand"}],"phases":[{"len":1,"weights":[0]}]}]}`, "sum to > 0"},
-		{"phase len", `{"apps":[{"name":"a","structs":[{"name":"x","bytes":"1MB","pattern":"rand"}],"phases":[{"len":0,"weights":[1]}]}]}`, "len must be > 0"},
-		{"phase zipf param", `{"apps":[{"name":"a","structs":[{"name":"x","bytes":"1MB","pattern":"rand"}],"phases":[{"len":1,"weights":[1],"patterns":["zipf"]}]}]}`, "zipf needs param"},
-		{"phase bad pattern", `{"apps":[{"name":"a","structs":[{"name":"x","bytes":"1MB","pattern":"rand"}],"phases":[{"len":1,"weights":[1],"patterns":["zipff"]}]}]}`, "unknown pattern"},
-		{"phase param no patterns", `{"apps":[{"name":"a","structs":[{"name":"x","bytes":"1MB","pattern":"wsloop","param":0.5}],"phases":[{"len":1,"weights":[1],"params":[5]}]}]}`, "param in (0,1]"},
-		{"pool index", `{"apps":[{"name":"a","structs":[{"name":"x","bytes":"1MB","pattern":"rand"}],"manual_pools":[[1]]}]}`, "out of range"},
-		{"pool dup", `{"apps":[{"name":"a","structs":[{"name":"x","bytes":"1MB","pattern":"rand"}],"manual_pools":[[0],[0]]}]}`, "two pools"},
-		{"bad apki", `{"apps":[{"name":"a","apki":-1,"structs":[{"name":"x","bytes":"1MB","pattern":"rand"}]}]}`, "apki"},
-		{"bad period", `{"apps":[{"name":"a","period_frac":2,"structs":[{"name":"x","bytes":"1MB","pattern":"rand"}]}]}`, "period_frac"},
-		{"mix unknown app", `{"apps":[{"name":"a","structs":[{"name":"x","bytes":"1MB","pattern":"rand"}]}],"mixes":[{"name":"m","apps":["nosuch"]}]}`, "unknown app"},
-		{"mix too big", `{"apps":[{"name":"a","structs":[{"name":"x","bytes":"1MB","pattern":"rand"}]}],"mixes":[{"name":"m","apps":["a","a","a","a","a","a","a","a","a","a","a","a","a","a","a","a","a"]}]}`, "1..16"},
-		{"dup mix", `{"apps":[{"name":"a","structs":[{"name":"x","bytes":"1MB","pattern":"rand"}]}],"mixes":[{"name":"m","apps":["a"]},{"name":"m","apps":["a"]}]}`, "duplicate mix"},
-		{"bad version", `{"version":9,"apps":[{"name":"a","structs":[{"name":"x","bytes":"1MB","pattern":"rand"}]}]}`, "unsupported version"},
-		{"pins len", `{"apps":[{"name":"a","structs":[{"name":"x","bytes":"1MB","pattern":"rand"}]}],"mixes":[{"name":"m","apps":["a"],"pins":[0,1]}]}`, "one core per app"},
-		{"pins dup", `{"apps":[{"name":"a","structs":[{"name":"x","bytes":"1MB","pattern":"rand"}]},{"name":"b","structs":[{"name":"x","bytes":"1MB","pattern":"rand"}]}],"mixes":[{"name":"m","apps":["a","b"],"pins":[2,2]}]}`, "two apps to one core"},
-		{"pins range", `{"apps":[{"name":"a","structs":[{"name":"x","bytes":"1MB","pattern":"rand"}]}],"mixes":[{"name":"m","apps":["a"],"pins":[16]}]}`, "out of range"},
-		{"pins beyond chip", `{"apps":[{"name":"a","structs":[{"name":"x","bytes":"1MB","pattern":"rand"}]}],"mixes":[{"name":"m","apps":["a"],"pins":[5],"chip":{"preset":"4core"}}]}`, "out of range"},
-		{"chip bad preset", `{"apps":[{"name":"a","structs":[{"name":"x","bytes":"1MB","pattern":"rand"}]}],"mixes":[{"name":"m","apps":["a"],"chip":{"preset":"32core"}}]}`, "unknown chip preset"},
-		{"chip preset plus mesh", `{"apps":[{"name":"a","structs":[{"name":"x","bytes":"1MB","pattern":"rand"}]}],"mixes":[{"name":"m","apps":["a"],"chip":{"preset":"4core","mesh":[5,5]}}]}`, "cannot combine"},
-		{"chip mesh len", `{"apps":[{"name":"a","structs":[{"name":"x","bytes":"1MB","pattern":"rand"}]}],"mixes":[{"name":"m","apps":["a"],"chip":{"mesh":[5]}}]}`, "[width, height]"},
-		{"chip mesh range", `{"apps":[{"name":"a","structs":[{"name":"x","bytes":"1MB","pattern":"rand"}]}],"mixes":[{"name":"m","apps":["a"],"chip":{"mesh":[1,5]}}]}`, "out of range"},
-		{"chip too many cores", `{"apps":[{"name":"a","structs":[{"name":"x","bytes":"1MB","pattern":"rand"}]}],"mixes":[{"name":"m","apps":["a"],"chip":{"mesh":[3,3],"cores":99}}]}`, "do not fit"},
-		{"chip tiny bank", `{"apps":[{"name":"a","structs":[{"name":"x","bytes":"1MB","pattern":"rand"}]}],"mixes":[{"name":"m","apps":["a"],"chip":{"mesh":[5,5],"bank_kb":16}}]}`, "bank_kb"},
-		{"mix overflows chip", `{"apps":[{"name":"a","structs":[{"name":"x","bytes":"1MB","pattern":"rand"}]}],"mixes":[{"name":"m","apps":["a","a","a","a","a"],"chip":{"preset":"4core"}}]}`, "1..4"},
-	}
-	for _, c := range cases {
+	for _, c := range invalidSpecs {
 		t.Run(c.name, func(t *testing.T) {
 			_, err := Parse([]byte(c.in))
 			if err == nil {
@@ -189,7 +211,7 @@ func TestParseMixPinsAndChip(t *testing.T) {
 	}
 }
 
-// The built-in suite must survive encode → parse → convert exactly:
+// The built-in suite must survive encode → parse exactly:
 // spec files are a complete, lossless description of any workload the
 // simulator can run.
 func TestBuiltinRoundTrip(t *testing.T) {
@@ -201,7 +223,7 @@ func TestBuiltinRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Parse(encoded builtin): %v", err)
 	}
-	got := f.AppSpecs()
+	got := f.Apps
 	want := workloads.Specs()
 	if len(got) != len(want) {
 		t.Fatalf("round-trip count %d != %d", len(got), len(want))
@@ -215,7 +237,7 @@ func TestBuiltinRoundTrip(t *testing.T) {
 
 func TestByteSizeMarshal(t *testing.T) {
 	cases := []struct {
-		in   ByteSize
+		in   workloads.ByteSize
 		want string
 	}{
 		{96 * 1024 * 1024, `"96MB"`},
@@ -231,7 +253,7 @@ func TestByteSizeMarshal(t *testing.T) {
 		if string(out) != c.want {
 			t.Errorf("Marshal(%d) = %s, want %s", c.in, out, c.want)
 		}
-		var back ByteSize
+		var back workloads.ByteSize
 		if err := json.Unmarshal(out, &back); err != nil || back != c.in {
 			t.Errorf("Unmarshal(%s) = %d, %v; want %d", out, back, err, c.in)
 		}
@@ -279,7 +301,7 @@ func TestTraceSourceApp(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	specs := f.AppSpecs()
+	specs := f.Apps
 	if len(specs) != 1 {
 		t.Fatalf("specs = %d", len(specs))
 	}
@@ -324,18 +346,17 @@ func TestTraceSourceRelativePathResolution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := f.Apps[0].Trace, filepath.Join(dir, "traces/a.wtrc"); got != want {
+	if got, want := f.Apps[0].TracePath, filepath.Join(dir, "traces/a.wtrc"); got != want {
 		t.Errorf("relative path = %q, want %q", got, want)
 	}
-	if got := f.Apps[1].Trace; got != "/tmp/b.wtrc" {
+	if got := f.Apps[1].TracePath; got != "/tmp/b.wtrc" {
 		t.Errorf("absolute path rewritten to %q", got)
 	}
 }
 
 func TestTraceSourceRoundTrip(t *testing.T) {
-	in := []workloads.AppSpec{{Name: "rec", Suite: "trace", TracePath: "x.wtrc"}}
-	f := FromAppSpecs("rt", in)
-	data, err := Encode(f)
+	in := []workloads.AppSpec{{Name: "rec", Source: "trace", Suite: "trace", TracePath: "x.wtrc"}}
+	data, err := Encode(&File{Apps: in})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -343,7 +364,7 @@ func TestTraceSourceRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := back.AppSpecs()
+	out := back.Apps
 	if len(out) != 1 || !reflect.DeepEqual(out[0], in[0]) {
 		t.Fatalf("round trip = %+v, want %+v", out, in)
 	}

@@ -7,7 +7,12 @@
 package workloads
 
 import (
+	"encoding/json"
 	"fmt"
+	"math"
+	"regexp"
+	"strconv"
+	"strings"
 
 	"whirlpool/internal/addr"
 	"whirlpool/internal/mem"
@@ -36,76 +41,161 @@ const (
 	RandWS
 )
 
+// patternTable spells each pattern's spec-file name, indexed by Pattern.
+// String, text (JSON) marshalling and the "valid: …" error list all read
+// it.
+var patternTable = [...]string{
+	Inherit: "inherit",
+	Seq:     "seq",
+	Rand:    "rand",
+	Zipf:    "zipf",
+	Chase:   "chase",
+	WSLoop:  "wsloop",
+	RandWS:  "randws",
+}
+
 // String names the pattern.
 func (p Pattern) String() string {
-	switch p {
-	case Seq:
-		return "seq"
-	case Rand:
-		return "rand"
-	case Zipf:
-		return "zipf"
-	case Chase:
-		return "chase"
-	case WSLoop:
-		return "wsloop"
-	case RandWS:
-		return "randws"
+	if p < 0 || int(p) >= len(patternTable) {
+		return fmt.Sprintf("Pattern(%d)", int(p))
 	}
-	return "inherit"
+	return patternTable[p]
+}
+
+// StructPatterns lists the patterns a structure may declare (all but
+// Inherit), comma-separated, for error messages.
+func StructPatterns() string { return strings.Join(patternTable[Seq:], ", ") }
+
+// MarshalText encodes the pattern as its name.
+func (p Pattern) MarshalText() ([]byte, error) { return []byte(p.String()), nil }
+
+// UnmarshalText decodes a pattern name. It accepts "inherit", which only
+// phase overrides may use; spec validation rejects it for structures.
+func (p *Pattern) UnmarshalText(b []byte) error {
+	for i, name := range patternTable {
+		if string(b) == name {
+			*p = Pattern(i)
+			return nil
+		}
+	}
+	return fmt.Errorf("unknown pattern %q (valid: %s)", b, StructPatterns())
+}
+
+// ByteSize is a byte count. In JSON it reads either a number or a string
+// with a B/KB/MB/GB suffix ("96MB", "512 KB"), and writes the most
+// compact exact suffix form.
+type ByteSize uint64
+
+var sizeRe = regexp.MustCompile(`^([0-9]+(?:\.[0-9]+)?)\s*([KMGkmg]?)[Bb]?$`)
+
+// UnmarshalJSON implements json.Unmarshaler.
+func (b *ByteSize) UnmarshalJSON(data []byte) error {
+	if len(data) > 0 && data[0] == '"' {
+		var s string
+		if err := json.Unmarshal(data, &s); err != nil {
+			return err
+		}
+		m := sizeRe.FindStringSubmatch(strings.TrimSpace(s))
+		if m == nil {
+			return fmt.Errorf("bad size %q (want e.g. 4194304, \"4MB\", \"512KB\")", s)
+		}
+		v, err := strconv.ParseFloat(m[1], 64)
+		if err != nil {
+			return fmt.Errorf("bad size %q: %v", s, err)
+		}
+		switch strings.ToUpper(m[2]) {
+		case "K":
+			v *= addr.KB
+		case "M":
+			v *= addr.MB
+		case "G":
+			v *= addr.MB * 1024
+		}
+		if v >= math.MaxUint64 {
+			return fmt.Errorf("bad size %q: does not fit 64 bits", s)
+		}
+		*b = ByteSize(v)
+		return nil
+	}
+	var n uint64
+	if err := json.Unmarshal(data, &n); err != nil {
+		return fmt.Errorf("bad size %s (want a byte count or a \"4MB\"-style string)", data)
+	}
+	*b = ByteSize(n)
+	return nil
+}
+
+// MarshalJSON implements json.Marshaler.
+func (b ByteSize) MarshalJSON() ([]byte, error) {
+	n, unit := uint64(b), ""
+	switch {
+	case n >= addr.MB && n%addr.MB == 0:
+		n, unit = n/addr.MB, "MB"
+	case n >= addr.KB && n%addr.KB == 0:
+		n, unit = n/addr.KB, "KB"
+	default:
+		return strconv.AppendUint(nil, n, 10), nil
+	}
+	return []byte(`"` + strconv.FormatUint(n, 10) + unit + `"`), nil
 }
 
 // StructSpec describes one program data structure.
 type StructSpec struct {
-	Name      string
-	Bytes     uint64
-	Pattern   Pattern
-	Param     float64 // Zipf exponent or WS fraction
-	WriteFrac float64 // fraction of accesses that are stores
+	Name      string   `json:"name"`
+	Bytes     ByteSize `json:"bytes"`
+	Pattern   Pattern  `json:"pattern"`
+	Param     float64  `json:"param,omitempty"`      // Zipf exponent or WS fraction
+	WriteFrac float64  `json:"write_frac,omitempty"` // fraction of accesses that are stores
 }
 
 // PhaseSpec describes one phase of execution. Phases cycle.
 type PhaseSpec struct {
 	// Len is the relative length of this phase within one period.
-	Len float64
+	Len float64 `json:"len"`
 	// Weights gives each structure's share of accesses in this phase.
-	Weights []float64
+	Weights []float64 `json:"weights"`
 	// Patterns optionally overrides per-structure patterns (Inherit keeps
 	// the default). Nil means no overrides.
-	Patterns []Pattern
+	Patterns []Pattern `json:"patterns,omitempty"`
 	// Params optionally overrides per-structure pattern params (0 keeps
 	// the default). Nil means no overrides.
-	Params []float64
+	Params []float64 `json:"params,omitempty"`
 }
 
 // AppSpec is the complete static description of a synthetic benchmark.
+// Its JSON form is the spec-file schema (docs/workload-specs.md):
+// internal/spec decodes files straight into it.
 type AppSpec struct {
-	Name    string
-	Suite   string // "spec" or "pbbs"
-	Structs []StructSpec
-	Phases  []PhaseSpec
+	Name string `json:"name"`
+	// Source is the spec file's "source": "" (or "synthetic") for a
+	// generated app, "trace" for one replayed from TracePath. Spec
+	// validation keeps the two consistent; the simulator reads TracePath.
+	Source  string       `json:"source,omitempty"`
+	Suite   string       `json:"suite,omitempty"` // "spec" or "pbbs"
+	Structs []StructSpec `json:"structs,omitempty"`
+	Phases  []PhaseSpec  `json:"phases,omitempty"`
 	// PeriodFrac is the fraction of the run one full phase cycle takes
 	// (1.0 = phases run once; 0.2 = the cycle repeats 5 times).
-	PeriodFrac float64
+	PeriodFrac float64 `json:"period_frac,omitempty"`
 	// PhaseJitter randomizes phase instance lengths by ±jitter fraction
 	// (refine's irregular phase changes).
-	PhaseJitter float64
+	PhaseJitter float64 `json:"phase_jitter,omitempty"`
 	// APKI is the raw (L1-level) line-touch rate per kilo-instruction.
-	APKI float64
+	APKI float64 `json:"apki,omitempty"`
 	// Accesses is the default raw line-touch count at scale 1.0.
-	Accesses uint64
+	Accesses uint64 `json:"accesses,omitempty"`
 	// ManualPools groups structure indices into the paper's manual pools
 	// (Table 2). Structures absent from every group go to the default
 	// pool.
-	ManualPools [][]int
+	ManualPools [][]int `json:"manual_pools,omitempty"`
 	// ManualLOC is the paper-reported lines of code changed (Table 2);
 	// zero for apps the paper did not port manually.
-	ManualLOC int
+	ManualLOC int `json:"manual_loc,omitempty"`
 	// TracePath marks a trace-sourced app: instead of generating a
 	// synthetic stream, the experiments harness replays the recorded
 	// .wtrc file at this path (spec files with "source": "trace").
 	// Trace-sourced apps have no structures; scale and seed are inert.
-	TracePath string
+	TracePath string `json:"trace,omitempty"`
 }
 
 // Workload is a built app: structures allocated in a simulated address
@@ -136,11 +226,11 @@ func Build(spec AppSpec, scale float64) *Workload {
 	w := &Workload{Spec: spec, Space: sp}
 	for i, st := range spec.Structs {
 		cp := mem.Callpoint(i + 1)
-		base := sp.Malloc(st.Bytes, mem.DefaultPool, cp)
+		base := sp.Malloc(uint64(st.Bytes), mem.DefaultPool, cp)
 		w.Structs = append(w.Structs, StructAlloc{
 			Spec:  st,
 			Base:  base,
-			Lines: addr.LinesFor(st.Bytes),
+			Lines: addr.LinesFor(uint64(st.Bytes)),
 			CP:    cp,
 		})
 	}
@@ -204,7 +294,10 @@ func (w *Workload) Stream(seed uint64) trace.Stream {
 		for gcd(s, st.Lines) != 1 {
 			s += 2
 			if s >= st.Lines {
-				s = 3
+				// Wrap to 3, or to 2 for a three-line structure: it has
+				// no odd stride in [3, lines), so wrapping to 3 would
+				// spin forever.
+				s = min(3, st.Lines-1)
 			}
 		}
 		g.stride[i] = s
@@ -375,7 +468,7 @@ func (w *Workload) NumPoolsManual() int { return len(w.Spec.ManualPools) }
 func (w *Workload) PoolFootprints() []uint64 {
 	out := make([]uint64, len(w.Structs))
 	for i, s := range w.Structs {
-		out[i] = s.Spec.Bytes
+		out[i] = uint64(s.Spec.Bytes)
 	}
 	return out
 }

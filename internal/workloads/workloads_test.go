@@ -1,7 +1,9 @@
 package workloads
 
 import (
+	"fmt"
 	"testing"
+	"time"
 
 	"whirlpool/internal/addr"
 	"whirlpool/internal/mem"
@@ -90,7 +92,7 @@ func TestDelaunayMatchesPaper(t *testing.T) {
 	if len(s.Structs) != 3 {
 		t.Fatalf("dt pools = %d", len(s.Structs))
 	}
-	var total uint64
+	var total ByteSize
 	for _, st := range s.Structs {
 		total += st.Bytes
 	}
@@ -110,7 +112,7 @@ func TestBuildAllocatesStructs(t *testing.T) {
 		t.Fatalf("structs = %d", len(w.Structs))
 	}
 	for i, st := range w.Structs {
-		if st.Lines != addr.LinesFor(s.Structs[i].Bytes) {
+		if st.Lines != addr.LinesFor(uint64(s.Structs[i].Bytes)) {
 			t.Fatalf("struct %d lines mismatch", i)
 		}
 		if w.Space.CallpointOf(st.Base) != st.CP {
@@ -318,5 +320,46 @@ func TestSnapshotRegistryRestores(t *testing.T) {
 	}
 	if len(Names()) != want {
 		t.Fatalf("Names = %d after restore, want %d", len(Names()), want)
+	}
+}
+
+// A structure of exactly three cache lines used to hang Stream: the
+// Chase-stride search only tried odd strides in [3, lines), and three
+// lines have none. Every seed must now stream, and Chase must still
+// cycle through all three lines.
+func TestStreamThreeLineStruct(t *testing.T) {
+	spec := AppSpec{
+		Name:     "three",
+		Structs:  []StructSpec{{Name: "x", Bytes: 3 * addr.LineBytes, Pattern: Chase}},
+		Phases:   onePhase(1),
+		APKI:     35,
+		Accesses: 30,
+	}
+	done := make(chan error, 1)
+	go func() {
+		for seed := uint64(0); seed < 16; seed++ {
+			st := Build(spec, 1).Stream(seed)
+			seen := map[addr.Line]bool{}
+			for {
+				a, ok := st.Next()
+				if !ok {
+					break
+				}
+				seen[a.Line] = true
+			}
+			if len(seen) != 3 {
+				done <- fmt.Errorf("seed %d: chase touched %d of 3 lines", seed, len(seen))
+				return
+			}
+		}
+		done <- nil
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Stream did not return for a three-line structure")
 	}
 }
