@@ -1,5 +1,6 @@
 # Local dev and CI invoke the exact same commands: .github/workflows/ci.yml
-# runs `make ci`. Keep the two in sync by editing only this file.
+# runs each prerequisite of `make ci` as its own step, in the same order.
+# A target added to one list belongs in the other.
 
 GO ?= go
 
@@ -9,7 +10,7 @@ GO ?= go
 VERSION ?= $(shell git describe --tags --always --dirty 2>/dev/null || echo dev)
 LDFLAGS := -ldflags "-X whirlpool/internal/cliutil.buildVersion=$(VERSION)"
 
-.PHONY: build examples test race fuzz vet lint fmt fmt-check bench bench-json bench-delta smoke trace-smoke serve-smoke dist-smoke fleet-smoke load-smoke obs-smoke bench-check golden-check ci
+.PHONY: build examples test race fuzz vet lint fmt fmt-check bench bench-ab smoke trace-smoke serve-smoke dist-smoke fleet-smoke load-smoke obs-smoke bench-check golden-check ci
 
 build:
 	$(GO) build $(LDFLAGS) ./...
@@ -76,26 +77,14 @@ fmt-check:
 bench:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
-# The perf trajectory: trace-pipeline benchmarks (filter, cursor replay,
-# codec, warm vs cold harness load, one sim pass), the D-NUCA hot path
-# (CapLRU and Dnuca accesses with no scheduler), plus the observability
-# alloc guards (span emission, the traced sweep loop), rendered as
-# BENCH_trace.json. The raw benchmark lines ride along inside the JSON,
-# so benchstat can compare two snapshots:
-#   jq -r '.raw[]' BENCH_trace.json | benchstat /dev/stdin
-bench-json:
-	$(GO) test -run '^$$' -bench 'FilterPrivate|TraceCursor|TraceCodec|TraceMmap|HarnessTrace|SimRun|SweepBatched|SpanEmit|SweepSpan|CapLRUAccess|DnucaAccess' \
-		-benchmem -benchtime 200ms -count 1 ./internal/trace/ ./internal/sim/ ./internal/experiments/ ./internal/obs/ ./internal/cache/ ./internal/jigsaw/ \
-		| $(GO) run ./cmd/whirltool benchjson > BENCH_trace.json
-	@echo "wrote BENCH_trace.json"
-
-# Regression gate over the bench trajectory: compares the fresh
-# BENCH_trace.json against the committed baseline (HEAD) and fails when
-# a guarded decode-path benchmark (TraceCodec/TraceCursor/TraceMmap/
-# FilterPrivate) regressed >20% in ns/op or allocs/op. Opt out of a
-# known-noisy run with BENCH_DELTA_SKIP=1.
-bench-delta:
-	./scripts/bench-delta.sh
+# The micro-benchmark regression gate: builds the base revision (BASE,
+# default HEAD^) and the working tree once each, runs every benchmark
+# on both back to back in six rounds on this machine, writes
+# the raw output to base.txt and change.txt (benchstat input), and fails
+# when a median ns/op or allocs/op regressed by more than 20% and by
+# more than the base's interquartile range. See scripts/bench-ab.sh.
+bench-ab:
+	sh scripts/bench-ab.sh $(BASE)
 
 # The benchmark under benchmark/ is its own module, so `go test ./...`
 # and `go vet ./...` above skip it, yet it imports internal/server and
@@ -216,4 +205,4 @@ load-smoke:
 obs-smoke:
 	GO="$(GO)" sh scripts/obs-smoke.sh
 
-ci: build examples vet lint fmt-check test race fuzz bench bench-check golden-check smoke trace-smoke serve-smoke dist-smoke fleet-smoke load-smoke obs-smoke
+ci: build examples vet lint fmt-check test race fuzz bench bench-check golden-check smoke trace-smoke serve-smoke dist-smoke fleet-smoke load-smoke obs-smoke bench-ab

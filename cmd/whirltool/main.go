@@ -1,7 +1,7 @@
 // Command whirltool bundles the workload tooling around the simulator:
 // WhirlTool's profile-guided classification (the default mode), the
-// .wtrc trace record/replay toolchain, and the bench-trajectory
-// formatter.
+// .wtrc trace record/replay toolchain, and the micro-benchmark A/B
+// comparator behind scripts/bench-ab.sh.
 //
 // Usage:
 //
@@ -12,7 +12,7 @@
 //	whirltool load -spec traffic.json -base http://localhost:8080
 //	whirltool spans http://localhost:8080/v1/jobs/j1/trace   # span waterfall
 //	curl -s localhost:8080/metrics?format=prom | whirltool promlint -
-//	go test -bench . -benchmem ./... | whirltool benchjson > BENCH_trace.json
+//	whirltool benchdelta base.txt change.txt       # make bench-ab's verdict
 //
 // Recorded traces replay through every scheme, sweep, and figure via a
 // "trace"-sourced spec app (docs/workload-specs.md).
@@ -20,14 +20,9 @@ package main
 
 import (
 	"bufio"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
-	"regexp"
-	"runtime"
-	"strconv"
-	"strings"
 
 	"whirlpool"
 	"whirlpool/internal/cliutil"
@@ -45,9 +40,6 @@ func main() {
 		switch os.Args[1] {
 		case "trace":
 			traceCmd(os.Args[2:])
-			return
-		case "benchjson":
-			benchJSONCmd(os.Args[2:])
 			return
 		case "benchdelta":
 			benchDeltaCmd(os.Args[2:])
@@ -225,149 +217,4 @@ func fileSize(path string) int64 {
 		return -1
 	}
 	return fi.Size()
-}
-
-// benchRow is one parsed benchmark result.
-type benchRow struct {
-	Name    string             `json:"name"`
-	Pkg     string             `json:"pkg,omitempty"`
-	Iters   int64              `json:"iters"`
-	Metrics map[string]float64 `json:"metrics"`
-}
-
-// benchJSON is the BENCH_trace.json schema: parsed metrics for
-// dashboards plus the raw benchmark lines, which remain benchstat
-// input (jq -r '.raw[]' BENCH_trace.json | benchstat /dev/stdin).
-type benchJSON struct {
-	Schema     string     `json:"schema"`
-	Go         string     `json:"go"`
-	Benchmarks []benchRow `json:"benchmarks"`
-	Raw        []string   `json:"raw"`
-}
-
-// benchJSONCmd converts `go test -bench` output on stdin into the
-// repo's bench-trajectory JSON on stdout.
-func benchJSONCmd(args []string) {
-	fs := flag.NewFlagSet("benchjson", flag.ExitOnError)
-	fs.Parse(args)
-
-	out := benchJSON{Schema: "whirlpool-bench/v1", Go: runtime.Version()}
-	pkg := ""
-	sc := bufio.NewScanner(os.Stdin)
-	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
-	for sc.Scan() {
-		line := sc.Text()
-		if rest, ok := strings.CutPrefix(line, "pkg: "); ok {
-			pkg = strings.TrimSpace(rest)
-			continue
-		}
-		f := strings.Fields(line)
-		if len(f) < 3 || !strings.HasPrefix(f[0], "Benchmark") {
-			continue
-		}
-		iters, err := strconv.ParseInt(f[1], 10, 64)
-		if err != nil {
-			continue
-		}
-		row := benchRow{Name: f[0], Pkg: pkg, Iters: iters, Metrics: map[string]float64{}}
-		for i := 2; i+1 < len(f); i += 2 {
-			v, err := strconv.ParseFloat(f[i], 64)
-			if err != nil {
-				continue
-			}
-			row.Metrics[f[i+1]] = v
-		}
-		out.Benchmarks = append(out.Benchmarks, row)
-		out.Raw = append(out.Raw, line)
-	}
-	if err := sc.Err(); err != nil {
-		fatal(err)
-	}
-	if len(out.Benchmarks) == 0 {
-		fatal(fmt.Errorf("benchjson: no benchmark lines on stdin (pipe `go test -bench` output in)"))
-	}
-	enc := json.NewEncoder(os.Stdout)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(out); err != nil {
-		fatal(err)
-	}
-}
-
-// benchDeltaCmd compares two BENCH_trace.json snapshots and exits
-// non-zero when any benchmark matching -match regressed by more than
-// -max-regress percent on a guarded metric (ns/op and allocs/op). It is
-// the core of scripts/bench-delta.sh, the CI guard that keeps the trace
-// decode path from quietly slowing down.
-func benchDeltaCmd(args []string) {
-	fs := flag.NewFlagSet("benchdelta", flag.ExitOnError)
-	match := fs.String("match", "FilterPrivate|TraceCursor|TraceCodec|TraceMmap", "regexp of guarded benchmark names")
-	maxRegress := fs.Float64("max-regress", 20, "allowed regression in percent before failing")
-	fs.Parse(args)
-	if fs.NArg() != 2 {
-		fatal(fmt.Errorf("usage: whirltool benchdelta [-match RE] [-max-regress PCT] BASELINE.json CURRENT.json"))
-	}
-	re, err := regexp.Compile(*match)
-	if err != nil {
-		fatal(fmt.Errorf("benchdelta: bad -match: %w", err))
-	}
-	load := func(path string) map[string]map[string]float64 {
-		data, err := os.ReadFile(path)
-		if err != nil {
-			fatal(fmt.Errorf("benchdelta: %w", err))
-		}
-		var doc benchJSON
-		if err := json.Unmarshal(data, &doc); err != nil {
-			fatal(fmt.Errorf("benchdelta: %s: %w", path, err))
-		}
-		m := map[string]map[string]float64{}
-		for _, row := range doc.Benchmarks {
-			// Strip the -N GOMAXPROCS suffix so snapshots from machines
-			// with different core counts still line up.
-			name := row.Name
-			if i := strings.LastIndex(name, "-"); i > 0 {
-				if _, err := strconv.Atoi(name[i+1:]); err == nil {
-					name = name[:i]
-				}
-			}
-			m[name] = row.Metrics
-		}
-		return m
-	}
-	base, cur := load(fs.Arg(0)), load(fs.Arg(1))
-	guarded := []string{"ns/op", "allocs/op"}
-	failed := false
-	compared := 0
-	for name, curMetrics := range cur {
-		if !re.MatchString(name) {
-			continue
-		}
-		baseMetrics, ok := base[name]
-		if !ok {
-			fmt.Printf("benchdelta: %-40s new benchmark, no baseline\n", name)
-			continue
-		}
-		for _, metric := range guarded {
-			b, c := baseMetrics[metric], curMetrics[metric]
-			if b <= 0 {
-				continue
-			}
-			compared++
-			deltaPct := (c - b) / b * 100
-			status := "ok"
-			if deltaPct > *maxRegress {
-				status = "REGRESSION"
-				failed = true
-			}
-			fmt.Printf("benchdelta: %-40s %-10s %12.1f -> %12.1f  %+7.1f%%  %s\n",
-				name, metric, b, c, deltaPct, status)
-		}
-	}
-	if compared == 0 {
-		fmt.Println("benchdelta: no guarded benchmarks in common; nothing to compare")
-		return
-	}
-	if failed {
-		fatal(fmt.Errorf("benchdelta: guarded benchmarks regressed more than %.0f%% (set BENCH_DELTA_SKIP=1 to bypass a known-noisy run)", *maxRegress))
-	}
-	fmt.Printf("benchdelta: %d guarded metrics within %.0f%% of baseline\n", compared, *maxRegress)
 }

@@ -7,6 +7,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
+	"encoding/json"
 	"hash/crc32"
 	"os"
 	"path/filepath"
@@ -261,6 +262,34 @@ func TestRunTraceAppMissingFileErrors(t *testing.T) {
 	_, err := whirlpool.New("ghost-trace", whirlpool.Jigsaw).Run()
 	if err == nil || !strings.Contains(err.Error(), "ghost.wtrc") {
 		t.Fatalf("missing trace file: err = %v, want a named-file error", err)
+	}
+}
+
+// An empty recorded trace runs in zero cycles: its Report must carry
+// IPC 0, not NaN, so it still marshals as JSON.
+func TestRunEmptyTraceReportMarshals(t *testing.T) {
+	dir := t.TempDir()
+	wtrc := filepath.Join(dir, "empty.wtrc")
+	if err := trace.WriteFile(wtrc, &trace.LLCTrace{}); err != nil {
+		t.Fatal(err)
+	}
+	spec := filepath.Join(dir, "s.json")
+	if err := os.WriteFile(spec,
+		[]byte(`{"apps":[{"name":"empty-trace","source":"trace","trace":"`+wtrc+`"}]}`), 0o666); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := whirlpool.LoadSpecFile(spec); err != nil {
+		t.Fatal(err)
+	}
+	r, err := whirlpool.New("empty-trace", whirlpool.Jigsaw).Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.IPC != 0 {
+		t.Fatalf("IPC = %v, want 0", r.IPC)
+	}
+	if _, err := json.Marshal(r); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -6,7 +6,7 @@ import (
 	"whirlpool/internal/schemes"
 )
 
-// The harness-level bench trajectory (make bench-json): what one app
+// The harness-level benchmarks (guarded by make bench-ab): what one app
 // costs to load cold (generate + private-filter) vs warm (streamed from
 // the on-disk .wtrc cache), and what one simulation pass costs once the
 // trace is resident.

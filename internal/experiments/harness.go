@@ -22,6 +22,7 @@ import (
 	"whirlpool/internal/schemes"
 	"whirlpool/internal/sim"
 	"whirlpool/internal/trace"
+	"whirlpool/internal/whirltool"
 	"whirlpool/internal/workloads"
 )
 
@@ -59,6 +60,7 @@ type Harness struct {
 
 	mu        sync.Mutex
 	cache     map[string]*appEntry
+	dendros   map[dendroKey]*whirltool.Dendrogram
 	builds    atomic.Int64
 	diskHits  atomic.Int64
 	writeErrs atomic.Int64
@@ -103,19 +105,22 @@ func NewHarness(scale float64) *Harness {
 		ReconfigCycles: DefaultReconfigCycles,
 		Seed:           DefaultSeed,
 		cache:          make(map[string]*appEntry),
+		dendros:        make(map[dendroKey]*whirltool.Dendrogram),
 	}
 }
 
-// Invalidate drops the cached trace for each named app, so the next run
-// rebuilds it from the current workload registry. Call it after
-// registering a spec that redefines an already-run app; harmless for
-// names never run (or never known) here. Runs already in flight keep
-// the trace they resolved.
+// Invalidate drops the cached trace and WhirlTool profiles for each
+// named app, so the next run rebuilds them from the current workload
+// registry. Call it after registering a spec that redefines an
+// already-run app; harmless for names never run (or never known) here.
+// Runs already in flight keep the trace they resolved.
 func (h *Harness) Invalidate(names ...string) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	for _, n := range names {
 		delete(h.cache, n)
+		delete(h.dendros, dendroKey{n, false})
+		delete(h.dendros, dendroKey{n, true})
 	}
 }
 

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"encoding/binary"
+	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
@@ -417,5 +418,41 @@ func TestTraceSourcedAppCorruptColumn(t *testing.T) {
 		if !strings.Contains(r.Err, "corrupt .wtrc delta column") || strings.HasPrefix(r.Err, "panic") || r.Cycles != 0 {
 			t.Errorf("%s/%s: err %q cycles %d, want a corrupt-column error row", r.App, r.Scheme, r.Err, r.Cycles)
 		}
+	}
+}
+
+// TestInvalidateDropsWhirlToolProfile redefines an app with more
+// structures: after Invalidate, its WhirlTool grouping must come from a
+// fresh profile of the new definition, not the memoized old one.
+func TestInvalidateDropsWhirlToolProfile(t *testing.T) {
+	t.Cleanup(workloads.SnapshotRegistry())
+	app := func(n int) workloads.AppSpec {
+		spec := workloads.AppSpec{Name: "wt-redefined", APKI: 30, Accesses: 200_000}
+		weights := make([]float64, n)
+		for i := range n {
+			spec.Structs = append(spec.Structs, workloads.StructSpec{
+				Name: fmt.Sprintf("s%d", i), Bytes: workloads.ByteSize(64<<10) << i, Pattern: workloads.Rand})
+			weights[i] = 1
+		}
+		spec.Phases = []workloads.PhaseSpec{{Len: 1, Weights: weights}}
+		return spec
+	}
+	h := NewHarness(0.5)
+	if err := workloads.Register(app(2)); err != nil {
+		t.Fatal(err)
+	}
+	h.WhirlToolGrouping("wt-redefined", 4, true)
+	if err := workloads.Register(app(4)); err != nil {
+		t.Fatal(err)
+	}
+	h.Invalidate("wt-redefined")
+	seen := map[int]bool{}
+	for _, g := range h.WhirlToolGrouping("wt-redefined", 4, true) {
+		for _, s := range g {
+			seen[s] = true
+		}
+	}
+	if !seen[2] || !seen[3] {
+		t.Fatalf("grouping after redefinition covers structs %v, want 2 and 3 among them", seen)
 	}
 }

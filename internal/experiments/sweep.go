@@ -179,20 +179,13 @@ type SweepRow struct {
 }
 
 func rowFromResult(name string, mix bool, kind schemes.Kind, r *sim.Result, wall time.Duration) SweepRow {
-	// A zero-access cell (e.g. an empty recorded trace) finishes in zero
-	// cycles; 0/0 would be NaN, which json.Marshal rejects, so zero-work
-	// cells report zero IPC like sim.CoreResult.IPC does.
-	ipc := 0.0
-	if r.Cycles != 0 {
-		ipc = float64(r.Instrs) / float64(r.Cycles)
-	}
 	return SweepRow{
 		App:             name,
 		Scheme:          kind.ID(),
 		Mix:             mix,
 		Cycles:          r.Cycles,
 		Instrs:          r.Instrs,
-		IPC:             ipc,
+		IPC:             r.IPC(),
 		APKI:            r.TotalAccessesAPKI(),
 		MPKI:            r.MPKI(),
 		LLCAccesses:     r.Demand,

@@ -161,9 +161,9 @@ func TestSweepCellSpanAllocBudget(t *testing.T) {
 	}
 }
 
-// BenchmarkSweepSpanEmit rides in make bench-json and guards the same
-// budget as TestSweepCellSpanAllocBudget with allocs/op visible in the
-// BENCH_trace.json trajectory.
+// BenchmarkSweepSpanEmit times the sequence TestSweepCellSpanAllocBudget
+// holds to its allocation budget; make bench-ab fails it if its
+// allocs/op rises past the base revision's.
 func BenchmarkSweepSpanEmit(b *testing.B) {
 	tr := obs.New(obs.DefaultRingSize)
 	root := tr.Start(obs.SpanContext{}, "job")

@@ -1,37 +1,32 @@
 package experiments
 
 import (
-	"sync"
-
 	"whirlpool/internal/addr"
 	"whirlpool/internal/mem"
 	"whirlpool/internal/whirltool"
 	"whirlpool/internal/workloads"
 )
 
-// whirlToolCache memoizes dendrograms per (app, train) so Fig 16's three
-// pool counts reuse one profiling run.
-type whirlToolCache struct {
-	mu   sync.Mutex
-	dens map[string]*whirltool.Dendrogram
+// dendroKey names one memoized WhirlTool profile. The harness holds the
+// memo, so its Scale and Seed are part of the key, and Invalidate drops
+// an app's profiles along with its trace; Fig 16's three pool counts
+// reuse one profiling run.
+type dendroKey struct {
+	app   string
+	train bool
 }
-
-var wtCache = whirlToolCache{dens: make(map[string]*whirltool.Dendrogram)}
 
 // Dendrogram profiles an app with WhirlTool and returns its clustering.
 // train profiles the paper's train/small inputs: a shorter run with a
 // different seed (different input graph/data, same program).
 func (h *Harness) Dendrogram(appName string, train bool) *whirltool.Dendrogram {
-	key := appName
-	if train {
-		key += "/train"
-	}
-	wtCache.mu.Lock()
-	if d, ok := wtCache.dens[key]; ok {
-		wtCache.mu.Unlock()
+	key := dendroKey{appName, train}
+	h.mu.Lock()
+	d, ok := h.dendros[key]
+	h.mu.Unlock()
+	if ok {
 		return d
 	}
-	wtCache.mu.Unlock()
 
 	spec, ok := workloads.ByName(appName)
 	if !ok {
@@ -58,10 +53,10 @@ func (h *Harness) Dendrogram(appName string, train bool) *whirltool.Dendrogram {
 		}
 		prof.Access(a.Line)
 	}
-	d := whirltool.Analyze(prof.Finish())
-	wtCache.mu.Lock()
-	wtCache.dens[key] = d
-	wtCache.mu.Unlock()
+	d = whirltool.Analyze(prof.Finish())
+	h.mu.Lock()
+	h.dendros[key] = d
+	h.mu.Unlock()
 	return d
 }
 

@@ -13,28 +13,41 @@ import (
 	"whirlpool/internal/apiclient"
 )
 
-// registerRequest / registerResponse / heartbeatRequest /
-// heartbeatResponse are the wire shapes of the /v1/workers protocol,
-// shared by Agent and the server handlers.
-type registerRequest struct {
-	URL      string `json:"url"`
-	Capacity int    `json:"capacity"`
+// The wire shapes of the /v1/workers protocol, spoken by Agent and
+// served by the coordinator's handlers (internal/server).
+
+// RegisterRequest is the POST /v1/workers body.
+type RegisterRequest struct {
+	// URL is the worker's advertised base URL, as the coordinator
+	// should dial it.
+	URL string `json:"url"`
+	// Capacity is the worker's parallel simulation slots (-parallel);
+	// 0 means undeclared.
+	Capacity int `json:"capacity"`
 }
 
-type registerResponse struct {
-	ID          string  `json:"id"`
-	Epoch       int     `json:"epoch"`
-	LeaseTTLS   float64 `json:"lease_ttl_s"`
-	HeartbeatS  float64 `json:"heartbeat_s"`
-	Coordinator string  `json:"coordinator,omitempty"`
+// RegisterResponse is the worker's identity and lease terms.
+type RegisterResponse struct {
+	ID        string  `json:"id"`
+	Epoch     int     `json:"epoch"`
+	LeaseTTLS float64 `json:"lease_ttl_s"`
+	// HeartbeatS is the cadence the worker should beat at: a third of
+	// the lease, so two consecutive lost beats still leave headroom.
+	HeartbeatS float64 `json:"heartbeat_s"`
 }
 
-type heartbeatRequest struct {
-	Epoch int  `json:"epoch"`
-	Load  Load `json:"load"`
+// HeartbeatRequest is the POST /v1/workers/{id}/heartbeat body.
+type HeartbeatRequest struct {
+	// Epoch must match the worker's current registration; a stale
+	// epoch (the worker re-registered, or this lease already expired
+	// and someone else re-registered the URL) gets a 404.
+	Epoch int `json:"epoch"`
+	// Load is the worker's current load sample.
+	Load Load `json:"load"`
 }
 
-type heartbeatResponse struct {
+// HeartbeatResponse carries the renewed lease.
+type HeartbeatResponse struct {
 	LeaseTTLS float64 `json:"lease_ttl_s"`
 }
 
@@ -146,15 +159,15 @@ func (a *Agent) run(ctx context.Context) {
 	}
 }
 
-func (a *Agent) register(ctx context.Context) (registerResponse, error) {
+func (a *Agent) register(ctx context.Context) (RegisterResponse, error) {
 	rctx, cancel := context.WithTimeout(ctx, 5*time.Second)
 	defer cancel()
-	var resp registerResponse
-	err := a.api.PostJSON(rctx, "/v1/workers", registerRequest{
+	var resp RegisterResponse
+	err := a.api.PostJSON(rctx, "/v1/workers", RegisterRequest{
 		URL: a.opt.Advertise, Capacity: a.opt.Capacity,
 	}, &resp)
 	if err != nil {
-		return registerResponse{}, err
+		return RegisterResponse{}, err
 	}
 	a.mu.Lock()
 	a.id, a.epoch = resp.ID, resp.Epoch
@@ -166,7 +179,7 @@ func (a *Agent) register(ctx context.Context) (registerResponse, error) {
 // (→ return, caller re-registers) or ctx is canceled. Transport
 // errors are retried on the normal cadence: the lease is TTL and the
 // beat TTL/3, so two consecutive failures still leave headroom.
-func (a *Agent) heartbeatLoop(ctx context.Context, reg registerResponse) {
+func (a *Agent) heartbeatLoop(ctx context.Context, reg RegisterResponse) {
 	interval := time.Duration(reg.HeartbeatS * float64(time.Second))
 	if interval <= 0 {
 		interval = DefaultLeaseTTL / 3
@@ -177,9 +190,9 @@ func (a *Agent) heartbeatLoop(ctx context.Context, reg registerResponse) {
 			return
 		}
 		hctx, cancel := context.WithTimeout(ctx, 5*time.Second)
-		var resp heartbeatResponse
+		var resp HeartbeatResponse
 		err := a.api.PostJSON(hctx, "/v1/workers/"+reg.ID+"/heartbeat",
-			heartbeatRequest{Epoch: reg.Epoch, Load: a.opt.Load()}, &resp)
+			HeartbeatRequest{Epoch: reg.Epoch, Load: a.opt.Load()}, &resp)
 		cancel()
 		if err == nil {
 			continue

@@ -36,7 +36,7 @@ func newCoordStub(t *testing.T, ttl time.Duration) *coordStub {
 	c := &coordStub{reg: NewRegistry(RegistryOptions{LeaseTTL: ttl})}
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/workers", func(w http.ResponseWriter, r *http.Request) {
-		var req registerRequest
+		var req RegisterRequest
 		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
@@ -46,13 +46,13 @@ func newCoordStub(t *testing.T, ttl time.Duration) *coordStub {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
-		json.NewEncoder(w).Encode(registerResponse{
+		json.NewEncoder(w).Encode(RegisterResponse{
 			ID: m.ID, Epoch: m.Epoch,
 			LeaseTTLS: lease.Seconds(), HeartbeatS: lease.Seconds() / 3,
 		})
 	})
 	mux.HandleFunc("POST /v1/workers/{id}/heartbeat", func(w http.ResponseWriter, r *http.Request) {
-		var req heartbeatRequest
+		var req HeartbeatRequest
 		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
@@ -62,7 +62,7 @@ func newCoordStub(t *testing.T, ttl time.Duration) *coordStub {
 			http.Error(w, `{"error":{"code":"not_found","message":"no lease"}}`, http.StatusNotFound)
 			return
 		}
-		json.NewEncoder(w).Encode(heartbeatResponse{LeaseTTLS: lease.Seconds()})
+		json.NewEncoder(w).Encode(HeartbeatResponse{LeaseTTLS: lease.Seconds()})
 	})
 	mux.HandleFunc("DELETE /v1/workers/{id}", func(w http.ResponseWriter, r *http.Request) {
 		if err := c.reg.Deregister(r.PathValue("id")); err != nil {

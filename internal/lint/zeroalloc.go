@@ -15,8 +15,8 @@ import (
 // from a nil slice. The check is syntactic and intra-function: calls
 // out to unmarked helpers are the callee's business (mark the helper
 // too if it is on the hot path). The allocation *count* is still
-// guarded dynamically by the bench-delta gate; this analyzer moves the
-// common regressions to compile time.
+// guarded dynamically by testing.AllocsPerRun tests (and make bench-ab);
+// this analyzer moves the common regressions to compile time.
 var Zeroalloc = &Analyzer{
 	Name: "zeroalloc",
 	Doc:  "//whirl:zeroalloc functions must avoid fmt, string<->[]byte churn, escaping closures, and unpreallocated append",

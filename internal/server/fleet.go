@@ -14,31 +14,11 @@ import (
 // load samples, and can leave gracefully; operators read the roster.
 // The worker side lives in fleet.Agent (whirld -join).
 
-// workerRegisterRequest is the POST /v1/workers body.
-type workerRegisterRequest struct {
-	// URL is the worker's advertised base URL, as this coordinator
-	// should dial it.
-	URL string `json:"url"`
-	// Capacity is the worker's parallel simulation slots (-parallel);
-	// 0 means undeclared.
-	Capacity int `json:"capacity"`
-}
-
-// workerHeartbeatRequest is the POST /v1/workers/{id}/heartbeat body.
-type workerHeartbeatRequest struct {
-	// Epoch must match the worker's current registration; a stale
-	// epoch (the worker re-registered, or this lease already expired
-	// and someone else re-registered the URL) gets a 404.
-	Epoch int `json:"epoch"`
-	// Load is the worker's current load sample.
-	Load fleet.Load `json:"load"`
-}
-
 // handleWorkerRegister admits a worker into the fleet (or renews and
 // re-epochs a known URL), returning its identity and lease terms.
 func (s *Server) handleWorkerRegister(w http.ResponseWriter, r *http.Request) {
 	body := http.MaxBytesReader(w, r.Body, 1<<20)
-	var req workerRegisterRequest
+	var req fleet.RegisterRequest
 	dec := json.NewDecoder(body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
@@ -57,13 +37,8 @@ func (s *Server) handleWorkerRegister(w http.ResponseWriter, r *http.Request) {
 		httpErr(w, http.StatusBadRequest, errBadRequest, "%v", err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"id":          m.ID,
-		"epoch":       m.Epoch,
-		"lease_ttl_s": ttl.Seconds(),
-		// The cadence the worker should heartbeat at: a third of the
-		// lease, so two consecutive lost beats still leave headroom.
-		"heartbeat_s": ttl.Seconds() / 3,
+	writeJSON(w, http.StatusOK, fleet.RegisterResponse{
+		ID: m.ID, Epoch: m.Epoch, LeaseTTLS: ttl.Seconds(), HeartbeatS: ttl.Seconds() / 3,
 	})
 }
 
@@ -72,7 +47,7 @@ func (s *Server) handleWorkerRegister(w http.ResponseWriter, r *http.Request) {
 // never existed) — the fleet.Agent reacts by re-registering.
 func (s *Server) handleWorkerHeartbeat(w http.ResponseWriter, r *http.Request) {
 	body := http.MaxBytesReader(w, r.Body, 1<<20)
-	var req workerHeartbeatRequest
+	var req fleet.HeartbeatRequest
 	dec := json.NewDecoder(body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
@@ -85,7 +60,7 @@ func (s *Server) handleWorkerHeartbeat(w http.ResponseWriter, r *http.Request) {
 		httpErr(w, http.StatusNotFound, errNotFound, "no live lease for worker %q at epoch %d (re-register)", id, req.Epoch)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"lease_ttl_s": ttl.Seconds()})
+	writeJSON(w, http.StatusOK, fleet.HeartbeatResponse{LeaseTTLS: ttl.Seconds()})
 }
 
 // handleWorkerDeregister removes a worker gracefully (it is draining).

@@ -92,6 +92,17 @@ type Result struct {
 	PoolMisses   []uint64
 }
 
+// IPC returns instructions per cycle over the measured pass. A
+// zero-access run (an empty recorded trace) finishes in zero cycles and
+// reports zero, like CoreResult.IPC: 0/0 would be NaN, which
+// json.Marshal rejects.
+func (r *Result) IPC() float64 {
+	if r.Cycles == 0 {
+		return 0
+	}
+	return float64(r.Instrs) / float64(r.Cycles)
+}
+
 // TotalAccessesAPKI returns demand LLC accesses per kilo-instruction.
 func (r *Result) TotalAccessesAPKI() float64 {
 	if r.Instrs == 0 {

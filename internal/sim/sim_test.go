@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"encoding/json"
 	"errors"
 	"path/filepath"
 	"reflect"
@@ -226,6 +227,21 @@ func TestEmptyRun(t *testing.T) {
 	r := mustRun(t, Config{LLC: f, Meter: &energy.Meter{}, Traces: []trace.Reader{nil}})
 	if r.Demand != 0 || r.Cycles != 0 {
 		t.Fatal("empty run should be empty")
+	}
+}
+
+// A zero-access run finishes in zero cycles; its IPC must be 0, not the
+// NaN of 0/0 that json.Marshal rejects.
+func TestZeroAccessIPC(t *testing.T) {
+	r := mustRun(t, Config{LLC: &fakeLLC{}, Meter: &energy.Meter{}, Traces: []trace.Reader{&trace.LLCTrace{}}})
+	if r.Cycles != 0 {
+		t.Fatalf("zero-access run took %d cycles", r.Cycles)
+	}
+	if ipc := r.IPC(); ipc != 0 {
+		t.Fatalf("IPC = %v, want 0", ipc)
+	}
+	if _, err := json.Marshal(r.IPC()); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -103,7 +103,7 @@ func report(app string, s Scheme, r *sim.Result) Report {
 		Scheme:          s,
 		Cycles:          float64(r.Cycles),
 		Instrs:          float64(r.Instrs),
-		IPC:             float64(r.Instrs) / float64(r.Cycles),
+		IPC:             r.IPC(),
 		EnergyPJ:        r.Energy.Total(),
 		NetworkEnergyPJ: r.Energy.NetworkPJ,
 		BankEnergyPJ:    r.Energy.BankPJ,
