@@ -39,8 +39,10 @@ race:
 # rows.jsonl line decoder against json.Unmarshal, five of the W3C
 # traceparent parser every request runs, and five of the /v1/sweeps and
 # /v1/cells job builder against the engine's grid validation, and five
-# of the workload-spec parser (round trip, every app streams), on top of
-# the committed seeds
+# of the workload-spec parser (round trip, every app streams), five of
+# the stack-distance profiler against its naive reference stack, five of
+# the traffic-spec parser (round trip, schedules never go back) and five
+# of whirld's error-envelope decoder, on top of the committed seeds
 # (which `go test ./...` already runs). Minimization is capped so a new
 # input's shrinking cannot eat the whole budget.
 fuzz:
@@ -50,6 +52,9 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzParseTraceparent -fuzztime 5s -fuzzminimizetime 1s ./internal/obs/
 	$(GO) test -run '^$$' -fuzz FuzzSweepRequest -fuzztime 5s -fuzzminimizetime 1s ./internal/server/
 	$(GO) test -run '^$$' -fuzz FuzzParseSpec -fuzztime 5s -fuzzminimizetime 1s ./internal/spec/
+	$(GO) test -run '^$$' -fuzz FuzzProfiler -fuzztime 5s -fuzzminimizetime 1s ./internal/mrc/
+	$(GO) test -run '^$$' -fuzz FuzzParseTraffic -fuzztime 5s -fuzzminimizetime 1s ./internal/traffic/
+	$(GO) test -run '^$$' -fuzz FuzzErrorEnvelope -fuzztime 5s -fuzzminimizetime 1s ./internal/apiclient/
 
 vet:
 	$(GO) vet ./...

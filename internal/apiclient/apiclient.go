@@ -25,6 +25,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"strconv"
 	"strings"
@@ -45,8 +46,8 @@ type Error struct {
 	Message string
 	// Status is the HTTP status code.
 	Status int
-	// RetryAfter is the parsed Retry-After header (0 when absent): the
-	// server's back-pressure hint for 429/503 responses.
+	// RetryAfter is the parsed Retry-After header (0 when absent or out
+	// of range): the server's back-pressure hint for 429/503 responses.
 	RetryAfter time.Duration
 }
 
@@ -88,7 +89,8 @@ type envelope struct {
 func decodeError(resp *http.Response, body []byte) *Error {
 	e := &Error{Status: resp.StatusCode}
 	if ra := resp.Header.Get("Retry-After"); ra != "" {
-		if secs, err := strconv.Atoi(ra); err == nil && secs >= 0 {
+		// A hint too large for a time.Duration is ignored, not wrapped.
+		if secs, err := strconv.Atoi(ra); err == nil && secs >= 0 && secs <= int(math.MaxInt64/time.Second) {
 			e.RetryAfter = time.Duration(secs) * time.Second
 		}
 	}
@@ -104,6 +106,9 @@ func decodeError(resp *http.Response, body []byte) *Error {
 	}
 	if msg == "" {
 		msg = http.StatusText(resp.StatusCode)
+	}
+	if msg == "" {
+		msg = "empty body" // a status net/http has no text for
 	}
 	e.Message = msg
 	return e

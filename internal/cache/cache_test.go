@@ -233,9 +233,9 @@ func TestCapLRUResizeShrink(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		c.Access(addr.Line(i), i%2 == 0)
 	}
-	evs := c.Resize(3)
-	if len(evs) != 7 {
-		t.Fatalf("expected 7 evictions, got %d", len(evs))
+	// Lines 0..6 go; the even ones were written.
+	if lines, dirty := c.Resize(3); lines != 7 || dirty != 4 {
+		t.Fatalf("Resize(3) = (%d, %d), want 7 evictions, 4 dirty", lines, dirty)
 	}
 	if c.Size() != 3 {
 		t.Fatalf("size=%d after shrink", c.Size())
@@ -252,7 +252,7 @@ func TestCapLRUResizeGrow(t *testing.T) {
 	c := NewCapLRU(2)
 	c.Access(addr.Line(1), false)
 	c.Access(addr.Line(2), false)
-	if evs := c.Resize(5); len(evs) != 0 {
+	if lines, _ := c.Resize(5); lines != 0 {
 		t.Fatal("grow must not evict")
 	}
 	c.Access(addr.Line(3), false)

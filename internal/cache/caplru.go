@@ -194,15 +194,18 @@ func (c *CapLRU) Writeback(l addr.Line) bool {
 // Contains reports whether l is resident, without updating LRU state.
 func (c *CapLRU) Contains(l addr.Line) bool { return c.find(l) >= 0 }
 
-// Resize changes the capacity, evicting LRU lines as needed. The evicted
-// lines are returned so callers can account for writebacks/invalidations.
-func (c *CapLRU) Resize(capacity int) []Eviction {
+// Resize changes the capacity, evicting LRU lines as needed, and returns
+// the number of lines evicted and how many of them were dirty (the
+// writebacks a shrink costs).
+func (c *CapLRU) Resize(capacity int) (lines, dirty int) {
 	c.capacity = capacity
-	var evs []Eviction
 	for c.Size() > capacity {
-		evs = append(evs, c.evictLRU())
+		if c.evictLRU().Dirty {
+			dirty++
+		}
+		lines++
 	}
-	return evs
+	return lines, dirty
 }
 
 // InvalidateAll empties the store, returning the number of lines dropped

@@ -139,7 +139,7 @@ func (d *Dnuca) Access(core int, a trace.LLCAccess) (uint64, llc.Outcome) {
 	}
 
 	d.DemandAccs++
-	v.Mon.Access(core, a.Line, a.Write)
+	v.Mon.Access(core, a.Line)
 
 	if v.Bypassed {
 		// Single lookup-free path to memory: the VTB bypass bit means no
@@ -238,12 +238,13 @@ func (d *Dnuca) Reconfigure() {
 			v.Bypassed = newBypass
 		}
 		newCap := uint64(a.buckets) * d.cfg.Gran
-		for _, ev := range v.Store.Resize(int(newCap)) {
-			d.ResizeEvictions++
-			if ev.Dirty {
-				d.cfg.Meter.AddDRAM(1)
-				d.WritebacksMem++
-			}
+		evicted, dirty := v.Store.Resize(int(newCap))
+		d.ResizeEvictions += uint64(evicted)
+		d.WritebacksMem += uint64(dirty)
+		for range dirty {
+			// One charge per writeback: a single AddDRAM(dirty) rounds
+			// differently and would change the energy columns.
+			d.cfg.Meter.AddDRAM(1)
 		}
 		// Lines whose bank changed are migrated lazily by Jigsaw's
 		// incremental scan (the paper measures <0.4% of system cycles

@@ -20,7 +20,6 @@ type Monitor struct {
 
 	// Interval counters.
 	Accesses   uint64
-	Writes     uint64
 	CoreAccess []uint64 // per-core demand accesses (placement centroid)
 }
 
@@ -35,11 +34,8 @@ func New(gran, maxLines uint64, nCores int) *Monitor {
 }
 
 // Access records a demand access from core to line l.
-func (m *Monitor) Access(core int, l addr.Line, write bool) {
+func (m *Monitor) Access(core int, l addr.Line) {
 	m.Accesses++
-	if write {
-		m.Writes++
-	}
 	m.CoreAccess[core]++
 	m.prof.Access(l)
 }
@@ -64,7 +60,7 @@ func (m *Monitor) Curve() mrc.Curve {
 // ResetInterval clears interval counters while keeping recency state warm
 // (hardware monitors only reset counters at reconfiguration).
 func (m *Monitor) ResetInterval() {
-	m.Accesses, m.Writes = 0, 0
+	m.Accesses = 0
 	for i := range m.CoreAccess {
 		m.CoreAccess[i] = 0
 	}

@@ -1,7 +1,8 @@
 package mrc
 
 import (
-	"sort"
+	"math"
+	"math/bits"
 
 	"whirlpool/internal/addr"
 	"whirlpool/internal/stats"
@@ -15,20 +16,56 @@ import (
 // scales distances and counts back up — the same trick hardware GMONs and
 // RapidMRC use — cutting time and memory by the sampling factor while
 // preserving curve shape.
+//
+// Every sampled access takes the next time position: pos[t] holds the
+// line last accessed at time t, and the Fenwick tree marks the live
+// positions, so a line's stack distance is the number of marks after its
+// position. The line index is intrusive, like cache.CapLRU's: heads holds
+// the position at the head of each hash chain and pos[t].hnext links the
+// chain, so an access does no Go map operation.
+//
+// When the positions run out, compact renumbers the live lines 1..k in
+// time order and forgets the lines whose stack distance already reaches
+// the curve domain. A line's distance only grows until it is reused, so
+// its next access would count as over; forgotten, it counts as cold, and
+// Curve adds both into the same tail. The forgotten lines are older than
+// every kept line, so no kept line's distance changes. The curves are
+// therefore exactly those of an unbounded LRU stack, while memory follows
+// the lines that can still land inside the domain: at most keep lines
+// survive a compaction, and the arrays are resized to hold between 2 and
+// 8 times the survivors (never below minPositions).
 type Profiler struct {
 	gran        uint64 // lines per curve bucket
 	buckets     int
 	sampleShift uint
+	keep        int32 // sampled lines whose next reuse can land in the domain
 
-	last  map[addr.Line]int32 // line -> time position in BIT
-	bit   []int32             // Fenwick tree: 1 at current last-access positions
-	time  int32               // next time position (1-based)
-	live  int32               // number of marked positions (= distinct lines)
-	histo []uint64            // histo[i]: distances in [i*gran, (i+1)*gran), post-scaling
-	over  uint64              // distances beyond the curve domain
-	cold  uint64              // first-touch accesses
-	acc   uint64              // total accesses observed (pre-sampling)
+	pos   []posSlot // pos[t]: the line last accessed at time t (1-based)
+	bit   []int32   // Fenwick tree over pos: 1 at live positions
+	heads []int32   // hash chain heads (positions), -1 when empty; len(heads) == len(pos)-1
+	shift uint      // 64 - log2(len(heads))
+	time  int32     // last time position handed out
+	live  int32     // live positions (= tracked lines)
+
+	histo []uint64 // histo[i]: distances in [i*gran, (i+1)*gran), post-scaling
+	over  uint64   // distances beyond the curve domain
+	cold  uint64   // first-touch accesses, and reuses of forgotten lines
+	acc   uint64   // total accesses observed (pre-sampling)
 }
+
+// posSlot is one time position: the line accessed then and the next
+// position in the same hash chain (-1 ends it).
+type posSlot struct {
+	line  addr.Line
+	hnext int32
+}
+
+// vacant is the hnext of a position whose line has since moved on; such
+// a position is in no chain.
+const vacant = -2
+
+// minPositions is the initial (and smallest) number of time positions.
+const minPositions = 1 << 10
 
 // NewProfiler creates a profiler producing curves with the given bucket
 // granularity (in lines) and bucket count. sampleShift of 6 samples 1/64
@@ -37,20 +74,35 @@ func NewProfiler(gran uint64, buckets int, sampleShift uint) *Profiler {
 	if gran == 0 || buckets <= 0 {
 		panic("mrc: bad profiler geometry")
 	}
+	domain := gran * uint64(buckets)
+	keep := (domain + 1<<sampleShift - 1) >> sampleShift
 	p := &Profiler{
 		gran:        gran,
 		buckets:     buckets,
 		sampleShift: sampleShift,
-		last:        make(map[addr.Line]int32),
+		keep:        int32(min(keep, math.MaxInt32)),
 		histo:       make([]uint64, buckets),
 	}
-	p.grow(1 << 16)
+	p.compact() // allocates the arrays for no lines
 	return p
 }
 
-func (p *Profiler) grow(n int) {
-	bit := make([]int32, n+1)
-	p.bit = bit
+// resize replaces the arrays with ones for n positions (a power of two),
+// keeping pos[1..k].
+func (p *Profiler) resize(n int, k int32) {
+	pos := make([]posSlot, n+1)
+	if k > 0 {
+		copy(pos[1:], p.pos[1:k+1])
+	}
+	p.pos = pos
+	p.bit = make([]int32, n+1)
+	p.heads = make([]int32, n)
+	p.shift = 64 - uint(bits.TrailingZeros(uint(n)))
+}
+
+// hash is Fibonacci hashing: the top bits of the line times 2^64/φ.
+func (p *Profiler) hash(l addr.Line) uint64 {
+	return uint64(l) * 0x9E3779B97F4A7C15 >> p.shift
 }
 
 // bitAdd adds v at position i (1-based).
@@ -69,30 +121,46 @@ func (p *Profiler) bitSum(i int32) int32 {
 	return s
 }
 
-// compact renumbers live positions 1..live preserving order, resetting the
-// time counter. Called when the BIT fills up.
+// compact renumbers the live positions 1..k preserving order, forgetting
+// the oldest lines past keep, and rebuilds the index and the tree in
+// linear time. Called before an access that would find no free position.
 func (p *Profiler) compact() {
-	type ent struct {
-		line addr.Line
-		t    int32
+	drop := p.live - p.keep
+	k := int32(0)
+	for t := int32(1); t <= p.time; t++ {
+		if p.pos[t].hnext == vacant {
+			continue
+		}
+		if drop > 0 {
+			drop--
+			continue
+		}
+		k++
+		p.pos[k].line = p.pos[t].line
 	}
-	ents := make([]ent, 0, len(p.last))
-	//whirl:unordered entries are sorted by last-access time, unique per line, before renumbering
-	for l, t := range p.last {
-		ents = append(ents, ent{l, t})
+	// Leave room for at least k more accesses, and shrink once the
+	// arrays hold 8 times the survivors. (A new profiler has no arrays.)
+	if n := len(p.bit) - 1; 2*int(k) > n || (n > minPositions && 8*int(k) <= n) {
+		n = minPositions
+		for n < 2*int(k) {
+			n *= 2
+		}
+		p.resize(n, k)
 	}
-	sort.Slice(ents, func(i, j int) bool { return ents[i].t < ents[j].t })
-	n := len(p.bit) - 1
-	if int(p.live)*2 > n {
-		n *= 2
+	for i := range p.heads {
+		p.heads[i] = -1
 	}
-	p.grow(n)
-	p.time = 0
-	for _, e := range ents {
-		p.time++
-		p.last[e.line] = p.time
-		p.bitAdd(p.time, 1)
+	for t := int32(1); t <= k; t++ {
+		h := &p.heads[p.hash(p.pos[t].line)]
+		p.pos[t].hnext = *h
+		*h = t
 	}
+	// The live positions are exactly 1..k: node i of the tree covers
+	// (i-lowbit(i), i], which holds max(0, min(i, k)-(i-lowbit(i))) of them.
+	for i := int32(1); int(i) < len(p.bit); i++ {
+		p.bit[i] = max(0, min(i, k)-(i-i&(-i)))
+	}
+	p.time, p.live = k, k
 }
 
 // sampled reports whether line l is in the sampled subset.
@@ -109,33 +177,35 @@ func (p *Profiler) Access(l addr.Line) {
 	if !p.sampled(l) {
 		return
 	}
-	scale := uint64(1) << p.sampleShift
-	if t, ok := p.last[l]; ok {
+	if int(p.time)+1 >= len(p.bit) {
+		p.compact()
+	}
+	h := p.hash(l)
+	link := &p.heads[h]
+	for *link >= 0 && p.pos[*link].line != l {
+		link = &p.pos[*link].hnext
+	}
+	if t := *link; t >= 0 {
 		// Distance = number of distinct lines accessed strictly after t.
-		d := uint64(p.live-p.bitSum(t)) * scale
-		b := d / p.gran
-		if b >= uint64(p.buckets) {
-			p.over++
-		} else {
+		d := uint64(p.live-p.bitSum(t)) << p.sampleShift
+		if b := d / p.gran; b < uint64(p.buckets) {
 			p.histo[b]++
+		} else {
+			p.over++
 		}
 		p.bitAdd(t, -1)
 		p.live--
+		*link = p.pos[t].hnext
+		p.pos[t].hnext = vacant
 	} else {
 		p.cold++
 	}
 	p.time++
-	if int(p.time) >= len(p.bit) {
-		p.compact()
-		p.time++
-	}
-	p.last[l] = p.time
+	p.pos[p.time] = posSlot{line: l, hnext: p.heads[h]}
+	p.heads[h] = p.time
 	p.bitAdd(p.time, 1)
 	p.live++
 }
-
-// Accesses returns the raw (pre-sampling) access count.
-func (p *Profiler) Accesses() uint64 { return p.acc }
 
 // Curve converts the recorded histogram into a miss curve: misses at
 // capacity c = cold + (distances >= c). Sampled counts are scaled back up.
@@ -158,12 +228,4 @@ func (p *Profiler) Reset() {
 		p.histo[i] = 0
 	}
 	p.over, p.cold, p.acc = 0, 0, 0
-}
-
-// HardReset clears everything including recency state.
-func (p *Profiler) HardReset() {
-	p.Reset()
-	p.last = make(map[addr.Line]int32)
-	p.grow(1 << 16)
-	p.time, p.live = 0, 0
 }

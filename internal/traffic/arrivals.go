@@ -34,7 +34,7 @@ func newArrivals(seed uint64, c *Client) *arrivals {
 
 // next returns the next arrival offset from the run start.
 func (a *arrivals) next() time.Duration {
-	interval := time.Duration(float64(time.Second) / a.c.Rate)
+	interval := float64(time.Second) / a.c.Rate // nanoseconds
 	switch a.c.Arrival {
 	case ArrivalPoisson:
 		// Exponential inter-arrival with mean 1/rate: -ln(U)/rate.
@@ -43,7 +43,7 @@ func (a *arrivals) next() time.Duration {
 			u = math.SmallestNonzeroFloat64
 		}
 		gap := -math.Log(u) / a.c.Rate
-		a.t += time.Duration(gap * float64(time.Second))
+		a.advance(gap * float64(time.Second))
 	case ArrivalBursty:
 		// Burst.Size back-to-back arrivals, then one idle gap sized so
 		// the long-run average rate is still Rate.
@@ -52,10 +52,21 @@ func (a *arrivals) next() time.Duration {
 			// Arrivals inside a burst share one offset (back-to-back).
 		} else {
 			a.inBurst = 1
-			a.t += time.Duration(float64(a.c.Burst.Size) * float64(interval))
+			a.advance(float64(a.c.Burst.Size) * math.Trunc(interval))
 		}
 	default: // constant
-		a.t += interval
+		a.advance(interval)
 	}
 	return a.t
+}
+
+// advance moves the next offset ns nanoseconds on, stopping at the
+// largest time.Duration instead of wrapping negative: a rate so low that
+// its gaps overflow ends the schedule.
+func (a *arrivals) advance(ns float64) {
+	if ns >= float64(math.MaxInt64-a.t) {
+		a.t = math.MaxInt64
+		return
+	}
+	a.t += time.Duration(ns)
 }

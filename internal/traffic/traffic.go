@@ -29,6 +29,7 @@ package traffic
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"sort"
 	"strings"
@@ -148,6 +149,10 @@ func Parse(data []byte) (*Spec, error) {
 	return &s, nil
 }
 
+// maxRate is one request per nanosecond, the schedule's resolution: a
+// faster class would issue every request at one offset.
+const maxRate = 1e9
+
 // Validate checks the spec's internal consistency.
 func (s *Spec) Validate() error {
 	if len(s.Clients) == 0 {
@@ -155,6 +160,9 @@ func (s *Spec) Validate() error {
 	}
 	if s.DurationS < 0 {
 		return fmt.Errorf("traffic: duration_s %g is negative", s.DurationS)
+	}
+	if s.DurationS*float64(time.Second) >= math.MaxInt64 {
+		return fmt.Errorf("traffic: duration_s %g is too long", s.DurationS)
 	}
 	seen := map[string]bool{}
 	for i := range s.Clients {
@@ -190,8 +198,8 @@ func (s *Spec) Validate() error {
 		if c.Op != OpResults && len(c.Params) > 0 {
 			return fmt.Errorf("traffic: %s: params only apply to op %q", at, OpResults)
 		}
-		if c.Rate <= 0 {
-			return fmt.Errorf("traffic: %s: rate must be positive (got %g)", at, c.Rate)
+		if c.Rate <= 0 || c.Rate > maxRate {
+			return fmt.Errorf("traffic: %s: rate must be positive and at most %g (got %g)", at, maxRate, c.Rate)
 		}
 		if c.Concurrency < 0 {
 			return fmt.Errorf("traffic: %s: concurrency %d is negative", at, c.Concurrency)

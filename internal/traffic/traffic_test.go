@@ -62,6 +62,8 @@ func TestSpecValidationErrors(t *testing.T) {
 		{"unknown op", mutate(func(s *Spec) { s.Clients[0].Op = "delete-everything" }), "unknown op"},
 		{"zero rate", mutate(func(s *Spec) { s.Clients[0].Rate = 0 }), "rate must be positive"},
 		{"negative rate", mutate(func(s *Spec) { s.Clients[0].Rate = -3 }), "rate must be positive"},
+		{"rate past 1/ns", mutate(func(s *Spec) { s.Clients[0].Rate = 2e9 }), "at most 1e+09"},
+		{"duration past time.Duration", mutate(func(s *Spec) { s.DurationS = 1e300 }), "too long"},
 		{"negative concurrency", mutate(func(s *Spec) { s.Clients[0].Concurrency = -1 }), "concurrency"},
 		{"unknown arrival", mutate(func(s *Spec) { s.Clients[0].Arrival = "fractal" }), "unknown arrival"},
 		{"bursty without burst", mutate(func(s *Spec) {

@@ -432,11 +432,16 @@ func (g *gen) Next() (trace.Access, bool) {
 }
 
 // CallpointPools maps each structure's callpoint to a pool id according to
-// grouping (a list of structure-index groups). Group i maps to pool i+1;
-// ungrouped structures map to the default pool. This is how a
-// classification (manual or WhirlTool) is applied to a trace.
-func (w *Workload) CallpointPools(grouping [][]int) map[mem.Callpoint]mem.PoolID {
-	m := make(map[mem.Callpoint]mem.PoolID)
+// grouping (a list of structure-index groups), as a dense table indexed by
+// callpoint. Group i maps to pool i+1; ungrouped structures map to the
+// default pool. This is how a classification (manual or WhirlTool) is
+// applied to a trace.
+func (w *Workload) CallpointPools(grouping [][]int) []mem.PoolID {
+	var top mem.Callpoint
+	for _, st := range w.Structs {
+		top = max(top, st.CP)
+	}
+	m := make([]mem.PoolID, top+1)
 	for gi, group := range grouping {
 		for _, si := range group {
 			if si < 0 || si >= len(w.Structs) {
