@@ -48,6 +48,7 @@ race:
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzParseWTRC -fuzztime 10s -fuzzminimizetime 1s ./internal/trace/
 	$(GO) test -run '^$$' -fuzz FuzzCapLRU -fuzztime 5s -fuzzminimizetime 1s ./internal/cache/
+	$(GO) test -run '^$$' -fuzz FuzzSetAssoc -fuzztime 5s -fuzzminimizetime 1s ./internal/cache/
 	$(GO) test -run '^$$' -fuzz FuzzDecodeLine -fuzztime 5s -fuzzminimizetime 1s ./internal/results/
 	$(GO) test -run '^$$' -fuzz FuzzParseTraceparent -fuzztime 5s -fuzzminimizetime 1s ./internal/obs/
 	$(GO) test -run '^$$' -fuzz FuzzSweepRequest -fuzztime 5s -fuzzminimizetime 1s ./internal/server/

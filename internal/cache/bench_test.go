@@ -32,3 +32,30 @@ func BenchmarkCapLRUAccess(b *testing.B) {
 	}
 	b.ReportMetric(float64(c.Hits)/float64(c.Hits+c.Misses), "hit-ratio")
 }
+
+// BenchmarkCapLRUFill times a partition's life cycle under
+// reconfiguration: fill an empty store to its capacity, shrink it to a
+// quarter, grow it back and refill it, then invalidate it (a VC entering
+// bypass). One op is the whole cycle; its allocs/op count the node array
+// and index reallocations the growth and release policy costs.
+func BenchmarkCapLRUFill(b *testing.B) {
+	const capacity = 1 << 14
+	rng := rand.New(rand.NewPCG(3, 4))
+	lines := make([]addr.Line, 2*capacity)
+	for i := range lines {
+		lines[i] = 1<<36 + addr.Line(rng.Uint32())
+	}
+	c := NewCapLRU(capacity)
+	b.ReportAllocs()
+	for b.Loop() {
+		for i, l := range lines[:capacity] {
+			c.Access(l, i%4 == 0)
+		}
+		c.Resize(capacity / 4)
+		c.Resize(capacity)
+		for i, l := range lines[capacity:] {
+			c.Access(l, i%4 == 0)
+		}
+		c.InvalidateAll()
+	}
+}

@@ -79,21 +79,39 @@ func (r *refLRU) invalidateAll() (lines, dirty int) {
 
 // oracleLines is the line alphabet of an op stream: 64 lines whose low
 // and high bits both vary, so they spread over (and collide in) the index
-// buckets in several ways.
+// buckets in several ways; 8 lines at or above 2^63 that agree in their
+// low 32 bits; and 8 lines that agree with one of the first 8 in their
+// low 32 bits but not in their high bits. The last 16 hold CapLRU's
+// two-word line to the reference.
 var oracleLines = func() []addr.Line {
-	ls := make([]addr.Line, 64)
-	for i := range ls {
+	ls := make([]addr.Line, 80)
+	for i := range 64 {
 		ls[i] = addr.Line(uint64(i)<<40 | uint64(i%7)<<20 | uint64(i))
+	}
+	for i := range 8 {
+		ls[64+i] = addr.Line(1<<63 | uint64(i)<<33 | 5)
+		ls[72+i] = addr.Line(uint64(i+1)<<48 | uint64(uint32(ls[i])))
 	}
 	return ls
 }()
+
+// ForEach calls fn for every resident line, MRU to LRU order.
+func (c *CapLRU) ForEach(fn func(l addr.Line)) {
+	for i := c.head; i >= 0; i = c.nodes[i].next {
+		fn(c.nodes[i].line())
+	}
+}
+
+// Contains reports whether l is resident, without updating LRU state.
+func (c *CapLRU) Contains(l addr.Line) bool { return c.find(l) >= 0 }
 
 // runOracle decodes ops as an op stream and replays it on a CapLRU and a
 // refLRU, failing at the first step where they differ. The first byte is
 // the initial capacity; each later op is a kind byte plus one argument
 // byte: Access (read or write), Writeback, Resize to 0..47 lines, or
-// InvalidateAll. Capacities up to 47 over 64 lines give hits, misses and
-// evictions, and take the index through several doublings.
+// InvalidateAll. Capacities up to 47 over 80 lines give hits, misses and
+// evictions, and take the index through several doublings and the node
+// array through growth, swap-removal and release.
 func runOracle(t testing.TB, ops []byte) {
 	if len(ops) == 0 {
 		return
@@ -150,6 +168,11 @@ func runOracle(t testing.TB, ops []byte) {
 		if !slices.Equal(order, want) {
 			t.Fatalf("step %d: ForEach order %#x, reference %#x", step, order, want)
 		}
+		for i, e := range r.lines {
+			if got := c.isDirty(c.find(e.Line)); got != e.Dirty {
+				t.Fatalf("step %d: line %#x (MRU position %d) dirty = %v, reference %v", step, e.Line, i, got, e.Dirty)
+			}
+		}
 		if c.Hits != hits || c.Misses != misses {
 			t.Fatalf("step %d: Hits/Misses = %d/%d, reference %d/%d", step, c.Hits, c.Misses, hits, misses)
 		}
@@ -187,7 +210,74 @@ func FuzzCapLRU(f *testing.F) {
 }
 
 func TestCapNodeSize(t *testing.T) {
-	if n := unsafe.Sizeof(capNode{}); n != 24 {
-		t.Fatalf("capNode is %d bytes, want 24", n)
+	if n := unsafe.Sizeof(capNode{}); n != 20 {
+		t.Fatalf("capNode is %d bytes, want 20", n)
+	}
+}
+
+// checkBounds fails unless c's arrays are within their bounds: the node
+// array holds the resident lines and at most max(minNodes, room) nodes,
+// the dirty bitset covers it, and the index keeps a load factor of at
+// most 1/2 and at most max(minBuckets, 4·capacity) chains.
+func checkBounds(t *testing.T, c *CapLRU, room int, where string) {
+	t.Helper()
+	if len(c.nodes) > c.capacity {
+		t.Fatalf("%s: %d resident lines over capacity %d", where, len(c.nodes), c.capacity)
+	}
+	if n := cap(c.nodes); n > max(minNodes, room) {
+		t.Fatalf("%s: cap(nodes) = %d, bound max(%d, %d)", where, n, minNodes, room)
+	}
+	if 64*len(c.dirty) < cap(c.nodes) {
+		t.Fatalf("%s: %d dirty words for %d nodes", where, len(c.dirty), cap(c.nodes))
+	}
+	if n := len(c.buckets); 2*len(c.nodes) > n || n > max(minBuckets, 4*c.capacity) {
+		t.Fatalf("%s: %d buckets for %d lines at capacity %d", where, n, len(c.nodes), c.capacity)
+	}
+}
+
+// TestCapLRUBoundedMemory streams three times the capacity in distinct
+// lines through stores of several capacities and checks that the arrays
+// never outgrow the capacity, that a shrink releases all but twice the
+// new capacity, that InvalidateAll releases everything, and that a full
+// store's accesses allocate nothing.
+func TestCapLRUBoundedMemory(t *testing.T) {
+	rng := rand.New(rand.NewPCG(7, 8))
+	for _, capacity := range []int{0, 1, 5, minNodes, 100, 1000, 5000} {
+		c := NewCapLRU(capacity)
+		for i := range 3 * max(capacity, minNodes) {
+			c.Access(addr.Line(rng.Uint64()>>1), i%3 == 0)
+			checkBounds(t, c, capacity, "fill")
+		}
+		for _, n := range []int{capacity / 3, capacity / 10, 2 * capacity, 0, capacity} {
+			c.Resize(n)
+			checkBounds(t, c, 2*n, "Resize")
+			for i := range 3 * max(n, minNodes) {
+				c.Access(addr.Line(rng.Uint64()>>1), i%3 == 0)
+				checkBounds(t, c, 2*n, "refill")
+			}
+		}
+		if lines, _ := c.InvalidateAll(); lines != capacity {
+			t.Fatalf("capacity %d: InvalidateAll dropped %d lines", capacity, lines)
+		}
+		if c.nodes != nil || c.dirty != nil || len(c.buckets) != minBuckets {
+			t.Fatalf("capacity %d: InvalidateAll kept cap(nodes) = %d, %d dirty words, %d buckets",
+				capacity, cap(c.nodes), len(c.dirty), len(c.buckets))
+		}
+	}
+
+	const capacity = 1 << 12
+	c := NewCapLRU(capacity)
+	lines := make([]addr.Line, 1<<14)
+	for i := range lines {
+		lines[i] = addr.Line(rng.IntN(2 * capacity))
+		c.Access(lines[i], i%4 == 0)
+	}
+	i := 0
+	allocs := testing.AllocsPerRun(len(lines), func() {
+		c.Access(lines[i], i%4 == 0)
+		i = (i + 1) % len(lines)
+	})
+	if allocs != 0 {
+		t.Fatalf("steady-state Access allocates %.2f times per call", allocs)
 	}
 }

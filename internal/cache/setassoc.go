@@ -64,8 +64,8 @@ type SetAssoc struct {
 	shift uint // log2(sets)
 	kind  Repl
 	tags  []uint64 // line+1; 0 = invalid
-	ts    []uint32 // LRU timestamps
-	rrpv  []uint8
+	ts    []uint32 // LRU timestamps; nil unless kind is LRU
+	rrpv  []uint8  // re-reference predictions; nil when kind is LRU
 	dirty []bool
 	clock uint32
 
@@ -92,28 +92,24 @@ func NewSetAssoc(sizeBytes uint64, ways int, kind Repl) *SetAssoc {
 		shift++
 	}
 	n := sets * ways
-	return &SetAssoc{
+	c := &SetAssoc{
 		sets:  sets,
 		ways:  ways,
 		shift: shift,
 		kind:  kind,
 		tags:  make([]uint64, n),
-		ts:    make([]uint32, n),
-		rrpv:  make([]uint8, n),
 		dirty: make([]bool, n),
 		psel:  pselMax / 2,
 		rng:   stats.NewRng(0x5eed),
 	}
+	// Allocate only the replacement state the policy reads.
+	if kind == LRU {
+		c.ts = make([]uint32, n)
+	} else {
+		c.rrpv = make([]uint8, n)
+	}
+	return c
 }
-
-// Sets returns the number of sets.
-func (c *SetAssoc) Sets() int { return c.sets }
-
-// Ways returns the associativity.
-func (c *SetAssoc) Ways() int { return c.ways }
-
-// LineCapacity returns total capacity in lines.
-func (c *SetAssoc) LineCapacity() uint64 { return uint64(c.sets * c.ways) }
 
 func (c *SetAssoc) setOf(l addr.Line) int {
 	x := uint64(l)
@@ -170,8 +166,11 @@ func (c *SetAssoc) Access(l addr.Line, write bool) (hit bool, ev Eviction, evict
 	for w := 0; w < c.ways; w++ {
 		if c.tags[base+w] == tag {
 			c.Hits++
-			c.ts[base+w] = c.clock
-			c.rrpv[base+w] = 0
+			if c.kind == LRU {
+				c.ts[base+w] = c.clock
+			} else {
+				c.rrpv[base+w] = 0
+			}
 			if write {
 				c.dirty[base+w] = true
 			}
@@ -187,9 +186,10 @@ func (c *SetAssoc) Access(l addr.Line, write bool) (hit bool, ev Eviction, evict
 		evicted = true
 	}
 	c.tags[idx] = tag
-	c.ts[idx] = c.clock
 	c.dirty[idx] = write
 	switch c.policyFor(set) {
+	case LRU:
+		c.ts[idx] = c.clock
 	case SRRIP:
 		c.rrpv[idx] = rrpvLong
 	case BRRIP:
@@ -198,8 +198,6 @@ func (c *SetAssoc) Access(l addr.Line, write bool) (hit bool, ev Eviction, evict
 		} else {
 			c.rrpv[idx] = rrpvMax
 		}
-	default:
-		c.rrpv[idx] = 0
 	}
 	return false, ev, evicted
 }
@@ -250,18 +248,6 @@ func (c *SetAssoc) Writeback(l addr.Line) bool {
 	return false
 }
 
-// Probe reports whether l is present without touching replacement state.
-func (c *SetAssoc) Probe(l addr.Line) bool {
-	base := c.setOf(l) * c.ways
-	tag := uint64(l) + 1
-	for w := 0; w < c.ways; w++ {
-		if c.tags[base+w] == tag {
-			return true
-		}
-	}
-	return false
-}
-
 // Invalidate removes l if present, reporting presence and dirtiness.
 func (c *SetAssoc) Invalidate(l addr.Line) (present, dirty bool) {
 	base := c.setOf(l) * c.ways
@@ -271,23 +257,8 @@ func (c *SetAssoc) Invalidate(l addr.Line) (present, dirty bool) {
 			d := c.dirty[base+w]
 			c.tags[base+w] = 0
 			c.dirty[base+w] = false
-			c.rrpv[base+w] = rrpvMax
 			return true, d
 		}
 	}
 	return false, false
-}
-
-// Reset clears all contents and statistics.
-func (c *SetAssoc) Reset() {
-	for i := range c.tags {
-		c.tags[i] = 0
-		c.ts[i] = 0
-		c.rrpv[i] = 0
-		c.dirty[i] = false
-	}
-	c.clock = 0
-	c.Hits = 0
-	c.Misses = 0
-	c.psel = pselMax / 2
 }
