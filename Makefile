@@ -10,7 +10,7 @@ GO ?= go
 VERSION ?= $(shell git describe --tags --always --dirty 2>/dev/null || echo dev)
 LDFLAGS := -ldflags "-X whirlpool/internal/cliutil.buildVersion=$(VERSION)"
 
-.PHONY: build examples test race fuzz vet lint fmt fmt-check bench bench-ab smoke trace-smoke serve-smoke dist-smoke fleet-smoke load-smoke obs-smoke bench-check golden-check ci
+.PHONY: build examples test race fuzz vet lint fmt fmt-check bench bench-ab smoke trace-smoke serve-smoke fleet-smoke load-smoke obs-smoke bench-check golden-check ci
 
 build:
 	$(GO) build $(LDFLAGS) ./...
@@ -138,8 +138,8 @@ smoke:
 	$(GO) run ./cmd/whirld -version | grep -q '^whirld '
 	$(GO) run $(LDFLAGS) ./cmd/whirlvet -version | grep -q '^whirlvet '
 	! $(GO) run ./cmd/whirld -store '' 2>/dev/null
-	! $(GO) run ./cmd/whirld -workers not-a-url 2>/dev/null
-	! $(GO) run ./cmd/whirld -workers 8 2>/dev/null
+	! $(GO) run ./cmd/whirld -join not-a-url 2>/dev/null
+	! $(GO) run ./cmd/whirld -join 8 2>/dev/null
 	@echo "smoke OK"
 
 # Record/replay smoke: a trace recorded with `whirltool trace record`
@@ -178,19 +178,13 @@ trace-smoke:
 serve-smoke:
 	GO="$(GO)" sh scripts/serve-smoke.sh
 
-# Distributed smoke: a coordinator whirld shards sweeps across two
-# worker whirlds sharing one result store; the merged grid must be
-# bit-identical to a single-node run, a warm resubmit must re-simulate
-# nothing on any node, and a worker killed mid-sweep must not lose the
-# job. See scripts/dist-smoke.sh.
-dist-smoke:
-	GO="$(GO)" sh scripts/dist-smoke.sh
-
-# Elastic-fleet smoke: workers join a coordinator by registration alone
-# (-join, no -workers flag), a third worker joining mid-sweep receives
-# cells, and a worker killed -9 mid-sweep has its lease expire and its
-# cells re-route to the survivors — with the merged grid bit-identical
-# to a single-node run. See scripts/fleet-smoke.sh.
+# Fleet smoke: two workers join a coordinator (-join), all sharing one
+# result store; the merged grid must be bit-identical to a single-node
+# run, a warm resubmit must re-simulate nothing on any node, and a
+# sweep submitted straight to a worker must be served from the shared
+# store. A third worker joining mid-sweep receives cells, and a worker
+# killed -9 mid-sweep has its lease expire and its cells re-route to
+# the survivors. See scripts/fleet-smoke.sh.
 fleet-smoke:
 	GO="$(GO)" sh scripts/fleet-smoke.sh
 
@@ -211,4 +205,4 @@ load-smoke:
 obs-smoke:
 	GO="$(GO)" sh scripts/obs-smoke.sh
 
-ci: build examples vet lint fmt-check test race fuzz bench bench-check golden-check smoke trace-smoke serve-smoke dist-smoke fleet-smoke load-smoke obs-smoke bench-ab
+ci: build examples vet lint fmt-check test race fuzz bench bench-check golden-check smoke trace-smoke serve-smoke fleet-smoke load-smoke obs-smoke bench-ab

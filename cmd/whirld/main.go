@@ -9,19 +9,17 @@
 // In coordinator mode the daemon shards each sweep's unserved cells
 // across a fleet of remote worker whirlds, collects their rows over
 // SSE, and commits everything to its own store. The fleet is elastic:
-// workers either appear on the -workers list (static members, assumed
-// alive forever) or join themselves at runtime with -join (leased
-// members that heartbeat; a worker that misses its lease deadline is
-// dead exactly like a dropped connection, and its cells re-route to
-// the survivors). Routing is capacity- and load-aware, so a -parallel
-// 8 worker draws more cells than a -parallel 2 one.
+// workers join themselves at runtime with -join and heartbeat a lease;
+// a worker that misses its lease deadline is dead exactly like a
+// dropped connection, and its cells re-route to the survivors. Routing
+// is capacity- and load-aware, so a -parallel 8 worker draws more
+// cells than a -parallel 2 one.
 //
 // Usage:
 //
 //	whirld                                   # 127.0.0.1:8080, store under the user cache dir
 //	whirld -addr :9090 -store ./store -trace-cache auto -parallel 8
-//	whirld -workers http://10.0.0.2:8080,http://10.0.0.3:8080   # static coordinator
-//	whirld -addr :0 -join http://10.0.0.1:8080                  # elastic worker
+//	whirld -addr :0 -join http://10.0.0.1:8080   # worker joining the coordinator at 10.0.0.1
 //	curl -X POST -d '{"apps":["delaunay"],"scale":0.1}' localhost:8080/v1/sweeps
 //	curl -N localhost:8080/v1/jobs/j1/stream # SSE rows as cells finish
 //
@@ -83,20 +81,6 @@ func inflightUsage() string {
 		strings.Join(server.EndpointNames(), ", ")
 }
 
-// resolveWorkers parses -workers, the coordinator's static worker URL
-// list. Only the scheme is validated here; the fleet registry owns URL
-// normalization (trimming, dedup) for every caller.
-func resolveWorkers(workersFlag string) ([]string, error) {
-	var urls []string
-	for _, u := range cliutil.SplitList(workersFlag) {
-		if !strings.HasPrefix(u, "http://") && !strings.HasPrefix(u, "https://") {
-			return nil, fmt.Errorf("-workers: %q is not a worker URL (want http://host:port)", u)
-		}
-		urls = append(urls, u)
-	}
-	return urls, nil
-}
-
 // advertiseURL derives the base URL a -join worker advertises when
 // -advertise is unset: the bound listen address, with wildcard hosts
 // rewritten to loopback so the coordinator gets something dialable.
@@ -116,7 +100,6 @@ func main() {
 	addr := flag.String("addr", "127.0.0.1:8080", "listen address (use :0 for an ephemeral port; the bound address is printed)")
 	storeFlag := flag.String("store", "auto", cliutil.StoreUsage)
 	traceCache := flag.String("trace-cache", "", cliutil.TraceCacheUsage)
-	workersFlag := flag.String("workers", "", "coordinator mode: comma-separated worker whirld base URLs (http://host:port) to shard sweeps across as static fleet members")
 	join := flag.String("join", "", "worker mode: register with this coordinator whirld (http://host:port) and renew a heartbeat lease until shutdown")
 	advertise := flag.String("advertise", "", "base URL the coordinator dials this worker at (with -join; default: derived from the bound -addr)")
 	leaseTTL := flag.Duration("lease-ttl", 0, "coordinator: how long a joined worker survives without a heartbeat before its lease expires and its cells re-route to survivors (0 = 10s)")
@@ -128,9 +111,17 @@ func main() {
 	flag.Parse()
 	cliutil.HandleVersion("whirld", *version)
 
-	workerURLs, err := resolveWorkers(*workersFlag)
-	if err != nil {
-		fatal(err)
+	// A bad -join or -advertise URL fails here, before the daemon opens
+	// its store or binds -addr.
+	if *join != "" {
+		if _, err := fleet.NormalizeURL(*join); err != nil {
+			fatal(fmt.Errorf("-join: %v", err))
+		}
+		if *advertise != "" {
+			if _, err := fleet.NormalizeURL(*advertise); err != nil {
+				fatal(fmt.Errorf("-advertise: %v", err))
+			}
+		}
 	}
 
 	limits, err := parseInflight(*inflight)
@@ -162,7 +153,6 @@ func main() {
 		Store:          store,
 		TraceCacheDir:  cacheDir,
 		Workers:        *parallel,
-		WorkerURLs:     workerURLs,
 		LeaseTTL:       *leaseTTL,
 		Log:            logger,
 		QueueDepth:     *queue,
@@ -182,10 +172,6 @@ func main() {
 	fmt.Printf("whirld: listening on %s\n", ln.Addr())
 	fmt.Fprintf(os.Stderr, "whirld: store %s (%d rows), trace cache %q, %d parallel sim workers\n",
 		storeDir, store.Len(), cacheDir, *parallel)
-	if len(workerURLs) > 0 {
-		fmt.Fprintf(os.Stderr, "whirld: coordinator over %d static workers: %s\n",
-			len(workerURLs), strings.Join(workerURLs, ", "))
-	}
 	if *inflight != "" {
 		fmt.Fprintf(os.Stderr, "whirld: endpoint concurrency limits: %s\n", *inflight)
 	}

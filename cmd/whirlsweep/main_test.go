@@ -56,11 +56,15 @@ func TestGridMatchesDaemon(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer store.Close()
-	srv, err := server.New(server.Config{Store: store, WorkerURLs: []string{worker.URL}})
+	// The worker's lease outlives the test.
+	srv, err := server.New(server.Config{Store: store, LeaseTTL: time.Hour})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
+	if _, _, err := srv.Fleet().Register(worker.URL, 0); err != nil {
+		t.Fatal(err)
+	}
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 

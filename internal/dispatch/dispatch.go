@@ -4,18 +4,18 @@
 // job machinery, and re-dispatches cells when a worker dies — or
 // hands them to a worker that joined — mid-job.
 //
-// Workers come from a fleet.Membership (the coordinator's live
-// registry of self-registered workers, or a static URL list via New).
-// Dispatch proceeds in rounds: each round snapshots the alive set,
-// assigns pending cells in grid order to their weighted-rendezvous-
-// ranked members (fleet.Rank — capacity- and load-aware, deterministic
-// given the snapshot) up to a per-member quota, runs the shards in
-// parallel, and re-snapshots for the next round. The quota is what
-// makes the fleet elastic mid-job: cells beyond the fleet's current
-// per-round appetite wait, so a worker that registers between rounds
-// is guaranteed work while earlier arrivals are still busy, and a
-// worker whose lease expires loses only its in-flight shard — a
-// watcher cancels it and the cells re-enter the next round.
+// Workers come from the coordinator's fleet.Registry of
+// self-registered, leased workers. Dispatch proceeds in rounds: each
+// round snapshots the alive set, assigns pending cells in grid order
+// to their weighted-rendezvous-ranked members (fleet.Rank — capacity-
+// and load-aware, deterministic given the snapshot) up to a
+// per-member quota, runs the shards in parallel, and re-snapshots for
+// the next round. The quota is what makes the fleet elastic mid-job:
+// cells beyond the fleet's current per-round appetite wait, so a
+// worker that registers between rounds is guaranteed work while
+// earlier arrivals are still busy, and a worker whose lease expires
+// loses only its in-flight shard — a watcher cancels it and the cells
+// re-enter the next round.
 //
 // The wire protocol is the worker daemon's POST /v1/cells endpoint (a
 // CellsRequest: shared sweep parameters plus one shard's explicit cell
@@ -97,9 +97,6 @@ type CellsRequest struct {
 
 // Options configure a Pool.
 type Options struct {
-	// Client overrides the HTTP client (tests, timeouts). The default
-	// has no overall timeout: SSE streams live as long as the shard.
-	Client *http.Client
 	// Log, if set, receives dispatch progress events (worker deaths,
 	// re-dispatches, rebalances) with worker/cells fields. Nil discards.
 	Log *slog.Logger
@@ -110,28 +107,21 @@ type Options struct {
 	// stitches each finished worker's span tree back in by fetching its
 	// GET /v1/jobs/{id}/trace. Nil disables tracing.
 	Tracer *obs.Tracer
-	// Quota bounds how many cells one member is assigned per round;
-	// nil means the member's effective capacity (its -parallel slots).
-	// Small quotas mean more rounds and therefore more chances for
-	// joiners to pick up work mid-job.
-	Quota func(fleet.Member) int
-	// WatchInterval is how often a running round re-checks membership
-	// for mid-shard lease expiry; 0 means 250ms.
-	WatchInterval time.Duration
 }
+
+// watchInterval is how often a running round re-checks membership for
+// mid-shard lease expiry.
+const watchInterval = 250 * time.Millisecond
 
 // Pool is one job's view of the worker fleet. Worker deaths are sticky
 // per incarnation for the lifetime of the Pool (one coordinator job):
 // a worker that died mid-shard is not retried until it re-registers
-// under a new epoch — or, for static members, until the next job
-// builds a fresh Pool.
+// under a new epoch.
 type Pool struct {
-	membership fleet.Membership
-	client     *http.Client
+	fleet      *fleet.Registry
 	log        *slog.Logger
 	tracer     *obs.Tracer
-	quota      func(fleet.Member) int
-	watchEvery time.Duration
+	watchEvery time.Duration // watchInterval; tests shorten it
 
 	mu         sync.Mutex
 	apis       map[string]*apiclient.Client
@@ -152,33 +142,22 @@ type workerStats struct {
 // NewPool builds a Pool routing over a live membership: each dispatch
 // round snapshots it, so workers joining or dying mid-job change the
 // very next round's assignment.
-func NewPool(m fleet.Membership, opt Options) (*Pool, error) {
-	if m == nil {
-		return nil, fmt.Errorf("dispatch: nil membership")
+func NewPool(reg *fleet.Registry, opt Options) (*Pool, error) {
+	if reg == nil {
+		return nil, fmt.Errorf("dispatch: nil fleet registry")
 	}
 	p := &Pool{
-		membership: m,
-		client:     opt.Client,
+		fleet:      reg,
 		log:        opt.Log,
 		tracer:     opt.Tracer,
-		quota:      opt.Quota,
-		watchEvery: opt.WatchInterval,
+		watchEvery: watchInterval,
 		apis:       map[string]*apiclient.Client{},
 		stats:      map[string]*workerStats{},
 		deadKeys:   map[string]bool{},
 		redisp:     map[int]bool{},
 	}
-	if p.client == nil {
-		p.client = &http.Client{}
-	}
 	if p.log == nil {
 		p.log = slog.New(slog.NewTextHandler(io.Discard, nil))
-	}
-	if p.quota == nil {
-		p.quota = func(m fleet.Member) int { return m.EffectiveCapacity() }
-	}
-	if p.watchEvery <= 0 {
-		p.watchEvery = 250 * time.Millisecond
 	}
 	return p, nil
 }
@@ -234,7 +213,9 @@ func (p *Pool) apiFor(m fleet.Member) (*apiclient.Client, error) {
 	if api := p.apis[m.URL]; api != nil {
 		return api, nil
 	}
-	api, err := apiclient.New(m.URL, p.client)
+	// apiclient's default HTTP client has no overall timeout: SSE
+	// streams live as long as the shard.
+	api, err := apiclient.New(m.URL, nil)
 	if err != nil {
 		return nil, fmt.Errorf("dispatch: worker %q: %v", m.URL, err)
 	}
@@ -259,19 +240,17 @@ type shardAssign struct {
 
 // assignRound routes pending cells (in grid order) onto the alive
 // members by weighted rendezvous rank, capping each member at its
-// round quota. Cells that find every ranked member full wait for the
-// next round — that deferral is what guarantees a mid-job joiner gets
-// cells. Deterministic given (alive, pending).
-func (p *Pool) assignRound(alive []fleet.Member, pending []experiments.CellRef) (shards []shardAssign, deferred []experiments.CellRef) {
+// round quota, its effective capacity (its -parallel slots). Cells
+// that find every ranked member full wait for the next round — that
+// deferral is what guarantees a mid-job joiner gets cells.
+// Deterministic given (alive, pending).
+func assignRound(alive []fleet.Member, pending []experiments.CellRef) (shards []shardAssign, deferred []experiments.CellRef) {
 	snap := fleet.Snapshot{Members: alive}
 	byID := map[string]int{} // member ID → index in shards
 	for _, c := range pending {
 		placed := false
 		for _, m := range fleet.Rank(snap, routeKey(c)) {
-			q := p.quota(m)
-			if q < 1 {
-				q = 1
-			}
+			q := m.EffectiveCapacity()
 			i, ok := byID[m.ID]
 			if !ok {
 				i = len(shards)
@@ -312,7 +291,7 @@ func (p *Pool) run(ctx context.Context, params JobParams, cells []experiments.Ce
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		snap := p.membership.Snapshot()
+		snap := p.fleet.Snapshot()
 		var alive []fleet.Member
 		p.mu.Lock()
 		for _, m := range snap.Members {
@@ -335,7 +314,7 @@ func (p *Pool) run(ctx context.Context, params JobParams, cells []experiments.Ce
 		}
 		ran, lastVer = true, snap.Version
 
-		shards, deferred := p.assignRound(alive, pending)
+		shards, deferred := assignRound(alive, pending)
 		next := p.runRound(ctx, params, shards, deliver)
 		if err := ctx.Err(); err != nil {
 			return err
@@ -369,7 +348,7 @@ func (p *Pool) runRound(ctx context.Context, params JobParams, shards []shardAss
 	// Lease watcher: while the round runs, a member that falls out of
 	// the alive set gets its shard canceled with errLeaseLost so its
 	// cells re-enter the next round immediately instead of waiting for
-	// a TCP timeout. Static members hold no lease and are skipped.
+	// a TCP timeout.
 	watchStop := make(chan struct{})
 	watchDone := make(chan struct{})
 	go func() {
@@ -385,11 +364,11 @@ func (p *Pool) runRound(ctx context.Context, params JobParams, shards []shardAss
 			case <-t.C:
 			}
 			aliveKeys := map[string]bool{}
-			for _, m := range p.membership.Snapshot().Members {
+			for _, m := range p.fleet.Snapshot().Members {
 				aliveKeys[m.Key()] = true
 			}
 			for _, r := range live {
-				if !r.member.Static && !aliveKeys[r.member.Key()] {
+				if !aliveKeys[r.member.Key()] {
 					r.cancel(errLeaseLost)
 				}
 			}
@@ -460,7 +439,7 @@ func (p *Pool) runRound(ctx context.Context, params JobParams, shards []shardAss
 // anySurvivors reports whether the current membership still holds a
 // member this job hasn't declared dead.
 func (p *Pool) anySurvivors() bool {
-	snap := p.membership.Snapshot()
+	snap := p.fleet.Snapshot()
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	for _, m := range snap.Members {

@@ -48,10 +48,12 @@ func refs(n int) []experiments.CellRef {
 	return out
 }
 
-// bigQuota removes the per-round cap, collapsing dispatch to one round
-// per fleet generation — the closest shape to pre-fleet behavior, used
-// by tests that only care about failure handling.
-func bigQuota(fleet.Member) int { return 1 << 20 }
+// bigCapacity lifts a member's per-round quota past any test grid,
+// collapsing dispatch to one round per fleet generation — the shape
+// tests that only care about failure handling want. Every member of
+// such a pool gets it, and scaling all routing weights alike leaves the
+// rendezvous ranking unchanged.
+const bigCapacity = 1 << 20
 
 // fakeWorker speaks just enough of the whirld protocol to be dispatched
 // to: POST /v1/cells accepts a shard, the SSE stream fabricates one row
@@ -161,13 +163,15 @@ func collectDeliveryErr(t *testing.T, p *Pool, cells []experiments.CellRef, onRo
 	return got, err
 }
 
-// staticPool builds a Pool over a fixed worker list the way whirld's
-// -workers flag does: each URL a static registry member.
-func staticPool(t *testing.T, urls []string, opt Options) *Pool {
+// testPool builds a Pool over a registry that each URL joined with the
+// given capacity (0 means fleet.DefaultCapacity). The registry's clock
+// stands still, so no lease lapses mid-test.
+func testPool(t *testing.T, urls []string, capacity int, opt Options) *Pool {
 	t.Helper()
-	reg := fleet.NewRegistry(fleet.RegistryOptions{})
+	start := time.Now()
+	reg := fleet.NewRegistry(fleet.RegistryOptions{Now: func() time.Time { return start }})
 	for _, u := range urls {
-		if err := reg.AddStatic(u, 0); err != nil {
+		if _, _, err := reg.Register(u, capacity); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -186,7 +190,7 @@ func TestPoolDispatchesAllCells(t *testing.T) {
 	_, ts2 := newFakeWorker(t, 222, -1)
 	cells := refs(20)
 	urls := []string{ts1.URL, ts2.URL}
-	p1 := staticPool(t, urls, Options{})
+	p1 := testPool(t, urls, 0, Options{})
 	got1 := collectDelivery(t, p1, cells)
 	if len(got1) != len(cells) {
 		t.Fatalf("delivered %d of %d cells", len(got1), len(cells))
@@ -206,7 +210,7 @@ func TestPoolDispatchesAllCells(t *testing.T) {
 	// A fresh pool over the same worker list routes every cell to the
 	// same worker (member IDs follow registration order, so the
 	// assignment is a pure function of the membership and the keys).
-	p2 := staticPool(t, urls, Options{})
+	p2 := testPool(t, urls, 0, Options{})
 	got2 := collectDelivery(t, p2, cells)
 	for i := range got1 {
 		if got1[i] != got2[i] {
@@ -222,7 +226,7 @@ func TestPoolRedispatchOnWorkerDeath(t *testing.T) {
 	_, healthy := newFakeWorker(t, 111, -1)
 	dying, dyingTS := newFakeWorker(t, 666, 2) // delivers 2 rows, then drops
 	cells := refs(24)
-	p := staticPool(t, []string{healthy.URL, dyingTS.URL}, Options{Quota: bigQuota})
+	p := testPool(t, []string{healthy.URL, dyingTS.URL}, bigCapacity, Options{})
 	var capture logCapture
 	p.log = obs.NewLogger(&capture, "dispatch")
 	got := collectDelivery(t, p, cells)
@@ -279,7 +283,7 @@ func TestPoolRedispatchOnWorkerDeath(t *testing.T) {
 func TestPoolAllWorkersDead(t *testing.T) {
 	_, ts1 := newFakeWorker(t, 1, 0)
 	_, ts2 := newFakeWorker(t, 2, 0)
-	p := staticPool(t, []string{ts1.URL, ts2.URL}, Options{Quota: bigQuota})
+	p := testPool(t, []string{ts1.URL, ts2.URL}, bigCapacity, Options{})
 	execErr := p.Exec(JobParams{})(context.Background(), refs(6),
 		func(experiments.CellRef, experiments.SweepRow) {})
 	if execErr == nil || !strings.Contains(execErr.Error(), "all 2 workers failed") {
@@ -390,10 +394,11 @@ func TestPoolLeaseLossMidShard(t *testing.T) {
 	if _, _, err := reg.Register(healthy.URL, 2); err != nil {
 		t.Fatal(err)
 	}
-	p, err := NewPool(reg, Options{WatchInterval: 10 * time.Millisecond})
+	p, err := NewPool(reg, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	p.watchEvery = 10 * time.Millisecond
 	cells := refs(8)
 	var dropOnce sync.Once
 	got, execErr := collectDeliveryErr(t, p, cells, func(_ experiments.CellRef, row experiments.SweepRow) {
@@ -469,7 +474,7 @@ func TestPoolCanceledRowsRedispatch(t *testing.T) {
 	_, healthy := newFakeWorker(t, 111, -1)
 
 	cells := refs(12)
-	p := staticPool(t, []string{shuttingDown.URL, healthy.URL}, Options{})
+	p := testPool(t, []string{shuttingDown.URL, healthy.URL}, 0, Options{})
 	got := collectDelivery(t, p, cells)
 	if len(got) != len(cells) {
 		t.Fatalf("delivered %d of %d", len(got), len(cells))
@@ -505,7 +510,7 @@ func TestPoolContextCancel(t *testing.T) {
 	stall := httptest.NewServer(mux)
 	t.Cleanup(stall.Close)
 
-	p := staticPool(t, []string{stall.URL}, Options{})
+	p := testPool(t, []string{stall.URL}, 0, Options{})
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() {
 		time.Sleep(50 * time.Millisecond)
@@ -536,7 +541,7 @@ func TestPoolShardRejectionDoesNotKillFleet(t *testing.T) {
 	_, healthy := newFakeWorker(t, 111, -1)
 
 	cells := refs(16)
-	p := staticPool(t, []string{rejecting.URL, healthy.URL}, Options{})
+	p := testPool(t, []string{rejecting.URL, healthy.URL}, 0, Options{})
 	got := map[int]experiments.SweepRow{}
 	var mu sync.Mutex
 	execErr := p.Exec(JobParams{})(context.Background(), cells,
@@ -612,7 +617,7 @@ func TestPoolKeyMismatchRejected(t *testing.T) {
 	t.Cleanup(stale.Close)
 
 	cells := refs(4)
-	p := staticPool(t, []string{stale.URL}, Options{})
+	p := testPool(t, []string{stale.URL}, 0, Options{})
 	got := map[int]experiments.SweepRow{}
 	var mu2 sync.Mutex
 	execErr := p.Exec(JobParams{})(context.Background(), cells,
@@ -665,7 +670,7 @@ func TestPoolRetriesSubmit503(t *testing.T) {
 	t.Cleanup(ts.Close)
 
 	cells := refs(4)
-	p := staticPool(t, []string{ts.URL}, Options{})
+	p := testPool(t, []string{ts.URL}, 0, Options{})
 	got := collectDelivery(t, p, cells)
 	if len(got) != len(cells) {
 		t.Fatalf("delivered %d of %d after transient 503s", len(got), len(cells))
@@ -680,14 +685,14 @@ func TestPoolRetriesSubmit503(t *testing.T) {
 	}
 }
 
-// NewPool rejects a nil membership; a pool over a static registry sees
-// the registry's deduplicated members.
+// NewPool rejects a nil registry; a pool sees the registry's
+// deduplicated members.
 func TestPoolNew(t *testing.T) {
 	if _, err := NewPool(nil, Options{}); err == nil {
-		t.Fatal("NewPool accepted a nil membership")
+		t.Fatal("NewPool accepted a nil registry")
 	}
-	p := staticPool(t, []string{"http://a", "http://a/", "http://b"}, Options{})
-	if n := len(p.membership.Snapshot().Members); n != 2 {
+	p := testPool(t, []string{"http://a", "http://a/", "http://b"}, 0, Options{})
+	if n := len(p.fleet.Snapshot().Members); n != 2 {
 		t.Fatalf("dedup left %d workers, want 2", n)
 	}
 }
@@ -702,7 +707,7 @@ func TestDispatchShardSpansOnFailover(t *testing.T) {
 	dying, dyingTS := newFakeWorker(t, 666, 2) // 2 rows, then kill -9
 	cells := refs(24)
 	tracer := obs.New(0)
-	p := staticPool(t, []string{healthyTS.URL, dyingTS.URL}, Options{Quota: bigQuota, Tracer: tracer})
+	p := testPool(t, []string{healthyTS.URL, dyingTS.URL}, bigCapacity, Options{Tracer: tracer})
 
 	root := tracer.Start(obs.SpanContext{}, "job")
 	rootSC := root.Context()

@@ -1,11 +1,10 @@
-// Package fleet is whirld's worker-membership subsystem: the elastic
-// replacement for a static -workers URL list. Workers self-register
-// with the coordinator (POST /v1/workers), renew a lease with periodic
-// heartbeats that carry load samples, and fall out of the alive set
-// when the lease deadline passes — exactly the failure treatment a
-// dropped connection gets, so "silent" deaths (a hung host, a network
-// partition) and loud ones (kill -9) converge on the same re-dispatch
-// path. A worker that re-registers after expiry rejoins the alive set
+// Package fleet is whirld's worker-membership subsystem. Workers
+// self-register with the coordinator (POST /v1/workers), renew a lease
+// with periodic heartbeats that carry load samples, and fall out of
+// the alive set when the lease deadline passes — exactly the failure
+// treatment a dropped connection gets, so "silent" deaths (a hung
+// host, a network partition) and loud ones (kill -9) converge on the
+// same re-dispatch path. A worker that re-registers after expiry rejoins the alive set
 // under a fresh epoch.
 //
 // The package has three halves:
@@ -36,8 +35,8 @@ import (
 // receiving shards within seconds.
 const DefaultLeaseTTL = 10 * time.Second
 
-// DefaultCapacity stands in for a worker that did not declare one
-// (static -workers members, or a registration with capacity 0).
+// DefaultCapacity stands in for a worker that did not declare one (a
+// registration with capacity 0).
 const DefaultCapacity = 4
 
 // Load is one worker's self-reported load sample, carried by every
@@ -75,11 +74,7 @@ type Member struct {
 	// Capacity is the worker's declared parallel simulation slots
 	// (whirld -parallel); 0 means undeclared (DefaultCapacity applies).
 	Capacity int
-	// Static marks a member seeded from a -workers URL list: no lease,
-	// never expires, no load samples.
-	Static bool
-	// Load is the worker's latest heartbeat sample (zero for static
-	// members).
+	// Load is the worker's latest heartbeat sample.
 	Load Load
 }
 
@@ -112,13 +107,6 @@ func (m Member) Weight() float64 {
 type Snapshot struct {
 	Version uint64
 	Members []Member
-}
-
-// Membership is dispatch's view of the fleet: anything that can
-// produce membership snapshots. *Registry implements it; a static
-// -workers URL list is seeded into one with AddStatic.
-type Membership interface {
-	Snapshot() Snapshot
 }
 
 // ErrNoLease reports a heartbeat or deregistration for a worker the
@@ -156,17 +144,16 @@ type WorkerInfo struct {
 	URL      string `json:"url"`
 	Epoch    int    `json:"epoch"`
 	Capacity int    `json:"capacity"`
-	Static   bool   `json:"static,omitempty"`
 	Alive    bool   `json:"alive"`
 	// Reason says why a dead worker died: "lease expired" or "left".
 	Reason string `json:"reason,omitempty"`
 	// RegisteredUnix is the first registration time of this URL.
 	RegisteredUnix int64 `json:"registered_unix"`
 	// HeartbeatAgeS is seconds since the last heartbeat (or
-	// registration); absent for static members.
+	// registration).
 	HeartbeatAgeS float64 `json:"heartbeat_age_s,omitempty"`
 	// LeaseRemainingS is seconds until the lease expires; absent for
-	// static and dead members.
+	// dead members.
 	LeaseRemainingS float64 `json:"lease_remaining_s,omitempty"`
 	Load            Load    `json:"load"`
 }
@@ -177,12 +164,11 @@ type workerRec struct {
 	url        string
 	epoch      int
 	capacity   int
-	static     bool
 	alive      bool
 	reason     string
 	registered time.Time
 	lastBeat   time.Time
-	deadline   time.Time // zero for static members
+	deadline   time.Time
 	load       Load
 }
 
@@ -272,7 +258,6 @@ func (r *Registry) Register(rawURL string, capacity int) (Member, time.Duration,
 	rejoin := rec.epoch > 0
 	rec.epoch++
 	rec.capacity = capacity
-	rec.static = false
 	rec.alive = true
 	rec.reason = ""
 	rec.lastBeat = now
@@ -290,33 +275,6 @@ func (r *Registry) Register(rawURL string, capacity int) (Member, time.Duration,
 	return rec.member(), r.ttl, nil
 }
 
-// AddStatic seeds a permanent member from a configured URL (-workers
-// back-compat). Static members hold no lease and never expire; their
-// only death is the per-job connection-drop detection in dispatch.
-// Re-adding a known URL is a no-op.
-func (r *Registry) AddStatic(rawURL string, capacity int) error {
-	u, err := NormalizeURL(rawURL)
-	if err != nil {
-		return err
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.byURL[u] != nil {
-		return nil
-	}
-	r.seq++
-	now := r.now()
-	rec := &workerRec{
-		id: fmt.Sprintf("w%d", r.seq), url: u, epoch: 1, capacity: capacity,
-		static: true, alive: true, registered: now, lastBeat: now,
-	}
-	r.byURL[u] = rec
-	r.byID[rec.id] = rec
-	r.order = append(r.order, rec)
-	r.version++
-	return nil
-}
-
 // Heartbeat renews the lease of worker id at the given epoch and
 // records its load sample, returning the renewed TTL. ErrNoLease means
 // the registry holds no live lease for that incarnation — the worker
@@ -327,7 +285,7 @@ func (r *Registry) Heartbeat(id string, epoch int, load Load) (time.Duration, er
 	now := r.now()
 	r.pruneLocked(now)
 	rec := r.byID[id]
-	if rec == nil || !rec.alive || rec.static || rec.epoch != epoch {
+	if rec == nil || !rec.alive || rec.epoch != epoch {
 		return 0, ErrNoLease
 	}
 	rec.lastBeat = now
@@ -344,7 +302,7 @@ func (r *Registry) Deregister(id string) error {
 	defer r.mu.Unlock()
 	r.pruneLocked(r.now())
 	rec := r.byID[id]
-	if rec == nil || !rec.alive || rec.static {
+	if rec == nil || !rec.alive {
 		return ErrNoLease
 	}
 	rec.alive = false
@@ -381,14 +339,12 @@ func (r *Registry) Workers() []WorkerInfo {
 	for _, rec := range r.order {
 		wi := WorkerInfo{
 			ID: rec.id, URL: rec.url, Epoch: rec.epoch, Capacity: rec.capacity,
-			Static: rec.static, Alive: rec.alive, Reason: rec.reason,
+			Alive: rec.alive, Reason: rec.reason,
 			RegisteredUnix: rec.registered.Unix(), Load: rec.load,
+			HeartbeatAgeS: now.Sub(rec.lastBeat).Seconds(),
 		}
-		if !rec.static {
-			wi.HeartbeatAgeS = now.Sub(rec.lastBeat).Seconds()
-			if rec.alive {
-				wi.LeaseRemainingS = rec.deadline.Sub(now).Seconds()
-			}
+		if rec.alive {
+			wi.LeaseRemainingS = rec.deadline.Sub(now).Seconds()
 		}
 		out = append(out, wi)
 	}
@@ -416,11 +372,11 @@ func (r *Registry) Stats() RegistryStats {
 	return st
 }
 
-// pruneLocked expires every leased member whose deadline has passed.
+// pruneLocked expires every member whose deadline has passed.
 // Callers hold r.mu.
 func (r *Registry) pruneLocked(now time.Time) {
 	for _, rec := range r.order {
-		if !rec.alive || rec.static || now.Before(rec.deadline) {
+		if !rec.alive || now.Before(rec.deadline) {
 			continue
 		}
 		rec.alive = false
@@ -436,6 +392,6 @@ func (r *Registry) pruneLocked(now time.Time) {
 func (rec *workerRec) member() Member {
 	return Member{
 		ID: rec.id, URL: rec.url, Epoch: rec.epoch,
-		Capacity: rec.capacity, Static: rec.static, Load: rec.load,
+		Capacity: rec.capacity, Load: rec.load,
 	}
 }

@@ -58,6 +58,16 @@ func TestRegisterAddsAliveMember(t *testing.T) {
 	if st.Alive != 1 || st.Dead != 0 || st.Registrations != 1 {
 		t.Fatalf("stats = %+v", st)
 	}
+	// Capacity 0 (reachable through POST /v1/workers) means undeclared:
+	// the member routes with DefaultCapacity.
+	m0, _, err := r.Register("http://h2:8082", 0)
+	if err != nil {
+		t.Fatalf("Register capacity 0: %v", err)
+	}
+	if m0.Capacity != 0 || m0.EffectiveCapacity() != DefaultCapacity {
+		t.Fatalf("capacity 0 member = %+v, effective %d, want default %d",
+			m0, m0.EffectiveCapacity(), DefaultCapacity)
+	}
 }
 
 func TestRegisterRejectsBadInput(t *testing.T) {
@@ -69,6 +79,12 @@ func TestRegisterRejectsBadInput(t *testing.T) {
 	}
 	if _, _, err := r.Register("http://h1:8081", -1); err == nil {
 		t.Errorf("negative capacity accepted")
+	}
+	if _, _, err := r.Register("not-a-url", 0); err == nil || !strings.Contains(err.Error(), "not-a-url") {
+		t.Errorf("bad URL error = %v, want it to name the URL", err)
+	}
+	if n := len(r.Snapshot().Members); n != 0 {
+		t.Errorf("rejected registrations added %d members", n)
 	}
 }
 
@@ -183,43 +199,6 @@ func TestDeregisterLeaves(t *testing.T) {
 	ws := r.Workers()
 	if len(ws) != 1 || ws[0].Reason != "left" {
 		t.Fatalf("workers = %+v", ws)
-	}
-}
-
-func TestStaticMembersNeverExpire(t *testing.T) {
-	r, clk := newTestRegistry(t, time.Second)
-	if err := r.AddStatic("http://h1:8081", 0); err != nil {
-		t.Fatalf("AddStatic: %v", err)
-	}
-	if err := r.AddStatic("http://h1:8081/", 2); err != nil {
-		t.Fatalf("AddStatic dup: %v", err)
-	}
-	clk.advance(time.Hour)
-	snap := r.Snapshot()
-	if len(snap.Members) != 1 || !snap.Members[0].Static {
-		t.Fatalf("snapshot = %+v, want one static member", snap.Members)
-	}
-	if snap.Members[0].EffectiveCapacity() != DefaultCapacity {
-		t.Fatalf("effective capacity = %d, want default %d",
-			snap.Members[0].EffectiveCapacity(), DefaultCapacity)
-	}
-	// A second URL keeps its own configured capacity; a bad URL is
-	// rejected by name and adds nothing.
-	if err := r.AddStatic("http://h2:8082/", 4); err != nil {
-		t.Fatalf("AddStatic h2: %v", err)
-	}
-	if err := r.AddStatic("not-a-url", 0); err == nil || !strings.Contains(err.Error(), "not-a-url") {
-		t.Fatalf("bad URL error = %v", err)
-	}
-	if m := r.Snapshot().Members; len(m) != 2 || !m[1].Static || m[1].Capacity != 4 {
-		t.Fatalf("members = %+v, want h2 static with capacity 4", m)
-	}
-	// Static members have no lease to beat or give up.
-	if _, err := r.Heartbeat(snap.Members[0].ID, 1, Load{}); err != ErrNoLease {
-		t.Fatalf("static heartbeat: err = %v, want ErrNoLease", err)
-	}
-	if err := r.Deregister(snap.Members[0].ID); err != ErrNoLease {
-		t.Fatalf("static deregister: err = %v, want ErrNoLease", err)
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"whirlpool/internal/experiments"
 	"whirlpool/internal/results"
@@ -35,15 +36,16 @@ func newWorkerServer(t *testing.T) (*httptest.Server, *results.Store) {
 	return ts, store
 }
 
-// newCoordinator boots a daemon in coordinator mode over the given
-// worker URLs, with its own store.
-func newCoordinator(t *testing.T, workerURLs ...string) (*Server, *httptest.Server, *results.Store) {
+// newCoordinator boots a daemon with its own store and the given lease
+// TTL, and registers each worker URL with its fleet at the default
+// capacity; more workers may join later via POST /v1/workers.
+func newCoordinator(t *testing.T, ttl time.Duration, workerURLs ...string) (*Server, *httptest.Server) {
 	t.Helper()
 	store, err := results.Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := New(Config{Store: store, Workers: 2, WorkerURLs: workerURLs, Version: "coord"})
+	srv, err := New(Config{Store: store, Workers: 2, LeaseTTL: ttl, Version: "coord"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,8 +55,17 @@ func newCoordinator(t *testing.T, workerURLs ...string) (*Server, *httptest.Serv
 		srv.Close()
 		store.Close()
 	})
-	return srv, ts, store
+	for _, u := range workerURLs {
+		if _, _, err := srv.Fleet().Register(u, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return srv, ts
 }
+
+// longLease outlives every test, so a registered worker never expires
+// mid-test.
+const longLease = time.Hour
 
 // TestCellsEndpoint: POST /v1/cells runs exactly the named cells and
 // produces rows bit-identical to a direct sweep of the same cells.
@@ -140,7 +151,7 @@ func TestDistributedBitIdentity(t *testing.T) {
 	t.Cleanup(workloads.SnapshotRegistry())
 	w1, w1store := newWorkerServer(t)
 	w2, w2store := newWorkerServer(t)
-	_, coord, _ := newCoordinator(t, w1.URL, w2.URL)
+	_, coord := newCoordinator(t, longLease, w1.URL, w2.URL)
 
 	req := `{
 		"spec": {"apps": [{"name":"dist_kv","structs":[{"name":"x","bytes":"1MB","pattern":"zipf","param":0.8}],"accesses":100000}],
@@ -232,7 +243,7 @@ func TestDistributedBitIdentity(t *testing.T) {
 func TestDistributedRegistryLeakedApps(t *testing.T) {
 	t.Cleanup(workloads.SnapshotRegistry())
 	w1, _ := newWorkerServer(t)
-	_, coord, _ := newCoordinator(t, w1.URL)
+	_, coord := newCoordinator(t, longLease, w1.URL)
 
 	// Job 1 registers leak_app into the coordinator's global registry.
 	spec1 := `{
@@ -268,7 +279,7 @@ func TestDistributedRegistryLeakedApps(t *testing.T) {
 func TestDistributedUnsweptMixNotForwarded(t *testing.T) {
 	t.Cleanup(workloads.SnapshotRegistry())
 	w1, _ := newWorkerServer(t)
-	_, coord, _ := newCoordinator(t, w1.URL)
+	_, coord := newCoordinator(t, longLease, w1.URL)
 	req := `{
 		"spec": {"apps": [{"name":"fwd_a","structs":[{"name":"x","bytes":"1MB","pattern":"rand"}],"accesses":100000},
 		                  {"name":"fwd_b","structs":[{"name":"y","bytes":"1MB","pattern":"rand"}],"accesses":100000}],
@@ -308,7 +319,7 @@ func deadWorkerFake(t *testing.T) *httptest.Server {
 func TestDistributedDeadWorker(t *testing.T) {
 	healthy, _ := newWorkerServer(t)
 	dying := deadWorkerFake(t)
-	srv, coord, _ := newCoordinator(t, healthy.URL, dying.URL)
+	srv, coord := newCoordinator(t, longLease, healthy.URL, dying.URL)
 
 	id, _ := postSweep(t, coord, `{"apps":["delaunay","MIS"],"scale":0.02}`)["id"].(string)
 	st := awaitJob(t, coord, id)
@@ -354,7 +365,7 @@ func TestDistributedDeadWorker(t *testing.T) {
 // still accounts for every cell as an error row.
 func TestDistributedAllWorkersDead(t *testing.T) {
 	dying := deadWorkerFake(t)
-	_, coord, _ := newCoordinator(t, dying.URL)
+	_, coord := newCoordinator(t, longLease, dying.URL)
 	id, _ := postSweep(t, coord, `{"apps":["delaunay"],"schemes":["jigsaw"],"scale":0.02}`)["id"].(string)
 	st := awaitJob(t, coord, id)
 	if st["state"] != "failed" {
@@ -379,7 +390,7 @@ func TestCellsJobNeverRedispatches(t *testing.T) {
 	// Coordinator pointing at a worker that would fail any forwarded
 	// shard; the cells job must succeed anyway, locally.
 	dying := deadWorkerFake(t)
-	_, coord, _ := newCoordinator(t, dying.URL)
+	_, coord := newCoordinator(t, longLease, dying.URL)
 	body := `{"cells":[{"app":"delaunay","scheme":"jigsaw"}],"scale":0.02}`
 	resp, err := http.Post(coord.URL+"/v1/cells", "application/json", strings.NewReader(body))
 	if err != nil {

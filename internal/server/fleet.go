@@ -94,7 +94,7 @@ func (s *Server) handleWorkersList(w http.ResponseWriter, r *http.Request) {
 }
 
 // Fleet exposes the daemon's worker registry (whirld wires it into
-// logging/tests; dispatch consumes it as a fleet.Membership).
+// logging/tests; dispatch routes over it).
 func (s *Server) Fleet() *fleet.Registry { return s.fleet }
 
 // Load samples this daemon's current load for fleet heartbeats (the

@@ -24,31 +24,10 @@ func postJSON(t *testing.T, url, body string) (int, map[string]any) {
 	return resp.StatusCode, out
 }
 
-// newElasticCoordinator boots a daemon with no static workers and the
-// given lease TTL; workers are expected to join via POST /v1/workers.
-func newElasticCoordinator(t *testing.T, ttl time.Duration) (*Server, *httptest.Server) {
-	t.Helper()
-	store, err := results.Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv, err := New(Config{Store: store, Workers: 2, LeaseTTL: ttl, Version: "coord"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(srv.Handler())
-	t.Cleanup(func() {
-		ts.Close()
-		srv.Close()
-		store.Close()
-	})
-	return srv, ts
-}
-
 // TestWorkersEndpointLifecycle drives the full lease protocol over
 // HTTP: register, list, heartbeat, stale-epoch fencing, deregister.
 func TestWorkersEndpointLifecycle(t *testing.T) {
-	_, ts := newElasticCoordinator(t, 10*time.Second)
+	_, ts := newCoordinator(t, 10*time.Second)
 
 	// Register.
 	code, reg := postJSON(t, ts.URL+"/v1/workers", `{"url":"http://w:9000","capacity":3}`)
@@ -113,7 +92,7 @@ func TestWorkersEndpointLifecycle(t *testing.T) {
 
 // TestWorkersEndpointValidation: malformed registrations are 400s.
 func TestWorkersEndpointValidation(t *testing.T) {
-	_, ts := newElasticCoordinator(t, time.Second)
+	_, ts := newCoordinator(t, time.Second)
 	for _, body := range []string{
 		`{"url":""}`,
 		`{"url":"not-a-url"}`,
@@ -127,12 +106,11 @@ func TestWorkersEndpointValidation(t *testing.T) {
 	}
 }
 
-// TestElasticDispatch: a worker that joins by registration alone (no
-// -workers flag anywhere) receives a sweep's cells, and the fleet
-// metrics trace the membership.
+// TestElasticDispatch: a worker that joins over POST /v1/workers
+// receives a sweep's cells, and the fleet metrics trace the membership.
 func TestElasticDispatch(t *testing.T) {
 	worker, wstore := newWorkerServer(t)
-	srv, coord := newElasticCoordinator(t, 10*time.Second)
+	srv, coord := newCoordinator(t, 10*time.Second)
 
 	// Before any registration the daemon simulates locally.
 	if n := len(srv.fleet.Snapshot().Members); n != 0 {
@@ -176,7 +154,7 @@ func TestElasticDispatch(t *testing.T) {
 // it, and the next sweep runs without it (locally, here, since it was
 // the only member).
 func TestLeaseExpiryFailsOver(t *testing.T) {
-	srv, coord := newElasticCoordinator(t, 100*time.Millisecond)
+	srv, coord := newCoordinator(t, 100*time.Millisecond)
 	code, reg := postJSON(t, coord.URL+"/v1/workers", `{"url":"http://w:9000","capacity":1}`)
 	if code != http.StatusOK {
 		t.Fatalf("join: %d: %v", code, reg)
@@ -212,20 +190,6 @@ func TestLeaseExpiryFailsOver(t *testing.T) {
 	}
 }
 
-// TestStaticWorkerURLValidatedAtStartup: a bad -workers URL fails
-// daemon construction, preserving the pre-fleet startup contract.
-func TestStaticWorkerURLValidatedAtStartup(t *testing.T) {
-	store, err := results.Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer store.Close()
-	if _, err := New(Config{Store: store, WorkerURLs: []string{"not-a-url"}}); err == nil ||
-		!strings.Contains(err.Error(), "not-a-url") {
-		t.Fatalf("bad static worker URL accepted: %v", err)
-	}
-}
-
 // TestRegisterRejectedWhileDraining: a draining daemon refuses new
 // fleet members the same way it refuses new jobs.
 func TestRegisterRejectedWhileDraining(t *testing.T) {
@@ -250,7 +214,7 @@ func TestRegisterRejectedWhileDraining(t *testing.T) {
 // TestServerLoadSamples: Load reports queued/in-flight cells and a
 // completion rate — the sample a worker whirld ships in heartbeats.
 func TestServerLoadSamples(t *testing.T) {
-	srv, ts := newElasticCoordinator(t, time.Second)
+	srv, ts := newCoordinator(t, time.Second)
 	if l := srv.Load(); l.InflightCells != 0 || l.QueuedCells != 0 {
 		t.Fatalf("idle load = %+v", l)
 	}

@@ -57,22 +57,16 @@ type Config struct {
 	// Workers bounds each job's sweep parallelism; <= 0 means
 	// GOMAXPROCS.
 	Workers int
-	// WorkerURLs seeds the fleet with static members: workers assumed
-	// alive for the daemon's lifetime (no lease, never expire — the
-	// pre-elastic -workers model). Workers may also join dynamically at
-	// runtime via POST /v1/workers (whirld -join), with liveness
-	// governed by heartbeat leases. Whenever the fleet has at least one
-	// alive member the daemon is a coordinator: a sweep's unserved
-	// cells are sharded across the alive set (internal/dispatch)
-	// instead of being simulated locally, and every returned row is
-	// committed to this daemon's store. Shard jobs (POST /v1/cells)
-	// always run locally, so a coordinator is never part of its own
-	// fleet.
-	WorkerURLs []string
-	// LeaseTTL is how long a dynamically-joined worker stays alive
-	// without a heartbeat; past it the worker is dead exactly as if
-	// its connection had dropped mid-shard. <= 0 means the fleet
-	// default (10s).
+	// LeaseTTL is how long a worker that joined via POST /v1/workers
+	// (whirld -join) stays alive without a heartbeat; past it the
+	// worker is dead exactly as if its connection had dropped
+	// mid-shard. <= 0 means the fleet default (10s). Whenever the
+	// fleet has at least one alive member the daemon is a coordinator:
+	// a sweep's unserved cells are sharded across the alive set
+	// (internal/dispatch) instead of being simulated locally, and every
+	// returned row is committed to this daemon's store. Shard jobs
+	// (POST /v1/cells) always run locally, so a coordinator is never
+	// part of its own fleet.
 	LeaseTTL time.Duration
 	// Log, when non-nil, receives structured job, fleet membership, and
 	// dispatch logs (whirld passes an obs.NewLogger writing the classic
@@ -130,8 +124,8 @@ type Server struct {
 	metrics   metrics
 	endpoints []*endpoint
 
-	// fleet is the worker registry: static members seeded from
-	// cfg.WorkerURLs plus leased members joining via /v1/workers.
+	// fleet is the worker registry: leased members joining via
+	// /v1/workers.
 	fleet *fleet.Registry
 	log   *slog.Logger
 
@@ -214,12 +208,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	s.tracer = obs.New(0)
 	s.fleet = fleet.NewRegistry(fleet.RegistryOptions{LeaseTTL: cfg.LeaseTTL, Log: s.log})
-	for _, u := range cfg.WorkerURLs {
-		if err := s.fleet.AddStatic(u, 0); err != nil {
-			cancel()
-			return nil, fmt.Errorf("server: worker URL: %v", err)
-		}
-	}
 	s.mux = http.NewServeMux()
 	// Routes sharing a name share one endpoint: one concurrency limit,
 	// one latency histogram (server.endpoints.<name> in /metrics).

@@ -1,12 +1,17 @@
 #!/bin/sh
 # fleet-smoke: end-to-end proof of the elastic fleet.
 #
-#  1. start a coordinator whirld with NO -workers flag and two worker
-#     whirlds that join it themselves (-join): membership comes from
-#     registration alone, visible in GET /v1/workers
-#  2. submit a sweep; the joined workers compute every cell, and the
-#     merged grid (timing/error columns stripped) is bit-identical to
-#     a direct single-node whirlsweep run
+#  1. start a coordinator whirld and two worker whirlds that join it
+#     themselves (-join), all sharing ONE result store directory:
+#     membership comes from registration alone, visible in
+#     GET /v1/workers
+#  2. submit a sweep; the joined workers compute every cell, the job
+#     status shows the per-worker split, and the merged grid
+#     (timing/error columns stripped) is bit-identical to a direct
+#     single-node whirlsweep run. A warm resubmit is then served from
+#     the shared store with zero re-simulations on every node, and the
+#     same sweep submitted straight to a worker is served entirely
+#     from the shared store
 #  3. start a THIRD worker while a bigger sweep is mid-flight: the
 #     dispatcher rebalances and the late joiner computes cells of a
 #     job that started before it existed
@@ -96,8 +101,8 @@ submit() {
     curl -fsS -X POST -H 'Content-Type: application/json' -d "$1" "$2/v1/sweeps" \
         | sed -n 's/.*"id": *"\([^"]*\)".*/\1/p'
 }
-await() { # await JOBID
-    (curl -fsS -N --max-time 300 "$coord_url/v1/jobs/$1/stream" || true) | grep -q '^event: done' \
+await() { # await JOBID [BASEURL], BASEURL defaulting to the coordinator
+    (curl -fsS -N --max-time 300 "${2:-$coord_url}/v1/jobs/$1/stream" || true) | grep -q '^event: done' \
         || fail "job $1 never finished"
 }
 
@@ -123,6 +128,23 @@ curl -fsS "$coord_url/v1/jobs/$id/rows?format=csv" | cut -d, -f1-16,19 > "$dir/f
 "$dir/whirlsweep" -apps delaunay,MIS -schemes jigsaw,snuca-lru -scale 0.05 -format csv -q \
     | cut -d, -f1-16,19 > "$dir/direct.csv"
 diff "$dir/fleet.csv" "$dir/direct.csv" || fail "fleet rows differ from the single-node run"
+
+# A warm resubmit is served from the shared store: zero re-simulations
+# on the coordinator and on every worker.
+id=$(submit "$req" "$coord_url")
+await "$id"
+status=$(curl -fsS "$coord_url/v1/jobs/$id")
+printf '%s\n' "$status" | grep -q '"served": 4' || fail "warm resubmit did not serve 4 rows: $status"
+printf '%s\n' "$status" | grep -q '"computed": 0' || fail "warm resubmit re-simulated on the coordinator: $status"
+[ "$(prom "$worker1_url" whirld_rows_computed_total)" = "$w1c" ] || fail "warm resubmit re-simulated on worker1"
+[ "$(prom "$worker2_url" whirld_rows_computed_total)" = "$w2c" ] || fail "warm resubmit re-simulated on worker2"
+
+# Any node serves any cell computed anywhere: the same sweep submitted
+# straight to a worker is served entirely from the shared store.
+id=$(submit "$req" "$worker1_url")
+await "$id" "$worker1_url"
+status=$(curl -fsS "$worker1_url/v1/jobs/$id")
+printf '%s\n' "$status" | grep -q '"served": 4' || fail "worker1 did not serve from the shared store: $status"
 
 # --- phase 3: a worker joining mid-sweep receives cells ---
 req2='{"apps":["mcf","lbm","hull","cactus"],"schemes":["jigsaw","snuca-lru"],"scale":0.1}'
