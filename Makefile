@@ -10,7 +10,7 @@ GO ?= go
 VERSION ?= $(shell git describe --tags --always --dirty 2>/dev/null || echo dev)
 LDFLAGS := -ldflags "-X whirlpool/internal/cliutil.buildVersion=$(VERSION)"
 
-.PHONY: build examples test race fuzz vet lint fmt fmt-check bench bench-ab smoke trace-smoke serve-smoke fleet-smoke load-smoke obs-smoke bench-check golden-check ci
+.PHONY: build examples test race fuzz vet lint fmt fmt-check bench bench-ab smoke trace-smoke fleet-smoke load-smoke bench-check golden-check ci
 
 build:
 	$(GO) build $(LDFLAGS) ./...
@@ -63,9 +63,8 @@ vet:
 # The repo's own analyzers (cmd/whirlvet): determinism of the compute
 # path, //whirl:zeroalloc hot-path contracts, envelope-only API errors,
 # lowercase_snake log/span keys, and mutex discipline on the
-# schemes/workloads/fleet registries. New findings fail; grandfathered
-# ones live in lint.baseline.json (empty today — keep it that way).
-# See docs/lint.md.
+# schemes/workloads/fleet registries. Every analyzer runs on every
+# package and any finding fails. See docs/lint.md.
 lint:
 	$(GO) run ./cmd/whirlvet ./...
 
@@ -171,38 +170,29 @@ trace-smoke:
 	rm -rf .trace-smoke
 	@echo "trace-smoke OK"
 
-# Serving smoke: start whirld, submit a sweep over HTTP, await the SSE
-# stream, diff the rows (timing stripped) against a direct whirlsweep
-# run, then resubmit against the warm store and assert zero
-# re-simulations. See scripts/serve-smoke.sh.
-serve-smoke:
-	GO="$(GO)" sh scripts/serve-smoke.sh
-
 # Fleet smoke: two workers join a coordinator (-join), all sharing one
 # result store; the merged grid must be bit-identical to a single-node
-# run, a warm resubmit must re-simulate nothing on any node, and a
-# sweep submitted straight to a worker must be served from the shared
-# store. A third worker joining mid-sweep receives cells, and a worker
-# killed -9 mid-sweep has its lease expire and its cells re-route to
-# the survivors. See scripts/fleet-smoke.sh.
+# run and collect as one trace tree (both workers' spans stitched under
+# the coordinator's job span, rendered by `whirltool spans`), the
+# coordinator's /metrics?format=prom must lint as Prometheus exposition
+# and pprof must serve on -debug-addr only. A warm resubmit must
+# re-simulate nothing on any node, and a sweep submitted straight to a
+# worker must be served from the shared store. A third worker joining
+# mid-sweep receives cells, and a worker killed -9 mid-sweep has its
+# lease expire and its cells re-route to the survivors. See
+# scripts/fleet-smoke.sh.
 fleet-smoke:
 	GO="$(GO)" sh scripts/fleet-smoke.sh
 
-# Serving-SLO smoke: whirltool load drives a warm whirld with a mixed
-# traffic spec (throughput floors + p99 SLOs fail the run when
-# breached), then overdrives /v1/results past its concurrency limit and
+# Single-daemon smoke: a sweep submitted to whirld over HTTP streams
+# its rows over SSE and must be bit-identical to a direct whirlsweep
+# run; a warm resubmit and `whirlsweep -store` must both be served from
+# the daemon's store. Then whirltool load drives the warm daemon with a
+# mixed traffic spec (throughput floors + p99 SLOs fail the run when
+# breached), overdrives /v1/results past its concurrency limit and
 # asserts it sheds 429 + Retry-After while other endpoints keep
 # serving. See scripts/load-smoke.sh.
 load-smoke:
 	GO="$(GO)" sh scripts/load-smoke.sh
 
-# Observability smoke: a 2-worker distributed sweep must collect as ONE
-# trace tree (single root, both workers' spans stitched under the
-# coordinator's job span) fetched from /v1/jobs/{id}/trace and rendered
-# by `whirltool spans`; /metrics?format=prom must lint as valid
-# Prometheus exposition; pprof serves on -debug-addr only. See
-# scripts/obs-smoke.sh.
-obs-smoke:
-	GO="$(GO)" sh scripts/obs-smoke.sh
-
-ci: build examples vet lint fmt-check test race fuzz bench bench-check golden-check smoke trace-smoke serve-smoke fleet-smoke load-smoke obs-smoke bench-ab
+ci: build examples vet lint fmt-check test race fuzz bench bench-check golden-check smoke trace-smoke fleet-smoke load-smoke bench-ab

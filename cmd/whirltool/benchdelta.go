@@ -7,6 +7,8 @@ import (
 	"slices"
 	"strconv"
 	"strings"
+
+	"whirlpool/internal/stats"
 )
 
 // The gate's rule: a median ns/op or allocs/op regresses when it exceeds
@@ -84,25 +86,14 @@ func compareBench(base, change benchSamples) (deltas []benchDelta, oneSided []st
 			if len(b) == 0 || len(c) == 0 {
 				continue
 			}
-			d := benchDelta{Name: name, Unit: unit, Base: quantile(b, 0.5), Change: quantile(c, 0.5),
-				BaseIQR: quantile(b, 0.75) - quantile(b, 0.25)}
+			d := benchDelta{Name: name, Unit: unit, Base: stats.Percentile(b, 50), Change: stats.Percentile(c, 50),
+				BaseIQR: stats.Percentile(b, 75) - stats.Percentile(b, 25)}
 			d.Regressed = d.Change > d.Base &&
 				(d.Base == 0 || d.Change > d.Base*(1+maxRegress) && d.Change-d.Base > d.BaseIQR)
 			deltas = append(deltas, d)
 		}
 	}
 	return deltas, oneSided
-}
-
-// quantile interpolates linearly between the closest ranks of xs.
-func quantile(xs []float64, q float64) float64 {
-	s := slices.Sorted(slices.Values(xs))
-	pos := q * float64(len(s)-1)
-	i := int(pos)
-	if i+1 >= len(s) {
-		return s[len(s)-1]
-	}
-	return s[i] + (pos-float64(i))*(s[i+1]-s[i])
 }
 
 // benchDeltaCmd compares the raw benchmark output of a base and a

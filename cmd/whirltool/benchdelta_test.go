@@ -43,6 +43,13 @@ func TestParseBench(t *testing.T) {
 
 func TestCompareBench(t *testing.T) {
 	base := []float64{100, 90, 110, 95, 105, 100} // median 100, IQR 7.5
+	b, err := parseBench(rounds("BenchmarkA", base, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if deltas, _ := compareBench(b, b); deltas[0].Unit != "ns/op" || deltas[0].Base != 100 || deltas[0].BaseIQR != 7.5 {
+		t.Fatalf("base ns/op delta %+v, want median 100 and IQR 7.5", deltas[0])
+	}
 	shifted := func(by float64) []float64 {
 		out := make([]float64, len(base))
 		for i, v := range base {
@@ -127,14 +134,5 @@ func TestCompareBench(t *testing.T) {
 				t.Errorf("one-sided %v, want %v", oneSided, tc.oneSided)
 			}
 		})
-	}
-}
-
-func TestQuantile(t *testing.T) {
-	xs := []float64{100, 90, 110, 95, 105, 100}
-	for _, tc := range []struct{ q, want float64 }{{0, 90}, {0.25, 96.25}, {0.5, 100}, {0.75, 103.75}, {1, 110}} {
-		if got := quantile(xs, tc.q); got != tc.want {
-			t.Errorf("quantile(%v) = %v, want %v", tc.q, got, tc.want)
-		}
 	}
 }

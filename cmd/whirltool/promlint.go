@@ -15,7 +15,7 @@ import (
 // whirld /metrics?format=prom output, but any exposition works. It
 // checks metric-name and label syntax, TYPE declarations, and sample
 // values, reporting every offending line; any error exits non-zero so
-// the obs-smoke CI step can gate on it.
+// scripts/fleet-smoke.sh can gate a live coordinator's exposition on it.
 func promlintCmd(args []string) {
 	fs := flag.NewFlagSet("promlint", flag.ExitOnError)
 	fs.Usage = func() {

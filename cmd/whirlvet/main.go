@@ -2,21 +2,20 @@
 // analyzers encoding invariants the codebase documents but `go vet`
 // cannot check — determinism of the compute path, zero-alloc hot
 // paths, envelope-only API errors, grep-able log keys, and
-// mutex-guarded registries. See docs/lint.md for the catalog and the
-// marker comments (//whirl:wallclock, //whirl:zeroalloc, ...).
+// mutex-guarded registries. Every analyzer runs over the given package
+// patterns (default ./...) and each finding prints as a go-vet-style
+// file:line:col line. See docs/lint.md for the catalog and the marker
+// comments (//whirl:wallclock, //whirl:zeroalloc, ...).
 //
 // Usage:
 //
-//	whirlvet ./...                          # the whole module (what make lint runs)
-//	whirlvet -analyzers determinism ./internal/experiments/
-//	whirlvet -json ./...                    # machine-readable findings
-//	whirlvet -write-baseline ./...          # grandfather current findings
+//	whirlvet ./...     # the whole module (what make lint runs)
+//	whirlvet -list     # the analyzers and what each checks
 //
-// Exit status: 0 clean, 1 new findings, 2 usage or load errors.
+// Exit status: 0 clean, 1 findings, 2 usage or load errors.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -25,21 +24,7 @@ import (
 	"whirlpool/internal/lint"
 )
 
-// defaultBaseline is picked up from the working directory when present
-// (the committed one lives at the module root, where make lint runs).
-const defaultBaseline = "lint.baseline.json"
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "whirlvet:", err)
-	os.Exit(2)
-}
-
 func main() {
-	analyzersFlag := flag.String("analyzers", "", "comma-separated analyzers to run (default: all; see -list)")
-	disableFlag := flag.String("disable", "", "comma-separated analyzers to skip")
-	jsonOut := flag.Bool("json", false, "emit findings as JSON")
-	baselineFlag := flag.String("baseline", "", "baseline file of grandfathered findings (default: "+defaultBaseline+" when present)")
-	writeBaseline := flag.Bool("write-baseline", false, "write current findings to the baseline file and exit")
 	list := flag.Bool("list", false, "list analyzers and exit")
 	version := cliutil.VersionFlag()
 	flag.Parse()
@@ -52,71 +37,14 @@ func main() {
 		return
 	}
 
-	cfg := lint.Config{
-		Patterns:  flag.Args(),
-		Analyzers: cliutil.SplitList(*analyzersFlag),
-		Disable:   cliutil.SplitList(*disableFlag),
-	}
-
-	baselinePath := *baselineFlag
-	if baselinePath == "" {
-		if _, err := os.Stat(defaultBaseline); err == nil {
-			baselinePath = defaultBaseline
-		}
-	}
-	if baselinePath != "" && !*writeBaseline {
-		b, err := lint.ReadBaseline(baselinePath)
-		if err != nil {
-			fatal(err)
-		}
-		cfg.Baseline = b
-	}
-
-	res, err := lint.Run(cfg)
+	res, err := lint.Run(lint.Config{Patterns: flag.Args()})
 	if err != nil {
-		fatal(err)
+		fmt.Fprintln(os.Stderr, "whirlvet:", err)
+		os.Exit(2)
 	}
-
-	if *writeBaseline {
-		if baselinePath == "" {
-			baselinePath = defaultBaseline
-		}
-		if err := lint.WriteBaseline(baselinePath, res.Findings); err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "whirlvet: wrote %d finding(s) to %s\n", len(res.Findings), baselinePath)
-		return
-	}
-
-	if *jsonOut {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(struct {
-			Findings  []lint.Finding `json:"findings"`
-			Baselined int            `json:"baselined"`
-			Packages  int            `json:"packages"`
-		}{nonNil(res.Findings), len(res.Baselined), res.Packages}); err != nil {
-			fatal(err)
-		}
-	} else {
-		lint.WriteText(os.Stdout, res.Findings)
-	}
-
+	lint.WriteText(os.Stdout, res.Findings)
 	if len(res.Findings) > 0 {
-		if !*jsonOut {
-			fmt.Fprintf(os.Stderr, "whirlvet: %d finding(s) in %d package(s)", len(res.Findings), res.Packages)
-			if n := len(res.Baselined); n > 0 {
-				fmt.Fprintf(os.Stderr, " (+%d baselined)", n)
-			}
-			fmt.Fprintln(os.Stderr)
-		}
+		fmt.Fprintf(os.Stderr, "whirlvet: %d finding(s) in %d package(s)\n", len(res.Findings), res.Packages)
 		os.Exit(1)
 	}
-}
-
-func nonNil(fs []lint.Finding) []lint.Finding {
-	if fs == nil {
-		return []lint.Finding{}
-	}
-	return fs
 }

@@ -21,18 +21,62 @@ type FigureOptions struct {
 	Seed uint64
 }
 
+// figureRun is what a renderer draws on: the harness for the options'
+// scale and seed, the app subset and the Fig 22 mix count.
+type figureRun struct {
+	*experiments.Harness
+	apps  []string
+	mixes int
+}
+
+// figures is the one ordered id → renderer table: Figures lists its
+// ids and Figure runs the matching renderer.
+var figures = []struct {
+	id     string
+	render func(r figureRun) string
+}{
+	{"fig2", func(r figureRun) string { return r.Fig02().String() }},
+	{"fig5", func(r figureRun) string { return r.Fig05() }},
+	{"fig6", func(r figureRun) string { return r.Fig06().String() }},
+	{"fig8", func(r figureRun) string { return r.Fig08().String() }},
+	{"fig9", func(r figureRun) string { return r.Fig09().String() }},
+	{"fig10", func(r figureRun) string { return r.Fig10().String() }},
+	{"fig11", func(r figureRun) string { return r.Fig11().String() }},
+	{"fig13", func(r figureRun) string { return r.Fig13(ParallelApps()).String() }},
+	{"fig16", func(r figureRun) string { return r.Fig16(r.apps).String() }},
+	{"fig17", func(r figureRun) string { return r.Fig17() }},
+	{"fig18", func(r figureRun) string { return r.Fig18().String() }},
+	{"fig19", func(r figureRun) string { return r.Fig19().String() }},
+	{"fig20", func(r figureRun) string { return r.Fig20().String() }},
+	{"fig21", func(r figureRun) string {
+		t, _ := r.Fig21(r.apps)
+		return t.String()
+	}},
+	{"fig22", func(r figureRun) string {
+		t4, _ := r.Fig22(experiments.RandomMixes(r.mixes, 4, 0xA11CE), false)
+		t16, _ := r.Fig22(experiments.RandomMixes(r.mixes, 16, 0xB0B), true)
+		return t4.String() + "\n" + t16.String()
+	}},
+	{"fig23", func(figureRun) string { return experiments.Fig23().String() }},
+	{"table2", func(r figureRun) string { return r.Table2().String() }},
+	{"table3", func(figureRun) string { return experiments.Table3().String() }},
+	{"ablation-latency", func(r figureRun) string { return r.AblationLatencyCurves("delaunay").String() }},
+	{"ablation-trading", func(r figureRun) string { return r.AblationTrading("delaunay").String() }},
+	{"ablation-bypass", func(r figureRun) string { return r.AblationBypass(r.apps).String() }},
+}
+
 // Figures lists the regenerable table/figure ids.
 func Figures() []string {
-	return []string{
-		"fig2", "fig5", "fig6", "fig8", "fig9", "fig10", "fig11", "fig13",
-		"fig16", "fig17", "fig18", "fig19", "fig20", "fig21", "fig22",
-		"fig23", "table2", "table3",
-		"ablation-latency", "ablation-trading", "ablation-bypass",
+	ids := make([]string, len(figures))
+	for i, f := range figures {
+		ids[i] = f.id
 	}
+	return ids
 }
 
 // Figure regenerates one of the paper's tables or figures and returns it
-// rendered as text. See Figures() for valid ids.
+// rendered as text. See Figures() for valid ids; fig3 and fig4 are
+// aliases of fig5, which plots both.
 func Figure(id string, opt *FigureOptions) (string, error) {
 	o := FigureOptions{}
 	if opt != nil {
@@ -42,8 +86,16 @@ func Figure(id string, opt *FigureOptions) (string, error) {
 	if err != nil {
 		return "", fmt.Errorf("whirlpool: %w", err)
 	}
+	if o.Mixes < 0 {
+		return "", fmt.Errorf("whirlpool: mixes must be >= 0 (0 means 20), got %d", o.Mixes)
+	}
 	if o.Mixes == 0 {
 		o.Mixes = 20
+	}
+	for _, a := range o.Apps {
+		if _, ok := workloads.ByName(a); !ok {
+			return "", fmt.Errorf("whirlpool: unknown app %q (see Apps())", a)
+		}
 	}
 	// Default to the built-in suite only: loaded spec files must not
 	// silently change which apps a paper figure averages over.
@@ -51,56 +103,14 @@ func Figure(id string, opt *FigureOptions) (string, error) {
 	if apps == nil {
 		apps = workloads.BuiltinNames()
 	}
-	h := harnessFor(harnessKey{scale: scale, seed: o.Seed})
-	switch id {
-	case "fig2":
-		return h.Fig02().String(), nil
-	case "fig5", "fig3", "fig4":
-		return h.Fig05(), nil
-	case "fig6":
-		return h.Fig06().String(), nil
-	case "fig8":
-		return h.Fig08().String(), nil
-	case "fig9":
-		return h.Fig09().String(), nil
-	case "fig10":
-		return h.Fig10().String(), nil
-	case "fig11":
-		return h.Fig11().String(), nil
-	case "fig13":
-		par := ParallelApps()
-		return h.Fig13(par).String(), nil
-	case "fig16":
-		return h.Fig16(apps).String(), nil
-	case "fig17":
-		return h.Fig17(), nil
-	case "fig18":
-		return h.Fig18().String(), nil
-	case "fig19":
-		return h.Fig19().String(), nil
-	case "fig20":
-		return h.Fig20().String(), nil
-	case "fig21":
-		t, _ := h.Fig21(apps)
-		return t.String(), nil
-	case "fig22":
-		mixes4 := experiments.RandomMixes(o.Mixes, 4, 0xA11CE)
-		t4, _ := h.Fig22(mixes4, false)
-		mixes16 := experiments.RandomMixes(o.Mixes, 16, 0xB0B)
-		t16, _ := h.Fig22(mixes16, true)
-		return t4.String() + "\n" + t16.String(), nil
-	case "fig23":
-		return experiments.Fig23().String(), nil
-	case "table2":
-		return h.Table2().String(), nil
-	case "table3":
-		return experiments.Table3().String(), nil
-	case "ablation-latency":
-		return h.AblationLatencyCurves("delaunay").String(), nil
-	case "ablation-trading":
-		return h.AblationTrading("delaunay").String(), nil
-	case "ablation-bypass":
-		return h.AblationBypass(apps).String(), nil
+	if id == "fig3" || id == "fig4" {
+		id = "fig5"
+	}
+	for _, f := range figures {
+		if f.id == id {
+			h := harnessFor(harnessKey{scale: scale, seed: o.Seed})
+			return f.render(figureRun{h, apps, o.Mixes}), nil
+		}
 	}
 	valid := Figures()
 	sort.Strings(valid)

@@ -142,4 +142,9 @@ func TestUnknownMarkers(t *testing.T) {
 	if f.Analyzer != "markers" || !strings.Contains(f.Message, "wallclok") {
 		t.Fatalf("unexpected unknown-marker finding: %s", f)
 	}
+	for kind := range knownMarks {
+		if !strings.Contains(f.Message, kind) {
+			t.Errorf("unknown-marker message does not name kind %q: %s", kind, f.Message)
+		}
+	}
 }

@@ -11,15 +11,17 @@ import (
 	"fmt"
 	"go/ast"
 	"go/token"
+	"maps"
 	"regexp"
+	"slices"
 	"strings"
 )
 
 // An Analyzer checks one invariant. Run is invoked once per loaded
 // package with a Pass scoped to that package.
 type Analyzer struct {
-	// Name is the stable identifier used in diagnostics, -analyzers/
-	// -disable flags, and the baseline file.
+	// Name is the stable identifier printed in diagnostics and by
+	// whirlvet -list.
 	Name string
 	// Doc is the one-line description printed by whirlvet -list.
 	Doc string
@@ -40,16 +42,6 @@ func All() []*Analyzer {
 		Slogkeys,
 		Registrylock,
 	}
-}
-
-// ByName resolves one analyzer from All.
-func ByName(name string) (*Analyzer, bool) {
-	for _, a := range All() {
-		if a.Name == name {
-			return a, true
-		}
-	}
-	return nil, false
 }
 
 // A Diagnostic is one raw finding at a token position (resolved to a
@@ -112,6 +104,10 @@ var knownMarks = map[string]bool{
 	MarkEnvelope:  true,
 	MarkLocked:    true,
 }
+
+// knownKinds lists knownMarks' kinds, sorted and comma-separated, for
+// the unknown-marker message.
+var knownKinds = strings.Join(slices.Sorted(maps.Keys(knownMarks)), ", ")
 
 // reasonRequired lists the kinds whose marker must carry a reason
 // string to take effect.

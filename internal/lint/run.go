@@ -10,14 +10,14 @@ import (
 )
 
 // A Finding is one resolved diagnostic. File is module-root-relative
-// and slash-separated, so findings (and the baseline) are stable
-// across checkouts and operating systems.
+// and slash-separated, so findings are stable across checkouts and
+// operating systems.
 type Finding struct {
-	File     string `json:"file"`
-	Line     int    `json:"line"`
-	Col      int    `json:"col"`
-	Analyzer string `json:"analyzer"`
-	Message  string `json:"message"`
+	File     string
+	Line     int
+	Col      int
+	Analyzer string
+	Message  string
 }
 
 // String renders the go-vet-style diagnostic line.
@@ -32,72 +32,22 @@ type Config struct {
 	Dir string
 	// Patterns are go-list package patterns; default ["./..."].
 	Patterns []string
-	// Analyzers selects a subset of All by name; nil/empty = all.
-	Analyzers []string
-	// Disable removes analyzers by name after selection.
-	Disable []string
-	// Baseline holds grandfathered findings: matching findings are
-	// reported separately and do not fail the run. New findings always
-	// fail.
-	Baseline *Baseline
 }
 
 // Result is one whirlvet run's outcome.
 type Result struct {
-	// Findings are the new (non-baselined) findings, sorted by
-	// position. Non-empty means the run failed.
+	// Findings are sorted by position. Non-empty means the run failed.
 	Findings []Finding
-	// Baselined are findings matched (and absorbed) by the baseline.
-	Baselined []Finding
 	// Packages is the number of packages analyzed.
 	Packages int
 }
 
-// Analyzers resolves cfg's analyzer selection against All, erroring on
-// unknown names (a typo silently running zero analyzers is how lint
-// gates rot).
-func (cfg *Config) analyzers() ([]*Analyzer, error) {
-	selected := All()
-	if len(cfg.Analyzers) > 0 {
-		selected = selected[:0:0]
-		for _, name := range cfg.Analyzers {
-			a, ok := ByName(name)
-			if !ok {
-				return nil, fmt.Errorf("unknown analyzer %q (whirlvet -list shows valid names)", name)
-			}
-			selected = append(selected, a)
-		}
-	}
-	for _, name := range cfg.Disable {
-		if _, ok := ByName(name); !ok {
-			return nil, fmt.Errorf("unknown analyzer %q in -disable (whirlvet -list shows valid names)", name)
-		}
-	}
-	out := selected[:0:0]
-	for _, a := range selected {
-		disabled := false
-		for _, name := range cfg.Disable {
-			if a.Name == name {
-				disabled = true
-				break
-			}
-		}
-		if !disabled {
-			out = append(out, a)
-		}
-	}
-	return out, nil
-}
-
-// Run loads the requested packages and applies the selected analyzers.
+// Run loads the requested packages and applies every analyzer whose
+// Match accepts each one, plus the unknown-marker check.
 func Run(cfg Config) (*Result, error) {
 	dir := cfg.Dir
 	if dir == "" {
 		dir = "."
-	}
-	analyzers, err := cfg.analyzers()
-	if err != nil {
-		return nil, err
 	}
 	pkgs, err := Load(dir, cfg.Patterns...)
 	if err != nil {
@@ -111,7 +61,7 @@ func Run(cfg Config) (*Result, error) {
 	var findings []Finding
 	for _, pkg := range pkgs {
 		findings = append(findings, unknownMarkers(pkg, root)...)
-		for _, a := range analyzers {
+		for _, a := range All() {
 			if a.Match != nil && !a.Match(pkg.Path) {
 				continue
 			}
@@ -119,14 +69,7 @@ func Run(cfg Config) (*Result, error) {
 		}
 	}
 	sortFindings(findings)
-
-	res := &Result{Packages: len(pkgs)}
-	if cfg.Baseline != nil {
-		res.Findings, res.Baselined = cfg.Baseline.split(findings)
-	} else {
-		res.Findings = findings
-	}
-	return res, nil
+	return &Result{Findings: findings, Packages: len(pkgs)}, nil
 }
 
 // RunAnalyzer applies one analyzer to one loaded package, bypassing
@@ -159,7 +102,7 @@ func unknownMarkers(pkg *Package, root string) []Finding {
 		out = append(out, resolve(pkg.Fset, Diagnostic{
 			Pos:      m.Pos,
 			Analyzer: "markers",
-			Message:  fmt.Sprintf("unknown marker //whirl:%s (known kinds: envelope, locked, unordered, wallclock, zeroalloc)", m.Kind),
+			Message:  fmt.Sprintf("unknown marker //whirl:%s (known kinds: %s)", m.Kind, knownKinds),
 		}, root))
 	}
 	return out

@@ -12,7 +12,7 @@ import (
 // per-quantile gauges (whirld_endpoint_latency_ms{endpoint,quantile})
 // plus an observation counter — the daemon keeps quantile snapshots,
 // not raw buckets, so a summary-style surface is the honest rendering.
-// `whirltool promlint` validates the output in CI (obs-smoke).
+// `whirltool promlint` validates the output in CI (fleet-smoke).
 type promWriter struct{ w io.Writer }
 
 // head writes the HELP + TYPE preamble for one metric family.

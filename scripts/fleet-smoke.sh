@@ -8,10 +8,15 @@
 #  2. submit a sweep; the joined workers compute every cell, the job
 #     status shows the per-worker split, and the merged grid
 #     (timing/error columns stripped) is bit-identical to a direct
-#     single-node whirlsweep run. A warm resubmit is then served from
-#     the shared store with zero re-simulations on every node, and the
-#     same sweep submitted straight to a worker is served entirely
-#     from the shared store
+#     single-node whirlsweep run. The sweep collects as ONE trace tree
+#     (GET /v1/jobs/{id}/trace: a single root, the coordinator's job
+#     and dispatch.shard spans and both workers' cell spans under one
+#     trace ID), which `whirltool spans` renders; the coordinator's
+#     /metrics?format=prom lints as Prometheus text exposition, pprof
+#     serves on -debug-addr only, and /healthz carries its gauges. A
+#     warm resubmit is then served from the shared store with zero
+#     re-simulations on every node, and the same sweep submitted
+#     straight to a worker is served entirely from the shared store
 #  3. start a THIRD worker while a bigger sweep is mid-flight: the
 #     dispatcher rebalances and the late joiner computes cells of a
 #     job that started before it existed
@@ -38,6 +43,7 @@ fail() {
 
 $GO build -o "$dir/whirld" ./cmd/whirld
 $GO build -o "$dir/whirlsweep" ./cmd/whirlsweep
+$GO build -o "$dir/whirltool" ./cmd/whirltool
 
 # start NAME ARGS... boots one whirld and records its pid + base URL.
 start() {
@@ -89,8 +95,10 @@ store="$dir/store"
 # a third of it. -parallel 1 keeps per-round quotas small, so bigger
 # grids take several dispatch rounds — the window the mid-sweep join
 # and the kill both need.
-start coord -store "$store" -parallel 2 -lease-ttl 2s
-curl -fsS "$coord_url/healthz" > /dev/null || fail "coordinator healthz unreachable"
+start coord -store "$store" -parallel 2 -lease-ttl 2s -debug-addr 127.0.0.1:0
+debug_addr=$(sed -n 's/^whirld: debug listening on //p' "$dir/coord.out")
+[ -n "$debug_addr" ] || fail "coordinator never reported its debug address"
+curl -fsS "$coord_url/healthz" | grep -q '"goroutines"' || fail "coordinator healthz has no goroutines gauge"
 curl -fsS "$coord_url/v1/workers" | grep -q '"alive": 0,' || fail "fresh coordinator fleet not empty"
 
 start worker1 -store "$store" -parallel 1 -join "$coord_url"
@@ -115,6 +123,7 @@ status=$(curl -fsS "$coord_url/v1/jobs/$id")
 printf '%s\n' "$status" | grep -q '"state": "done"' || fail "elastic sweep failed: $status"
 printf '%s\n' "$status" | grep -q '"computed": 4' || fail "elastic sweep did not compute 4 cells: $status"
 printf '%s\n' "$status" | grep -q '"workers"' || fail "job status has no per-worker split: $status"
+printf '%s\n' "$status" | grep -q '"trace_id"' || fail "job status carries no trace_id: $status"
 
 # Both joined workers actually computed cells (the grid went through
 # the fleet, not local simulation).
@@ -128,6 +137,37 @@ curl -fsS "$coord_url/v1/jobs/$id/rows?format=csv" | cut -d, -f1-16,19 > "$dir/f
 "$dir/whirlsweep" -apps delaunay,MIS -schemes jigsaw,snuca-lru -scale 0.05 -format csv -q \
     | cut -d, -f1-16,19 > "$dir/direct.csv"
 diff "$dir/fleet.csv" "$dir/direct.csv" || fail "fleet rows differ from the single-node run"
+
+# The sweep collects as one trace tree: exactly one rootless span,
+# every span in one trace.
+trace="$dir/trace.jsonl"
+curl -fsS "$coord_url/v1/jobs/$id/trace" > "$trace" || fail "trace endpoint failed"
+[ -s "$trace" ] || fail "trace endpoint returned nothing"
+roots=$(grep -c -v '"parent"' "$trace" || true)
+[ "$roots" -eq 1 ] || fail "trace has $roots roots, want exactly 1"
+traces=$(sed -n 's/.*"trace":"\([0-9a-f]*\)".*/\1/p' "$trace" | sort -u | wc -l)
+[ "$traces" -eq 1 ] || fail "spans scattered across $traces trace IDs, want 1"
+# The coordinator's side of the tree, and both workers' stitched-in
+# cell spans (4 cells across 2 workers).
+grep -q '"name":"job"' "$trace" || fail "no job span in trace"
+shard_workers=$(grep '"name":"dispatch.shard"' "$trace" \
+    | sed -n 's/.*"worker":"\([^"]*\)".*/\1/p' | sort -u | wc -l)
+[ "$shard_workers" -eq 2 ] || fail "dispatch.shard spans cover $shard_workers workers, want 2"
+cells=$(grep -c '"name":"sweep.cell"' "$trace" || true)
+[ "$cells" -eq 4 ] || fail "trace holds $cells sweep.cell spans, want 4"
+grep -q '"name":"sim.run"' "$trace" || fail "no sim.run spans stitched from workers"
+"$dir/whirltool" spans "$trace" > "$dir/waterfall.txt" || fail "whirltool spans failed"
+for want in job dispatch.shard sweep.cell "critical path"; do
+    grep -q "$want" "$dir/waterfall.txt" || fail "waterfall missing $want"
+done
+
+# Prometheus exposition lints clean; pprof serves on its own listener.
+curl -fsS "$coord_url/metrics?format=prom" > "$dir/metrics.prom" || fail "prom metrics failed"
+"$dir/whirltool" promlint "$dir/metrics.prom" || fail "prom exposition failed lint"
+grep -q '^whirld_spans_total' "$dir/metrics.prom" || fail "no span counter in prom metrics"
+curl -fsS "http://$debug_addr/debug/pprof/" > /dev/null || fail "pprof index unreachable"
+curl -fsS "http://$debug_addr/debug/pprof/cmdline" > /dev/null || fail "pprof cmdline unreachable"
+curl -fsS "$coord_url/debug/pprof/" > /dev/null 2>&1 && fail "pprof leaked onto the serving listener"
 
 # A warm resubmit is served from the shared store: zero re-simulations
 # on the coordinator and on every worker.

@@ -1,10 +1,17 @@
 #!/bin/sh
-# load-smoke: end-to-end proof of the whirlload serving-SLO pipeline.
+# load-smoke: end-to-end proof of one whirld's serving pipeline and
+# its serving SLOs.
 #
 #  1. start whirld on an ephemeral port with a tight /v1/results
 #     concurrency limit (-inflight results=2) and a fresh store
-#  2. warm the store with one small sweep so /v1/results and warm
-#     /v1/sweeps resubmits have rows to serve
+#  2. submit a 4-cell sweep over HTTP and await its SSE stream (4 row
+#     events + the final done event); its CSV rows (timing/error
+#     columns stripped) must be bit-identical to a direct whirlsweep
+#     run. A resubmit is served from the warm store with zero
+#     re-simulations, and whirlsweep -store serves the same grid from
+#     the daemon's store: the CLI and the daemon share one result
+#     universe. The warm store also gives /v1/results and the warm
+#     /v1/sweeps resubmits below rows to serve
 #  3. whirltool load drives a mixed traffic spec (results reads, jobs
 #     polls, warm sweep resubmits) and must pass its throughput floors
 #     and p99 SLOs — a breach exits 1 and fails CI
@@ -14,6 +21,7 @@
 #  5. /metrics must show the per-endpoint latency histograms in the
 #     JSON tree and the same counters in ?format=prom
 #  6. every non-2xx /v1 body must be the JSON error envelope
+#  7. SIGTERM must shut the daemon down gracefully (exit 0)
 #
 # Invoked by `make load-smoke` (part of `make ci`).
 set -eu
@@ -30,6 +38,7 @@ fail() {
 
 $GO build -o "$dir/whirld" ./cmd/whirld
 $GO build -o "$dir/whirltool" ./cmd/whirltool
+$GO build -o "$dir/whirlsweep" ./cmd/whirlsweep
 
 # Create the file first: on a loaded host the backgrounded redirect may
 # not have created it before the first sed reads it.
@@ -51,13 +60,45 @@ done
 [ -n "$addr" ] || fail "whirld never reported its listen address"
 base="http://$addr"
 
-# --- warm the store: one small sweep, awaited over SSE ---
-req='{"apps":["delaunay"],"schemes":["jigsaw"],"scale":0.05}'
-id=$(curl -fsS -X POST -H 'Content-Type: application/json' -d "$req" "$base/v1/sweeps" \
-    | sed -n 's/.*"id": *"\([^"]*\)".*/\1/p')
-[ -n "$id" ] || fail "warmup submit returned no job id"
+curl -fsS "$base/healthz" > /dev/null || fail "healthz unreachable"
+
+# --- a sweep over HTTP, bit-identical to the CLI, then served warm ---
+req='{"apps":["delaunay","MIS"],"schemes":["jigsaw","snuca-lru"],"scale":0.05}'
+submit() {
+    curl -fsS -X POST -H 'Content-Type: application/json' -d "$req" "$base/v1/sweeps" \
+        | sed -n 's/.*"id": *"\([^"]*\)".*/\1/p'
+}
+
+# Cold run: submit, then follow the SSE stream to completion.
+id=$(submit)
+[ -n "$id" ] || fail "submit returned no job id"
+stream=$( (curl -fsS -N --max-time 300 "$base/v1/jobs/$id/stream" || true) | sed '/^event: done/q')
+rows=$(printf '%s\n' "$stream" | grep -c '^event: row') || true
+[ "$rows" -eq 4 ] || fail "SSE stream delivered $rows row events, want 4"
+printf '%s\n' "$stream" | grep -q '^event: done' || fail "SSE stream never sent done"
+
+# The HTTP-computed grid must be bit-identical to the direct CLI run
+# (wall-clock and error columns stripped: fields 17-18; field 19 is
+# the deterministic cell key).
+curl -fsS "$base/v1/jobs/$id/rows?format=csv" | cut -d, -f1-16,19 > "$dir/http.csv"
+"$dir/whirlsweep" -apps delaunay,MIS -schemes jigsaw,snuca-lru -scale 0.05 -format csv -q \
+    | cut -d, -f1-16,19 > "$dir/direct.csv"
+diff "$dir/http.csv" "$dir/direct.csv" || fail "HTTP rows differ from the direct whirlsweep run"
+
+# Warm resubmit: all 4 cells served from the store, zero re-simulations.
+id=$(submit)
 (curl -fsS -N --max-time 300 "$base/v1/jobs/$id/stream" || true) | grep -q '^event: done' \
-    || fail "warmup sweep never finished"
+    || fail "resubmitted job never finished"
+status=$(curl -fsS "$base/v1/jobs/$id")
+printf '%s\n' "$status" | grep -q '"served": 4' || fail "warm resubmit did not serve 4 rows: $status"
+printf '%s\n' "$status" | grep -q '"computed": 0' || fail "warm resubmit re-simulated cells: $status"
+
+# The CLI reads the same universe: whirlsweep -store serves everything.
+"$dir/whirlsweep" -apps delaunay,MIS -schemes jigsaw,snuca-lru -scale 0.05 -format csv \
+    -store "$dir/store" -o /dev/null 2> "$dir/sweep.err" \
+    || fail "whirlsweep -store run failed"
+grep -q 'results: 4 served from' "$dir/sweep.err" \
+    || fail "whirlsweep -store did not serve from the daemon's store: $(cat "$dir/sweep.err")"
 
 # --- mixed traffic against the warm daemon: floors + SLOs must hold ---
 # The floors are deliberately conservative (shared CI runners): the

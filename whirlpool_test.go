@@ -151,6 +151,24 @@ func TestBadScaleRejected(t *testing.T) {
 	}
 }
 
+// Bad figure options must be errors, checked before any run: an
+// unknown app and a negative mix count would otherwise panic inside the
+// figure builders.
+func TestBadFigureOptionsRejected(t *testing.T) {
+	for _, tc := range []struct {
+		id   string
+		opt  whirlpool.FigureOptions
+		want string
+	}{
+		{"fig16", whirlpool.FigureOptions{Scale: 0.01, Apps: []string{"delaunay", "nosuch"}}, `whirlpool: unknown app "nosuch"`},
+		{"fig22", whirlpool.FigureOptions{Scale: 0.01, Mixes: -1}, "whirlpool: mixes must be >= 0"},
+	} {
+		if _, err := whirlpool.Figure(tc.id, &tc.opt); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("Figure(%s, %+v) = %v, want %q", tc.id, tc.opt, err, tc.want)
+		}
+	}
+}
+
 func TestFigureTable3(t *testing.T) {
 	out, err := whirlpool.Figure("table3", nil)
 	if err != nil {
