@@ -36,7 +36,8 @@ race:
 
 # Ten seconds of coverage-guided fuzzing of the .wtrc parser and cursor,
 # then five of CapLRU against its naive reference LRU, five of the
-# rows.jsonl line decoder against json.Unmarshal, five of the W3C
+# rows.jsonl line decoder against json.Unmarshal, five of the mapped
+# result store against its heap fallback, five of the W3C
 # traceparent parser every request runs, and five of the /v1/sweeps and
 # /v1/cells job builder against the engine's grid validation, and five
 # of the workload-spec parser (round trip, every app streams), five of
@@ -50,6 +51,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzCapLRU -fuzztime 5s -fuzzminimizetime 1s ./internal/cache/
 	$(GO) test -run '^$$' -fuzz FuzzSetAssoc -fuzztime 5s -fuzzminimizetime 1s ./internal/cache/
 	$(GO) test -run '^$$' -fuzz FuzzDecodeLine -fuzztime 5s -fuzzminimizetime 1s ./internal/results/
+	$(GO) test -run '^$$' -fuzz FuzzOpen -fuzztime 5s -fuzzminimizetime 1s ./internal/results/
 	$(GO) test -run '^$$' -fuzz FuzzParseTraceparent -fuzztime 5s -fuzzminimizetime 1s ./internal/obs/
 	$(GO) test -run '^$$' -fuzz FuzzSweepRequest -fuzztime 5s -fuzzminimizetime 1s ./internal/server/
 	$(GO) test -run '^$$' -fuzz FuzzParseSpec -fuzztime 5s -fuzzminimizetime 1s ./internal/spec/
@@ -124,6 +126,7 @@ smoke:
 	$(GO) run ./cmd/whirlsweep -apps delaunay,MIS,mcf -scale 0.05 -format csv -q | grep -q '^delaunay,whirlpool,'
 	$(GO) run ./cmd/whirlsweep -spec specs/streaming-mix.json -mix stream-vs-rank -schemes snuca-lru,whirlpool -scale 0.05 -q
 	$(GO) run ./cmd/whirlsweep -dump-builtin | diff -q - specs/builtin.json
+	$(GO) run ./cmd/whirlbench -fig fig16 -apps 'delaunay, MIS' -scale 0.02 | grep -q '^MIS '
 	! $(GO) run ./cmd/whirlsim -scheme bogus -scale 0.05 2>/dev/null
 	! $(GO) run ./cmd/whirlsim -spec no-such-file.json 2>/dev/null
 	! $(GO) run ./cmd/whirlsim -app nosuchapp -scale 0.05 2>/dev/null

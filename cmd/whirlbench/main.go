@@ -42,7 +42,9 @@ func main() {
 	}
 	opt := &whirlpool.FigureOptions{Scale: *scale, Mixes: *mixes, Seed: *seed}
 	if *apps != "" {
-		opt.Apps = strings.Split(*apps, ",")
+		// Non-nil even when the list holds only separators, so Figure
+		// rejects it instead of running the full suite.
+		opt.Apps = append([]string{}, cliutil.SplitList(*apps)...)
 	}
 	ids := []string{*fig}
 	if *fig == "all" {

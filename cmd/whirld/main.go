@@ -249,7 +249,10 @@ func main() {
 	shutCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	if err := httpSrv.Shutdown(shutCtx); err != nil {
+		// Handlers may still be reading rows out of the store's mapping
+		// of rows.jsonl, so leave it to the exit to release.
 		fmt.Fprintln(os.Stderr, "whirld: shutdown:", err)
+		return
 	}
 	if err := store.Close(); err != nil {
 		fmt.Fprintln(os.Stderr, "whirld: store close:", err)

@@ -12,7 +12,8 @@ import (
 type FigureOptions struct {
 	// Scale multiplies workload length (default 1.0; smaller is faster).
 	Scale float64
-	// Apps restricts suite-wide figures to a subset (nil = full suite).
+	// Apps restricts suite-wide figures to a subset (nil = full suite;
+	// an empty non-nil list is an error).
 	Apps []string
 	// Mixes is the mix count for Fig 22 (default 20, as in the paper).
 	Mixes int
@@ -91,6 +92,9 @@ func Figure(id string, opt *FigureOptions) (string, error) {
 	}
 	if o.Mixes == 0 {
 		o.Mixes = 20
+	}
+	if o.Apps != nil && len(o.Apps) == 0 {
+		return "", fmt.Errorf("whirlpool: the app list is empty (nil means the full suite)")
 	}
 	for _, a := range o.Apps {
 		if _, ok := workloads.ByName(a); !ok {

@@ -43,6 +43,9 @@ func latencyCurve(chip *noc.Chip, v *VC, curve mrc.Curve, bypassable, missOnly b
 	n := curve.Buckets()
 	out := make([]float64, n+1)
 	a := float64(v.Mon.Accesses)
+	if !missOnly {
+		v.latencySums(chip)
+	}
 	for i := 0; i <= n; i++ {
 		if missOnly {
 			out[i] = curve.M[i]

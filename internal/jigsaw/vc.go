@@ -49,6 +49,8 @@ type VC struct {
 	coreW    []float64 // per-core access weights (centroid)
 	hops     []float64 // weighted hops to each bank
 	distRank []int     // banks sorted by weighted distance
+	// accSum and missSum are prefix sums over distRank (latencySums).
+	accSum, missSum []float64
 
 	// Interval bookkeeping.
 	lastAccesses uint64 // accesses in the interval that just closed
@@ -135,45 +137,48 @@ func (v *VC) recomputeDistances(chip *noc.Chip) {
 	})
 }
 
+// latencySums refreshes accSum and missSum from distRank: accSum[k] is
+// the round-trip network latency summed over the k closest banks, and
+// missSum[k] the bank-to-controller round trip over the same banks.
+// Each sum adds its terms in rank order, so a bucket's average reads
+// the same float64 a per-bucket loop over the closest banks would.
+func (v *VC) latencySums(chip *noc.Chip) {
+	m := chip.Mesh
+	v.accSum = append(v.accSum[:0], 0)
+	v.missSum = append(v.missSum[:0], 0)
+	for i, b := range v.distRank {
+		v.accSum = append(v.accSum, v.accSum[i]+float64(2*noc.HopLatency(int(v.hops[b]+0.5))))
+		v.missSum = append(v.missSum, v.missSum[i]+float64(2*noc.HopLatency(m.BankMemHops(b))))
+	}
+}
+
+// closestBanks is how many of the closest banks `lines` of capacity
+// spans, at most every bank.
+func (v *VC) closestBanks(chip *noc.Chip, lines uint64) int {
+	bankLines := chip.BankLines()
+	return min(int((lines+bankLines-1)/bankLines), len(v.distRank))
+}
+
 // avgAccessLatency returns the average round-trip network+bank latency if
 // this VC were allocated `lines` of capacity spread over its closest
-// banks — the access-latency term of Jigsaw's total-latency curves.
+// banks — the access-latency term of Jigsaw's total-latency curves. It
+// reads the sums of the last latencySums.
 func (v *VC) avgAccessLatency(chip *noc.Chip, lines uint64) float64 {
 	if lines == 0 {
 		return float64(noc.BankLatency)
 	}
-	bankLines := chip.BankLines()
-	nBanks := int((lines + bankLines - 1) / bankLines)
-	if nBanks > len(v.distRank) {
-		nBanks = len(v.distRank)
-	}
-	sum := 0.0
-	for i := 0; i < nBanks; i++ {
-		sum += float64(2 * noc.HopLatency(int(v.hops[v.distRank[i]]+0.5)))
-	}
-	return sum/float64(nBanks) + float64(noc.BankLatency)
+	n := v.closestBanks(chip, lines)
+	return v.accSum[n]/float64(n) + float64(noc.BankLatency)
 }
 
 // avgMissPenalty returns the average miss cost if the VC occupied `lines`
 // of capacity in its closest banks: memory latency plus the bank-to-
 // controller round trip of those banks. Using the same banks as
 // avgAccessLatency keeps the sizing model consistent with the bypass
-// alternative.
+// alternative. It reads the sums of the last latencySums.
 func (v *VC) avgMissPenalty(chip *noc.Chip, lines uint64) float64 {
-	m := chip.Mesh
-	bankLines := chip.BankLines()
-	nBanks := int((lines + bankLines - 1) / bankLines)
-	if nBanks < 1 {
-		nBanks = 1
-	}
-	if nBanks > len(v.distRank) {
-		nBanks = len(v.distRank)
-	}
-	sum := 0.0
-	for i := 0; i < nBanks; i++ {
-		sum += float64(2 * noc.HopLatency(m.BankMemHops(v.distRank[i])))
-	}
-	return noc.MemLatency + sum/float64(nBanks)
+	n := max(v.closestBanks(chip, lines), 1)
+	return noc.MemLatency + v.missSum[n]/float64(n)
 }
 
 // rebuildPrefix rebuilds the VTB hash table from Shares.

@@ -9,8 +9,16 @@
 // On disk a store is one file, rows.jsonl, under its directory: one
 // JSON record per line, append-only. Writers append whole lines with
 // O_APPEND, so concurrent processes interleave records, never bytes.
-// Open reads the whole file once; an index.json left beside it by older
-// versions is ignored.
+// An index.json left beside it by older versions is ignored.
+//
+// In memory a store holds only its index: each record's key, app and
+// scheme, and where its line and row lie. Open validates and indexes
+// rows.jsonl by streaming it through a small buffer, and serves the row
+// bytes from a read-only shared mapping of the file, so they stay in
+// the page cache and become resident only when served. Lines appended
+// after Open (by Put, or by other processes and picked up on a scan)
+// stay on the heap. Where mmap is unavailable the whole file is read
+// onto the heap instead, with the same results.
 //
 // Torn writes (a process killed mid-append) surface as unparsable
 // JSONL lines; they are skipped and counted, and the next Open heals
@@ -27,6 +35,8 @@ import (
 	"slices"
 	"strconv"
 	"sync"
+
+	"whirlpool/internal/mmap"
 )
 
 // Record is one stored result row.
@@ -44,9 +54,10 @@ type Record struct {
 	Unix int64 `json:"unix,omitempty"`
 	// Row is the full metric row as produced by the sweep engine
 	// (experiments.SweepRow JSON: MPKI, cycles, NoC/energy breakdowns).
-	// A Row returned by the store may alias the record's retained JSONL
-	// bytes, which AppendRaw serves to other callers: it must not be
-	// modified.
+	// A Row returned by the store may alias the store's read-only
+	// mapping of rows.jsonl or its retained JSONL bytes, which AppendRaw
+	// serves to other callers: it must not be modified, and it is valid
+	// until the store is closed.
 	Row json.RawMessage `json:"row"`
 }
 
@@ -90,14 +101,23 @@ type Store struct {
 	f     *os.File // rows.jsonl, O_APPEND
 	byKey map[string]int
 	recs  []Record // insertion order; byKey points into it
-	// raws[i] is recs[i]'s marshaled JSON line (no trailing newline),
-	// retained so the serving path can stream rows without re-marshaling
-	// or allocating per row. Each slice is immutable once stored — a
-	// replacement (duplicate key) swaps in a fresh slice rather than
-	// mutating the old one — so AppendRaw results stay valid after the
-	// store lock is released.
+	// raws[i] is recs[i]'s JSON line (no trailing newline), in the
+	// mapping of rows.jsonl or on the heap, so the serving path can
+	// stream rows without re-marshaling or allocating per row. Each
+	// slice is immutable once stored — a replacement (duplicate key)
+	// swaps in a fresh slice rather than mutating the old one — so
+	// AppendRaw results stay valid after the store lock is released.
 	raws   [][]byte
 	loaded int64 // rows.jsonl bytes consumed into recs
+	// mapRows is false only for stores that must read rows.jsonl onto
+	// the heap (the fallback's tests).
+	mapRows bool
+	// mapped is set while records alias a mapping of rows.jsonl.
+	mapped bool
+	// unmaps release every mapping this store made: the one Open made
+	// and one per rebuild after rows.jsonl shrank. Rows handed out may
+	// alias any of them, so only Close releases them.
+	unmaps []func() error
 	closed bool
 
 	hits, misses, puts, corrupt int64
@@ -105,16 +125,20 @@ type Store struct {
 
 func (s *Store) rowsPath() string { return filepath.Join(s.dir, "rows.jsonl") }
 
-// Open opens (creating if needed) the store rooted at dir and loads
+// Open opens (creating if needed) the store rooted at dir and indexes
 // every record in rows.jsonl.
-func Open(dir string) (*Store, error) {
+func Open(dir string) (*Store, error) { return open(dir, true) }
+
+// open is Open; mapRows false reads rows.jsonl onto the heap as if mmap
+// were unavailable.
+func open(dir string, mapRows bool) (*Store, error) {
 	if dir == "" {
 		return nil, fmt.Errorf("results: store directory must be non-empty")
 	}
 	if err := os.MkdirAll(dir, 0o777); err != nil {
 		return nil, fmt.Errorf("results: %v", err)
 	}
-	s := &Store{dir: dir, byKey: make(map[string]int)}
+	s := &Store{dir: dir, byKey: make(map[string]int), mapRows: mapRows}
 	f, err := os.OpenFile(s.rowsPath(), os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o666)
 	if err != nil {
 		return nil, fmt.Errorf("results: %v", err)
@@ -168,61 +192,130 @@ func (s *Store) insert(r Record, raw []byte) {
 	s.raws = append(s.raws, raw)
 }
 
+// scanChunk is how much of a mapped rows.jsonl scanTail reads at a
+// time: it validates the lines in this buffer, never in the mapping, so
+// indexing faults none of the mapping's pages in.
+const scanChunk = 256 << 10
+
 // scanTail decodes rows.jsonl from s.loaded to EOF, folding new records
-// into memory and skipping (but counting) corrupt lines. Returns how
+// into the index and skipping (but counting) corrupt lines. Returns how
 // many records it decoded.
 func (s *Store) scanTail() (int, error) {
 	st, err := s.f.Stat()
 	if err != nil {
 		return 0, fmt.Errorf("results: %v", err)
 	}
-	if st.Size() < s.loaded {
-		// Shrunk underneath us (someone replaced rows.jsonl): rebuild.
+	size := st.Size()
+	if size < s.loaded {
+		// Shrunk underneath us (someone rewrote rows.jsonl in place):
+		// rebuild. Pages of the old mapping may now lie past the end of
+		// the file, where a read raises SIGBUS, so the store never serves
+		// from it again; it stays mapped until Close for the rows already
+		// handed out.
 		s.byKey = make(map[string]int)
 		s.recs = nil
 		s.raws = nil
 		s.loaded = 0
+		s.mapped = false
 	}
-	if st.Size() == s.loaded {
+	if size == s.loaded {
 		return 0, nil
 	}
-	tail := make([]byte, st.Size()-s.loaded)
-	if _, err := s.f.ReadAt(tail, s.loaded); err != nil && err != io.EOF {
-		return 0, fmt.Errorf("results: scanning %s: %v", s.rowsPath(), err)
+	// img holds the bytes of rows.jsonl from base on that records keep.
+	// A scan from the start maps the file and reads it through a small
+	// buffer; a later scan (lines other processes appended) and a
+	// platform without mmap read the bytes onto the heap and validate
+	// them there.
+	base := s.loaded
+	var img, buf []byte
+	if base == 0 && s.mapRows {
+		if data, unmap, err := mmap.Map(s.f, size); err == nil {
+			s.unmaps = append(s.unmaps, unmap)
+			s.mapped = true
+			img, buf = data, make([]byte, min(size, scanChunk))
+		}
 	}
-	// Consume only complete lines: a trailing fragment without '\n'
-	// (another process mid-append) is left for the next scan to reread
-	// once it is whole.
-	end := bytes.LastIndexByte(tail, '\n')
-	if end < 0 {
-		return 0, nil
+	if img == nil {
+		img = make([]byte, size-base)
 	}
-	// Each line stays a capacity-limited subslice of tail: no copy, and
-	// nothing ever writes to tail again, so retained lines are immutable.
-	lines := bytes.Count(tail[:end], []byte("\n")) + 1
-	if len(s.recs) == 0 {
-		s.byKey = make(map[string]int, lines)
-	}
-	s.recs = slices.Grow(s.recs, lines)
-	s.raws = slices.Grow(s.raws, lines)
 	n := 0
-	for rest := tail[:end+1]; len(rest) > 0; {
-		i := bytes.IndexByte(rest, '\n')
-		line := rest[:i:i]
-		rest = rest[i+1:]
-		if len(line) == 0 {
+	for from := base; from < size; {
+		chunk := buf
+		if chunk == nil {
+			chunk = img[from-base:]
+		}
+		chunk = chunk[:min(int64(len(chunk)), size-from)]
+		m, rerr := s.f.ReadAt(chunk, from)
+		if rerr != nil && rerr != io.EOF {
+			err = fmt.Errorf("results: scanning %s: %v", s.rowsPath(), rerr)
+			break
+		}
+		chunk = chunk[:m]
+		// Consume only complete lines: a trailing fragment without '\n'
+		// (another process mid-append) is left for the next scan to
+		// reread once it is whole.
+		end := bytes.LastIndexByte(chunk, '\n')
+		if end < 0 {
+			if buf == nil || m < len(buf) {
+				break
+			}
+			buf = make([]byte, 2*len(buf)) // a line longer than the buffer
 			continue
 		}
-		r, ok := decodeLine(line)
-		if !ok {
-			s.corrupt++
-			continue
+		if len(s.recs) == 0 {
+			// Size the index for the lines this chunk predicts.
+			lines := int64(bytes.Count(chunk[:end+1], []byte("\n")))
+			lines += lines * (size - from - int64(end) - 1) / int64(end+1)
+			s.byKey = make(map[string]int, lines)
+			s.recs = slices.Grow(s.recs, int(lines))
+			s.raws = slices.Grow(s.raws, int(lines))
 		}
-		s.insert(r, line)
-		n++
+		for at := 0; at <= end; {
+			i := at + bytes.IndexByte(chunk[at:end+1], '\n')
+			line := chunk[at:i]
+			// raw is the line where it stays: in the mapping, or in img
+			// on the heap. Nothing writes to either again, so retained
+			// lines are immutable.
+			off := from + int64(at) - base
+			raw := img[off : off+int64(len(line)) : off+int64(len(line))]
+			at = i + 1
+			if len(line) == 0 {
+				continue
+			}
+			r, ok := decodeLine(line)
+			if !ok {
+				s.corrupt++
+				continue
+			}
+			if len(r.Row) > 0 {
+				if j := rowOffset(line, r.Row); j >= 0 {
+					r.Row = raw[j : j+len(r.Row) : j+len(r.Row)]
+				}
+			}
+			s.insert(r, raw)
+			n++
+		}
+		from += int64(end) + 1
+		s.loaded = from
 	}
-	s.loaded += int64(end) + 1
-	return n, nil
+	if s.mapped && s.loaded == 0 {
+		// Nothing aliases a mapping that indexed no line: release it
+		// rather than map again on the next scan.
+		last := len(s.unmaps) - 1
+		_ = s.unmaps[last]()
+		s.unmaps, s.mapped = s.unmaps[:last], false
+	}
+	return n, err
+}
+
+// rowOffset is where row's bytes start in line. A decoded Row is always
+// a verbatim span of its line (json.RawMessage keeps the value's bytes),
+// in Put's layout the one just before the closing brace.
+func rowOffset(line, row []byte) int {
+	if i := len(line) - 1 - len(row); i >= 0 && bytes.Equal(line[i:i+len(row)], row) {
+		return i
+	}
+	return bytes.Index(line, row)
 }
 
 // decodeLine decodes one rows.jsonl line. It accepts exactly the lines
@@ -312,12 +405,15 @@ func plainString(p []byte) (string, []byte, bool) {
 
 // Get returns the record stored under key. A miss first refreshes from
 // disk, so records appended by other processes since Open are served
-// without reopening.
+// without reopening. The record's Row is valid until Close.
 func (s *Store) Get(key string) (Record, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	i, ok := s.byKey[key]
-	if !ok {
+	if !ok || s.mapped {
+		// On a mapped store a hit scans too: rows.jsonl may have shrunk
+		// under the mapping, and the rebuild must come before a row past
+		// its end is handed out.
 		_, _ = s.scanTail()
 		i, ok = s.byKey[key]
 	}
@@ -362,7 +458,8 @@ func (s *Store) Put(r Record) error {
 	return nil
 }
 
-// Query returns the records matching q, in insertion order.
+// Query returns the records matching q, in insertion order. Their Rows
+// are valid until Close.
 func (s *Store) Query(q Query) []Record {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -391,9 +488,10 @@ func (s *Store) Query(q Query) []Record {
 // the zero-allocation serving path: each element is the record's
 // retained JSONL bytes — no per-row marshaling, no copies — so a warm
 // query allocates nothing beyond dst growth when its capacity is
-// exceeded. The returned slices are immutable; they remain valid after
-// the call (a concurrent replacement of a key installs a fresh slice
-// rather than mutating the old one).
+// exceeded. The returned slices are immutable and may alias the
+// store's read-only mapping of rows.jsonl; they remain valid after the
+// call until Close (a concurrent replacement of a key installs a fresh
+// slice rather than mutating the old one).
 //
 //whirl:zeroalloc
 func (s *Store) AppendRaw(q Query, dst [][]byte) [][]byte {
@@ -449,7 +547,9 @@ func (s *Store) Stats() Stats {
 	}
 }
 
-// Close releases the store's file handle. The directory remains valid
+// Close releases the store's file handle and its mappings of
+// rows.jsonl, so Rows and AppendRaw slices it handed out must no longer
+// be read; a closed store serves nothing. The directory remains valid
 // for other handles and future Opens.
 func (s *Store) Close() error {
 	s.mu.Lock()
@@ -458,5 +558,13 @@ func (s *Store) Close() error {
 		return nil
 	}
 	s.closed = true
-	return s.f.Close()
+	s.byKey, s.recs, s.raws, s.mapped = nil, nil, nil, false
+	err := s.f.Close()
+	for _, unmap := range s.unmaps {
+		if uerr := unmap(); err == nil {
+			err = uerr
+		}
+	}
+	s.unmaps = nil
+	return err
 }

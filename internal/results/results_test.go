@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -218,41 +219,59 @@ func TestOldIndexIgnored(t *testing.T) {
 	}
 }
 
-// TestShrinkRescans: when rows.jsonl is replaced by a shorter file under
-// an open handle, the handle drops what it loaded and rescans.
+// TestShrinkRescans: when rows.jsonl is rewritten in place as a shorter
+// file under an open handle, the handle drops what it indexed and
+// rescans before it serves a row. The rows Open mapped span several
+// pages, so a row served from the old mapping past the new end of the
+// file would raise SIGBUS.
 func TestShrinkRescans(t *testing.T) {
 	dir := t.TempDir()
 	s, _ := Open(dir)
-	defer s.Close()
-	for i := 0; i < 3; i++ {
-		s.Put(rec(fmt.Sprintf("k%d", i), "app", "s", i))
+	const n = 100
+	for i := range n {
+		s.Put(rec(fmt.Sprintf("k%d", i), "app", strings.Repeat("s", 100), i))
 	}
+	s.Close()
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	s.Put(rec("heap", "app", "s", n)) // appended after Open: a heap row
 	one, _ := json.Marshal(rec("only", "app", "s", 9))
 	if err := os.WriteFile(filepath.Join(dir, "rows.jsonl"), append(one, '\n'), 0o666); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := s.Get("only"); !ok {
-		t.Fatal("record of the replacement file not served")
+	for _, key := range []string{"k99", "k0", "heap"} {
+		if r, ok := s.Get(key); ok {
+			t.Fatalf("record %s of the replaced file still served: %s", key, r.Row)
+		}
+	}
+	if r, ok := s.Get("only"); !ok || string(r.Row) != `{"app":"app","scheme":"s","mpki":9}` {
+		t.Fatalf("record of the replacement file not served: %+v, %v", r, ok)
+	}
+	if raws := s.AppendRaw(Query{}, nil); len(raws) != 1 || string(raws[0]) != string(one) {
+		t.Fatalf("AppendRaw after the rewrite = %q, want [%s]", raws, one)
 	}
 	if s.Len() != 1 {
 		t.Fatalf("store holds %d records after the shrink, want 1", s.Len())
 	}
-	if _, ok := s.Get("k0"); ok {
-		t.Fatal("record of the replaced file still served")
-	}
+}
+
+// retainedLines are rows.jsonl lines in Put's layout and outside it.
+var retainedLines = []string{
+	`{"key":"k1","app":"a","scheme":"s","unix":1700000000,"row":{"mpki":1}}`,
+	`{"key":"k2","app":"a","scheme":"s","row":{"mpki":2}}`,
+	`{"key":"k3","app":"a\u00e9","scheme":"s","row":[1, 2]}`,
+	`{"app":"a","scheme":"s","row":{"mpki":4},"key":"k4"}`,
+	` {"key":"k5","app":"a","scheme":"s","row": "x" } `,
 }
 
 // TestOpenRetainsLinesVerbatim: after Open, every retained line is the
 // byte-exact line on disk and every Row is what json.Unmarshal yields,
 // whichever decoder path the line took.
 func TestOpenRetainsLinesVerbatim(t *testing.T) {
-	lines := []string{
-		`{"key":"k1","app":"a","scheme":"s","unix":1700000000,"row":{"mpki":1}}`,
-		`{"key":"k2","app":"a","scheme":"s","row":{"mpki":2}}`,
-		`{"key":"k3","app":"a\u00e9","scheme":"s","row":[1, 2]}`,
-		`{"app":"a","scheme":"s","row":{"mpki":4},"key":"k4"}`,
-		` {"key":"k5","app":"a","scheme":"s","row": "x" } `,
-	}
+	lines := retainedLines
 	dir := t.TempDir()
 	if err := os.WriteFile(filepath.Join(dir, "rows.jsonl"), []byte(strings.Join(lines, "\n")+"\n"), 0o666); err != nil {
 		t.Fatal(err)
@@ -500,6 +519,131 @@ func FuzzDecodeLine(f *testing.F) {
 			t.Fatalf("decodeLine(%q) = %+v, json.Unmarshal gives %+v", line, got, want)
 		}
 	})
+}
+
+// FuzzOpen holds the mapped store to the heap fallback: for any
+// rows.jsonl, and again after it is rewritten in place as a shorter
+// file, a store serving rows from a mapping and one reading the file
+// onto the heap agree on Len, CorruptRows and every row they serve.
+func FuzzOpen(f *testing.F) {
+	verbatim := strings.Join(retainedLines, "\n") + "\n"
+	f.Add([]byte(verbatim), []byte(nil))
+	f.Add([]byte(verbatim+`{"key":"torn","app":"a`), []byte(nil))
+	f.Add([]byte(verbatim+"{torn garbage\n"+verbatim), []byte(retainedLines[1]+"\n"+`{"key":"k6`))
+	f.Add([]byte(strings.Repeat(retainedLines[0]+"\n", 200)), []byte(retainedLines[2]+"\n"))
+	f.Add([]byte(""), []byte(nil))
+	f.Fuzz(func(t *testing.T, data, rewrite []byte) {
+		dir := t.TempDir()
+		path := filepath.Join(dir, "rows.jsonl")
+		if err := os.WriteFile(path, data, 0o666); err != nil {
+			t.Fatal(err)
+		}
+		mapped, err := open(dir, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer mapped.Close()
+		heap, err := open(dir, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer heap.Close()
+		sameStores(t, mapped, heap)
+		if int64(len(rewrite)) >= mapped.loaded {
+			return // only a shrink tells the stores the file was rewritten
+		}
+		if err := os.WriteFile(path, rewrite, 0o666); err != nil {
+			t.Fatal(err)
+		}
+		sameStores(t, mapped, heap)
+	})
+}
+
+// sameStores fails t unless a and b serve the same records and rows.
+func sameStores(t *testing.T, a, b *Store) {
+	t.Helper()
+	rawA, rawB := a.AppendRaw(Query{}, nil), b.AppendRaw(Query{}, nil)
+	if !reflect.DeepEqual(rawA, rawB) {
+		t.Fatalf("AppendRaw: mapped %q, heap %q", rawA, rawB)
+	}
+	if qa, qb := a.Query(Query{}), b.Query(Query{}); !reflect.DeepEqual(qa, qb) {
+		t.Fatalf("Query: mapped %+v, heap %+v", qa, qb)
+	}
+	if a.Len() != b.Len() || a.Stats().CorruptRows != b.Stats().CorruptRows {
+		t.Fatalf("mapped holds %d records (%d corrupt), heap %d (%d corrupt)",
+			a.Len(), a.Stats().CorruptRows, b.Len(), b.Stats().CorruptRows)
+	}
+}
+
+// TestOpenLineLongerThanScanBuffer: a line longer than the buffer Open
+// validates through is indexed whole, as are the lines around it.
+func TestOpenLineLongerThanScanBuffer(t *testing.T) {
+	dir := t.TempDir()
+	long := rec("long", "a", "s", 1)
+	long.Row = json.RawMessage(`"` + strings.Repeat("x", 3*scanChunk) + `"`)
+	var data []byte
+	for _, r := range []Record{rec("k1", "a", "s", 1), long, rec("k2", "a", "s", 2)} {
+		line, _ := json.Marshal(r)
+		data = append(append(data, line...), '\n')
+	}
+	if err := os.WriteFile(filepath.Join(dir, "rows.jsonl"), data, 0o666); err != nil {
+		t.Fatal(err)
+	}
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if got, ok := s.Get("long"); !ok || string(got.Row) != string(long.Row) {
+		t.Fatalf("the long row was not served whole (found %v, %d bytes)", ok, len(got.Row))
+	}
+	if s.Len() != 3 || s.Stats().CorruptRows != 0 {
+		t.Fatalf("store holds %d records (%d corrupt), want 3", s.Len(), s.Stats().CorruptRows)
+	}
+}
+
+// TestHeapIndependentOfRowSize: an open store keeps its index on the
+// heap, not its rows. Two stores of the same records, one with rows
+// eight times the size of the other's, retain the same live heap.
+func TestHeapIndependentOfRowSize(t *testing.T) {
+	const n = 2000
+	retained := func(rowBytes int) int64 {
+		dir := t.TempDir()
+		var data []byte
+		for i := range n {
+			r := storeRecord(i)
+			r.Row = json.RawMessage(`{"pad":"` + strings.Repeat("x", rowBytes) + `"}`)
+			line, _ := json.Marshal(r)
+			data = append(append(data, line...), '\n')
+		}
+		if err := os.WriteFile(filepath.Join(dir, "rows.jsonl"), data, 0o666); err != nil {
+			t.Fatal(err)
+		}
+		data = nil
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.GC() // and what sync.Pools held through the first
+		runtime.ReadMemStats(&before)
+		s, err := Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runtime.GC()
+		runtime.ReadMemStats(&after)
+		if !s.mapped {
+			t.Skip("rows.jsonl cannot be mapped here: the store reads it onto the heap")
+		}
+		if s.Len() != n {
+			t.Fatalf("store holds %d records, want %d", s.Len(), n)
+		}
+		s.Close()
+		return int64(after.HeapAlloc) - int64(before.HeapAlloc)
+	}
+	small, large := retained(1<<10), retained(8<<10)
+	t.Logf("retained heap: %d B with 1 KB rows, %d B with 8 KB rows", small, large)
+	if d := large - small; d < -small/10 || d > small/10 {
+		t.Fatalf("stores of 1 KB rows retain %d heap bytes, of 8 KB rows %d: want within 10%%", small, large)
+	}
 }
 
 // storeRecord is the i-th record of a store shaped like the benchmark's

@@ -15,15 +15,13 @@ import (
 	"fmt"
 	"os"
 	"sync/atomic"
+
+	"whirlpool/internal/mmap"
 )
 
 // ErrClosed is reported (by Cursor.Err, or wrapped by WriteFile) when a
 // MappedTrace is used after Close released its mapping.
 var ErrClosed = errors.New("trace: mapped trace is closed")
-
-// errMmapUnavailable signals mapFile cannot serve this request; the
-// caller falls back to plain reads.
-var errMmapUnavailable = errors.New("trace: mmap unavailable")
 
 // mmapDisabled force-disables mmap (tests exercise the fallback path).
 var mmapDisabled atomic.Bool
@@ -38,6 +36,21 @@ func readFileBytes(path string) (data []byte, unmap func() error, err error) {
 	}
 	data, err = os.ReadFile(path)
 	return data, nil, err
+}
+
+// mapFile maps path whole. Empty files cannot be mapped, and exotic
+// filesystems may refuse; readFileBytes then reads the file instead.
+func mapFile(path string) ([]byte, func() error, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, nil, err
+	}
+	defer f.Close()
+	st, err := f.Stat()
+	if err != nil {
+		return nil, nil, err
+	}
+	return mmap.Map(f, st.Size())
 }
 
 // MappedTrace is a .wtrc file served zero-copy: the header and CRC are

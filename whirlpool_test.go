@@ -162,6 +162,8 @@ func TestBadFigureOptionsRejected(t *testing.T) {
 	}{
 		{"fig16", whirlpool.FigureOptions{Scale: 0.01, Apps: []string{"delaunay", "nosuch"}}, `whirlpool: unknown app "nosuch"`},
 		{"fig22", whirlpool.FigureOptions{Scale: 0.01, Mixes: -1}, "whirlpool: mixes must be >= 0"},
+		{"fig21", whirlpool.FigureOptions{Scale: 0.01, Apps: []string{}}, "whirlpool: the app list is empty"},
+		{"ablation-bypass", whirlpool.FigureOptions{Scale: 0.01, Apps: []string{}}, "whirlpool: the app list is empty"},
 	} {
 		if _, err := whirlpool.Figure(tc.id, &tc.opt); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("Figure(%s, %+v) = %v, want %q", tc.id, tc.opt, err, tc.want)
