@@ -59,3 +59,51 @@ func BenchmarkCapLRUFill(b *testing.B) {
 		c.InvalidateAll()
 	}
 }
+
+// BenchmarkSetAssocAccess times SetAssoc.Access on each array layout:
+// lru8 is the private L2's 8-way LRU (recency-ordered sets), lruwide
+// IdealSPD's 12-way private region (timestamped sets), and drrip a
+// 16-way DRRIP bank. A seeded stream sends three accesses in four to a
+// hot range of half the capacity and the rest to four times it, so the
+// arrays run at a steady mix of hits and evicting misses; one op is one
+// access (a quarter of them writes).
+func BenchmarkSetAssocAccess(b *testing.B) {
+	for _, g := range []struct {
+		name  string
+		bytes uint64
+		ways  int
+		kind  Repl
+	}{
+		{"lru8", 128 * addr.KB, 8, LRU},
+		{"lruwide", 1536 * addr.KB, 12, LRU},
+		{"drrip", 1024 * addr.KB, 16, DRRIP},
+	} {
+		b.Run(g.name, func(b *testing.B) {
+			const n = 1 << 16
+			capacity := int(g.bytes / addr.LineBytes)
+			rng := rand.New(rand.NewPCG(7, 8))
+			lines := make([]addr.Line, n)
+			writes := make([]bool, n)
+			for i := range lines {
+				l := rng.IntN(4 * capacity)
+				if rng.IntN(4) != 0 {
+					l = rng.IntN(capacity / 2)
+				}
+				lines[i] = 1<<36 + addr.Line(l)
+				writes[i] = rng.IntN(4) == 0
+			}
+			c := NewSetAssoc(g.bytes, g.ways, g.kind)
+			for i := range lines { // reach steady state before timing
+				c.Access(lines[i], writes[i])
+			}
+			c.Hits, c.Misses = 0, 0
+			b.ReportAllocs()
+			i := 0
+			for b.Loop() {
+				c.Access(lines[i], writes[i])
+				i = (i + 1) % n
+			}
+			b.ReportMetric(float64(c.Hits)/float64(c.Hits+c.Misses), "hit-ratio")
+		})
+	}
+}

@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -130,6 +131,38 @@ func TestSetAssocBadGeometryPanics(t *testing.T) {
 		}
 	}()
 	NewSetAssoc(12288, 2, LRU) // 192 lines / 2 ways = 96 sets: not a power of two
+}
+
+// TestSetAssocTopLine checks that line 2^64-1 is an ordinary line under
+// every policy and both LRU layouts: absent from an empty cache, resident
+// once accessed, and gone once invalidated. A "trace"-sourced app can
+// replay any 64-bit line.
+func TestSetAssocTopLine(t *testing.T) {
+	const top = addr.Line(math.MaxUint64)
+	for _, g := range []struct {
+		ways int
+		kind Repl
+	}{{8, LRU}, {16, LRU}, {8, SRRIP}, {8, BRRIP}, {8, DRRIP}} {
+		c := NewSetAssoc(64*addr.LineBytes, g.ways, g.kind)
+		if hit, _, evicted := c.Access(top, false); hit || evicted {
+			t.Fatalf("%d-way %v: empty cache: Access = (hit %v, evicted %v)", g.ways, g.kind, hit, evicted)
+		}
+		if !c.Writeback(top) {
+			t.Fatalf("%d-way %v: Writeback of the resident top line missed", g.ways, g.kind)
+		}
+		if present, dirty := c.Invalidate(top); !present || !dirty {
+			t.Fatalf("%d-way %v: Invalidate = (%v, %v), want (true, true)", g.ways, g.kind, present, dirty)
+		}
+		if c.Writeback(top) {
+			t.Fatalf("%d-way %v: Writeback found the invalidated top line", g.ways, g.kind)
+		}
+		if present, _ := c.Invalidate(top); present {
+			t.Fatalf("%d-way %v: invalidated top line still present", g.ways, g.kind)
+		}
+		if hit, _, _ := c.Access(top, false); hit {
+			t.Fatalf("%d-way %v: invalidated top line hit", g.ways, g.kind)
+		}
+	}
 }
 
 func TestCapLRUBasic(t *testing.T) {

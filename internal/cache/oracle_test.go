@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"math"
 	"math/rand/v2"
 	"slices"
 	"testing"
@@ -80,17 +81,21 @@ func (r *refLRU) invalidateAll() (lines, dirty int) {
 // oracleLines is the line alphabet of an op stream: 64 lines whose low
 // and high bits both vary, so they spread over (and collide in) the index
 // buckets in several ways; 8 lines at or above 2^63 that agree in their
-// low 32 bits; and 8 lines that agree with one of the first 8 in their
-// low 32 bits but not in their high bits. The last 16 hold CapLRU's
-// two-word line to the reference.
+// low 32 bits; 8 lines that agree with one of the first 8 in their low
+// 32 bits but not in their high bits; and the 4 lines at the top of the
+// range, 2^64-1 included. The last 20 hold CapLRU's two-word line and
+// SetAssoc's validity to the reference.
 var oracleLines = func() []addr.Line {
-	ls := make([]addr.Line, 80)
+	ls := make([]addr.Line, 84)
 	for i := range 64 {
 		ls[i] = addr.Line(uint64(i)<<40 | uint64(i%7)<<20 | uint64(i))
 	}
 	for i := range 8 {
 		ls[64+i] = addr.Line(1<<63 | uint64(i)<<33 | 5)
 		ls[72+i] = addr.Line(uint64(i+1)<<48 | uint64(uint32(ls[i])))
+	}
+	for i := range 4 {
+		ls[80+i] = addr.Line(math.MaxUint64 - uint64(i))
 	}
 	return ls
 }()

@@ -58,16 +58,30 @@ type Eviction struct {
 // low-bit indexing) while large power-of-two strides avoid pathological
 // conflicts — matching the near-ideal conflict behaviour of the paper's
 // 52-candidate zcache banks (see docs/design.md).
+//
+// An LRU set of at most orderedWays ways is recency-ordered: its valid
+// ways are packed at the front, most recently used first, so a hit moves
+// its line to way 0, a miss inserts there and evicts the last way only
+// when the set is full, and Invalidate closes the gap. Such a set's tags
+// fit one 64-byte host line and need no timestamps. Wider LRU sets keep
+// a timestamp per way and evict the oldest, since shifting a wide set on
+// every hit costs more than the victim scan it saves.
+//
+// A tag is its line plus one, and every invalid way holds tag 0, so a
+// hit on any other line reads nothing beyond the tags. Line 2^64-1 also
+// has tag 0: a match on tag 0 reads the way's wayValid flag, so every
+// 64-bit line can be resident.
 type SetAssoc struct {
-	sets  int
-	ways  int
-	shift uint // log2(sets)
-	kind  Repl
-	tags  []uint64 // line+1; 0 = invalid
-	ts    []uint32 // LRU timestamps; nil unless kind is LRU
-	rrpv  []uint8  // re-reference predictions; nil when kind is LRU
-	dirty []bool
-	clock uint32
+	sets    int
+	ways    int
+	shift   uint // log2(sets)
+	kind    Repl
+	ordered bool     // LRU with recency-ordered sets (ways <= orderedWays)
+	tags    []uint64 // line+1 per way; 0 in every invalid way
+	flags   []uint8  // wayValid and wayDirty per way; 0 = invalid
+	ts      []uint32 // LRU timestamps; nil unless LRU sets are wide
+	rrpv    []uint8  // re-reference predictions; nil when kind is LRU
+	clock   uint32
 
 	// DRRIP set dueling state.
 	psel int
@@ -77,6 +91,16 @@ type SetAssoc struct {
 	Hits   uint64
 	Misses uint64
 }
+
+// orderedWays is the widest LRU set kept in recency order: 8 tags fill
+// one 64-byte host cache line.
+const orderedWays = 8
+
+// Per-way flags.
+const (
+	wayValid uint8 = 1 << iota
+	wayDirty
+)
 
 // NewSetAssoc builds a cache of the given total size in bytes.
 // sizeBytes must be a multiple of ways*LineBytes and sets must come out a
@@ -93,19 +117,22 @@ func NewSetAssoc(sizeBytes uint64, ways int, kind Repl) *SetAssoc {
 	}
 	n := sets * ways
 	c := &SetAssoc{
-		sets:  sets,
-		ways:  ways,
-		shift: shift,
-		kind:  kind,
-		tags:  make([]uint64, n),
-		dirty: make([]bool, n),
-		psel:  pselMax / 2,
-		rng:   stats.NewRng(0x5eed),
+		sets:    sets,
+		ways:    ways,
+		shift:   shift,
+		kind:    kind,
+		ordered: kind == LRU && ways <= orderedWays,
+		tags:    make([]uint64, n),
+		flags:   make([]uint8, n),
+		psel:    pselMax / 2,
+		rng:     stats.NewRng(0x5eed),
 	}
 	// Allocate only the replacement state the policy reads.
-	if kind == LRU {
+	switch {
+	case c.ordered:
+	case kind == LRU:
 		c.ts = make([]uint32, n)
-	} else {
+	default:
 		c.rrpv = make([]uint8, n)
 	}
 	return c
@@ -155,38 +182,65 @@ func (c *SetAssoc) duelMiss(set int) {
 	}
 }
 
+// valid reports whether way i holds a line.
+func (c *SetAssoc) valid(i int) bool { return c.flags[i] != 0 }
+
+// find returns the way that holds l in the set at base, or -1.
+func (c *SetAssoc) find(base int, l addr.Line) int {
+	tag := uint64(l) + 1
+	if tag == 0 {
+		return c.findTop(base)
+	}
+	for w, t := range c.tags[base : base+c.ways] {
+		if t == tag {
+			return w
+		}
+	}
+	return -1
+}
+
+// findTop is find for line 2^64-1, whose tag 0 invalid ways share.
+func (c *SetAssoc) findTop(base int) int {
+	for w, t := range c.tags[base : base+c.ways] {
+		if t == 0 && c.valid(base+w) {
+			return w
+		}
+	}
+	return -1
+}
+
 // Access looks up line l, updating replacement state, and inserts it on a
 // miss. It reports whether the access hit, and the eviction (if any) caused
 // by the fill.
 func (c *SetAssoc) Access(l addr.Line, write bool) (hit bool, ev Eviction, evicted bool) {
 	set := c.setOf(l)
 	base := set * c.ways
-	tag := uint64(l) + 1
+	if c.ordered {
+		return c.accessOrdered(base, l, write)
+	}
 	c.clock++
-	for w := 0; w < c.ways; w++ {
-		if c.tags[base+w] == tag {
-			c.Hits++
-			if c.kind == LRU {
-				c.ts[base+w] = c.clock
-			} else {
-				c.rrpv[base+w] = 0
-			}
-			if write {
-				c.dirty[base+w] = true
-			}
-			return true, Eviction{}, false
+	if w := c.find(base, l); w >= 0 {
+		c.Hits++
+		i := base + w
+		if c.kind == LRU {
+			c.ts[i] = c.clock
+		} else {
+			c.rrpv[i] = 0
 		}
+		if write {
+			c.flags[i] = wayValid | wayDirty
+		}
+		return true, Eviction{}, false
 	}
 	c.Misses++
 	c.duelMiss(set)
-	w := c.victim(set)
-	idx := base + w
-	if c.tags[idx] != 0 {
-		ev = Eviction{Line: addr.Line(c.tags[idx] - 1), Dirty: c.dirty[idx]}
+	idx := base + c.victim(base)
+	if c.valid(idx) {
+		ev = Eviction{Line: addr.Line(c.tags[idx] - 1), Dirty: c.flags[idx]&wayDirty != 0}
 		evicted = true
 	}
-	c.tags[idx] = tag
-	c.dirty[idx] = write
+	c.tags[idx] = uint64(l) + 1
+	c.flags[idx] = wayValid | dirtyFlag(write)
 	switch c.policyFor(set) {
 	case LRU:
 		c.ts[idx] = c.clock
@@ -202,12 +256,49 @@ func (c *SetAssoc) Access(l addr.Line, write bool) (hit bool, ev Eviction, evict
 	return false, ev, evicted
 }
 
-// victim picks the way to replace in set.
-func (c *SetAssoc) victim(set int) int {
-	base := set * c.ways
+// accessOrdered is Access on the recency-ordered set at base: the line
+// ends up in way 0 and the ways in front of its old place (or, on a miss,
+// of the first invalid way or the evicted last way) move back by one.
+func (c *SetAssoc) accessOrdered(base int, l addr.Line, write bool) (hit bool, ev Eviction, evicted bool) {
+	tags, flags := c.tags[base:base+c.ways], c.flags[base:base+c.ways]
+	f := wayValid | dirtyFlag(write)
+	i := c.find(base, l)
+	if i >= 0 {
+		c.Hits++
+		hit = true
+		f |= flags[i]
+	} else {
+		c.Misses++
+		i = len(tags) - 1
+		if flags[i] != 0 {
+			ev = Eviction{Line: addr.Line(tags[i] - 1), Dirty: flags[i]&wayDirty != 0}
+			evicted = true
+		} else {
+			i = 0
+			for flags[i] != 0 {
+				i++
+			}
+		}
+	}
+	for ; i > 0; i-- {
+		tags[i], flags[i] = tags[i-1], flags[i-1]
+	}
+	tags[0], flags[0] = uint64(l)+1, f
+	return hit, ev, evicted
+}
+
+func dirtyFlag(write bool) uint8 {
+	if write {
+		return wayDirty
+	}
+	return 0
+}
+
+// victim picks the way to replace in the timestamped or RRIP set at base.
+func (c *SetAssoc) victim(base int) int {
 	// Prefer invalid ways.
 	for w := 0; w < c.ways; w++ {
-		if c.tags[base+w] == 0 {
+		if c.tags[base+w] == 0 && !c.valid(base+w) {
 			return w
 		}
 	}
@@ -238,27 +329,30 @@ func (c *SetAssoc) victim(set int) int {
 // writeback must go to memory. It does not insert or promote.
 func (c *SetAssoc) Writeback(l addr.Line) bool {
 	base := c.setOf(l) * c.ways
-	tag := uint64(l) + 1
-	for w := 0; w < c.ways; w++ {
-		if c.tags[base+w] == tag {
-			c.dirty[base+w] = true
-			return true
-		}
+	w := c.find(base, l)
+	if w < 0 {
+		return false
 	}
-	return false
+	c.flags[base+w] = wayValid | wayDirty
+	return true
 }
 
-// Invalidate removes l if present, reporting presence and dirtiness.
+// Invalidate removes l if present, reporting presence and dirtiness. In
+// a recency-ordered set the ways behind l move forward by one.
 func (c *SetAssoc) Invalidate(l addr.Line) (present, dirty bool) {
 	base := c.setOf(l) * c.ways
-	tag := uint64(l) + 1
-	for w := 0; w < c.ways; w++ {
-		if c.tags[base+w] == tag {
-			d := c.dirty[base+w]
-			c.tags[base+w] = 0
-			c.dirty[base+w] = false
-			return true, d
-		}
+	w := c.find(base, l)
+	if w < 0 {
+		return false, false
 	}
-	return false, false
+	i := base + w
+	dirty = c.flags[i]&wayDirty != 0
+	if c.ordered {
+		tags, flags := c.tags[base:base+c.ways], c.flags[base:base+c.ways]
+		copy(tags[w:], tags[w+1:])
+		copy(flags[w:], flags[w+1:])
+		i = base + c.ways - 1
+	}
+	c.tags[i], c.flags[i] = 0, 0
+	return true, dirty
 }

@@ -15,8 +15,8 @@ import (
 // refSetLRU is a deliberately naive set-associative LRU cache: one slice
 // per set in MRU-to-LRU order, searched linearly. It shares no code with
 // SetAssoc (its set index writes the XOR fold out again), so the two
-// agreeing on every step is evidence that SetAssoc's indexing, timestamps
-// and victim choice are right.
+// agreeing on every step is evidence that SetAssoc's indexing, its
+// recency-ordered sets, its timestamps and its victim choice are right.
 type refSetLRU struct {
 	ways int
 	sets [][]Eviction // resident lines and dirty bits per set, MRU first
@@ -71,23 +71,31 @@ func (r *refSetLRU) invalidate(l addr.Line) (present, dirty bool) {
 	return true, dirty
 }
 
-// setOracleGeoms are the (sets, ways) shapes the oracle picks from.
-var setOracleGeoms = [][2]int{{1, 4}, {2, 2}, {4, 3}, {8, 2}, {16, 4}, {2, 8}}
+// setOracleGeoms are the (sets, ways) shapes the oracle picks from: the
+// first six have recency-ordered sets, the last three timestamped ones
+// (the oracle's 84 lines overfill each of their sets).
+var setOracleGeoms = [][2]int{{1, 4}, {2, 2}, {4, 3}, {8, 2}, {16, 4}, {2, 8}, {1, 81}, {2, 25}, {4, 12}}
 
 // resident returns set s's valid lines and dirty bits, most recently
-// used first.
+// used first. A recency-ordered set is read in its stored order up to
+// its first invalid way, so a valid way behind a gap goes missing and
+// fails the comparison; a timestamped set is sorted by timestamp.
 func (c *SetAssoc) resident(s int) []Eviction {
 	base := s * c.ways
 	ways := make([]int, 0, c.ways)
 	for w := range c.ways {
-		if c.tags[base+w] != 0 {
+		if c.valid(base + w) {
 			ways = append(ways, base+w)
+		} else if c.ordered {
+			break
 		}
 	}
-	slices.SortFunc(ways, func(a, b int) int { return cmp.Compare(c.ts[b], c.ts[a]) })
+	if !c.ordered {
+		slices.SortFunc(ways, func(a, b int) int { return cmp.Compare(c.ts[b], c.ts[a]) })
+	}
 	out := make([]Eviction, len(ways))
 	for i, w := range ways {
-		out[i] = Eviction{Line: addr.Line(c.tags[w] - 1), Dirty: c.dirty[w]}
+		out[i] = Eviction{Line: addr.Line(c.tags[w] - 1), Dirty: c.flags[w]&wayDirty != 0}
 	}
 	return out
 }
@@ -159,6 +167,8 @@ func FuzzSetAssoc(f *testing.F) {
 	f.Add([]byte{0, 0, 1, 0, 2, 0, 3, 0, 4, 0, 5, 0, 1}) // one set: fill, evict, re-miss
 	f.Add([]byte{2, 6, 1, 10, 1, 15, 1, 0, 1})           // dirty, writeback, invalidate, refill
 	f.Add([]byte{5, 6, 64, 6, 72, 0, 0, 15, 8, 0, 64})   // lines >= 2^63 and split high words
+	f.Add([]byte{0, 0, 80, 15, 80, 10, 80, 0, 81})       // 2^64-1 in a recency-ordered set
+	f.Add([]byte{6, 0, 80, 15, 80, 10, 80, 0, 81})       // and in a timestamped one
 	for seed := uint64(1); seed <= 4; seed++ {
 		f.Add(randomOps(seed, 200))
 	}

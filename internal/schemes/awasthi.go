@@ -1,7 +1,8 @@
 package schemes
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"whirlpool/internal/addr"
 	"whirlpool/internal/cache"
@@ -28,9 +29,9 @@ type Awasthi struct {
 	meter *energy.Meter
 	banks []*cache.SetAssoc
 
-	pageBank  map[addr.Page]int32
-	pageHot   map[addr.Page]*pageStat
-	bankPages []int // assigned pages per bank (occupancy tracking)
+	pageIdx   map[addr.Page]int32 // page -> its entry in pages
+	pages     []pageStat          // every page touched, in first-touch order
+	bankPages []int               // assigned pages per bank (occupancy tracking)
 	epoch     uint64
 	last      uint64
 
@@ -44,7 +45,11 @@ type Awasthi struct {
 	WritebacksMem uint64
 }
 
+// pageStat is a page's placement and its heat since the last decay:
+// accesses (halved every epoch) and the core that made the latest one.
 type pageStat struct {
+	pg    addr.Page
+	bank  int32
 	count uint32
 	core  uint8
 }
@@ -59,8 +64,7 @@ func NewAwasthi(chip *noc.Chip, meter *energy.Meter, epochCycles uint64) *Awasth
 	a := &Awasthi{
 		chip:      chip,
 		meter:     meter,
-		pageBank:  make(map[addr.Page]int32),
-		pageHot:   make(map[addr.Page]*pageStat),
+		pageIdx:   make(map[addr.Page]int32),
 		bankPages: make([]int, chip.NBanks()),
 		epoch:     epochCycles,
 		alphaA:    1.0,
@@ -80,17 +84,20 @@ func (a *Awasthi) SetAlphas(alphaA, alphaB float64) {
 // Name implements llc.LLC.
 func (a *Awasthi) Name() string { return "Awasthi" }
 
-func (a *Awasthi) bankOf(core int, l addr.Line) int {
+// page returns l's page entry. The entry is valid until the next first
+// touch appends to pages.
+func (a *Awasthi) page(core int, l addr.Line) *pageStat {
 	pg := addr.PageOfLine(l)
-	if b, ok := a.pageBank[pg]; ok {
-		return int(b)
+	if i, ok := a.pageIdx[pg]; ok {
+		return &a.pages[i]
 	}
 	// First touch: one of the initialBanks closest banks, hashed by page.
 	near := a.chip.Mesh.BanksByDistance(core)
 	b := near[stats.Hash64(uint64(pg))%initialBanks]
-	a.pageBank[pg] = int32(b)
+	a.pageIdx[pg] = int32(len(a.pages))
+	a.pages = append(a.pages, pageStat{pg: pg, bank: int32(b)})
 	a.bankPages[b]++
-	return b
+	return &a.pages[len(a.pages)-1]
 }
 
 // occupancy returns bank b's assigned-page load relative to its capacity.
@@ -115,7 +122,8 @@ func (a *Awasthi) score(core, bank int) float64 {
 // Access implements llc.LLC.
 func (a *Awasthi) Access(core int, acc trace.LLCAccess) (uint64, llc.Outcome) {
 	m := a.chip.Mesh
-	bank := a.bankOf(core, acc.Line)
+	p := a.page(core, acc.Line)
+	bank := int(p.bank)
 	arr := a.banks[bank]
 	if acc.Writeback {
 		a.meter.AddHops(m.CoreBankHops(core, bank))
@@ -130,14 +138,8 @@ func (a *Awasthi) Access(core int, acc trace.LLCAccess) (uint64, llc.Outcome) {
 		return 0, llc.Miss
 	}
 	// Track page heat for the migration runtime.
-	pg := addr.PageOfLine(acc.Line)
-	st := a.pageHot[pg]
-	if st == nil {
-		st = &pageStat{}
-		a.pageHot[pg] = st
-	}
-	st.count++
-	st.core = uint8(core)
+	p.count++
+	p.core = uint8(core)
 
 	hops := m.CoreBankHops(core, bank)
 	lat := 2*noc.HopLatency(hops) + noc.BankLatency
@@ -171,22 +173,19 @@ func (a *Awasthi) Tick(now uint64) {
 
 // migrate moves the hottest pages toward their accessing core.
 func (a *Awasthi) migrate() {
-	type hot struct {
-		pg addr.Page
-		st *pageStat
-	}
-	var hots []hot
-	//whirl:unordered candidates are totally ordered by (count desc, page asc) before migration
-	for pg, st := range a.pageHot {
-		if st.count >= 16 {
-			hots = append(hots, hot{pg, st})
+	var hots []int32
+	for i := range a.pages {
+		if a.pages[i].count >= 16 {
+			hots = append(hots, int32(i))
 		}
 	}
-	sort.Slice(hots, func(i, j int) bool {
-		if hots[i].st.count != hots[j].st.count {
-			return hots[i].st.count > hots[j].st.count
+	// Hottest first; ties by page, so the order is total.
+	slices.SortFunc(hots, func(i, j int32) int {
+		p, q := &a.pages[i], &a.pages[j]
+		if c := cmp.Compare(q.count, p.count); c != 0 {
+			return c
 		}
-		return hots[i].pg < hots[j].pg
+		return cmp.Compare(p.pg, q.pg)
 	})
 	// Per-bank inbound budget this epoch (alphaB of bank capacity).
 	budget := make([]int, a.chip.NBanks())
@@ -197,12 +196,13 @@ func (a *Awasthi) migrate() {
 	const maxMigrations = 256
 	migrated := 0
 	m := a.chip.Mesh
-	for _, h := range hots {
+	for _, i := range hots {
 		if migrated >= maxMigrations {
 			break
 		}
-		core := int(h.st.core)
-		cur := int(a.pageBank[h.pg])
+		p := &a.pages[i]
+		core := int(p.core)
+		cur := int(p.bank)
 		curScore := a.score(core, cur)
 		// Find the bank with the best distance/pressure score.
 		best, bestScore := cur, curScore
@@ -218,34 +218,31 @@ func (a *Awasthi) migrate() {
 			continue
 		}
 		// Benefit: accesses x saved score; cost: copying the page.
-		benefit := float64(h.st.count) * (curScore - bestScore)
+		benefit := float64(p.count) * (curScore - bestScore)
 		cost := a.alphaA * float64(addr.LinesPerPage) *
 			float64(2*noc.HopLatency(m.Hops2(cur, best)))
 		if benefit <= cost {
 			continue
 		}
-		a.movePage(h.pg, cur, best)
+		a.movePage(p, best)
 		budget[best]--
 		migrated++
 	}
 	// Decay heat so stale pages do not dominate future epochs.
-	//whirl:unordered per-entry halving and deletion; no entry observes another
-	for pg, st := range a.pageHot {
-		st.count /= 2
-		if st.count == 0 {
-			delete(a.pageHot, pg)
-		}
+	for i := range a.pages {
+		a.pages[i].count /= 2
 	}
 }
 
 // movePage re-homes a page: resident lines are copied to the new bank
 // (charged as reads+writes+hops) and invalidated in the old one.
-func (a *Awasthi) movePage(pg addr.Page, from, to int) {
+func (a *Awasthi) movePage(p *pageStat, to int) {
+	from := int(p.bank)
 	a.Migrations++
-	a.pageBank[pg] = int32(to)
+	p.bank = int32(to)
 	a.bankPages[from]--
 	a.bankPages[to]++
-	first := addr.FirstLine(pg)
+	first := addr.FirstLine(p.pg)
 	hops := a.chip.Mesh.Hops2(from, to)
 	moved := 0
 	for i := 0; i < addr.LinesPerPage; i++ {

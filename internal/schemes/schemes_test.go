@@ -143,9 +143,9 @@ func TestAwasthiFirstTouchNearCore(t *testing.T) {
 	for i := 0; i < 10000; i++ {
 		a.Access(0, demand(addr.Line(i)))
 	}
-	for pg, b := range a.pageBank {
-		if !nearSet[int(b)] {
-			t.Fatalf("page %d first-touched to far bank %d", pg, b)
+	for _, p := range a.pages {
+		if !nearSet[int(p.bank)] {
+			t.Fatalf("page %d first-touched to far bank %d", p.pg, p.bank)
 		}
 	}
 }
