@@ -141,44 +141,117 @@ func New(base string, hc *http.Client) (*Client, error) {
 // Base returns the normalized base URL.
 func (c *Client) Base() string { return c.base }
 
+// Size caps on response bodies.
+const (
+	// maxBody caps a 2xx body: a longer one is an error, never a prefix.
+	maxBody = 16 << 20
+	// maxErrorBody caps what decodeError sees of a non-2xx body.
+	maxErrorBody = 64 << 10
+)
+
 // Do issues one request against path (which must start with "/"),
 // decoding a 2xx JSON body into out (skipped when out is nil) and any
 // other status into an *Error. body, when non-nil, is marshaled as the
-// JSON request body.
+// JSON request body. The body must hold exactly one JSON value: trailing
+// bytes after it are an error.
 func (c *Client) Do(ctx context.Context, method, path string, body, out any) error {
-	var rd io.Reader
+	var data []byte
 	if body != nil {
-		data, err := json.Marshal(body)
-		if err != nil {
+		var err error
+		if data, err = json.Marshal(body); err != nil {
 			return fmt.Errorf("apiclient: encoding %s %s body: %v", method, path, err)
 		}
-		rd = bytes.NewReader(data)
+	}
+	raw, err := c.fetch(ctx, method, path, data, out == nil)
+	if err != nil || out == nil {
+		return err
+	}
+	if err := json.Unmarshal(raw, out); err != nil {
+		return fmt.Errorf("apiclient: decoding %s %s response: %v", method, path, err)
+	}
+	return nil
+}
+
+// fetch issues one request and returns its 2xx body, read by readBody.
+func (c *Client) fetch(ctx context.Context, method, path string, body []byte, discard bool) ([]byte, error) {
+	resp, err := c.send(ctx, method, path, body, "")
+	if err != nil {
+		return nil, err
+	}
+	defer resp.Body.Close()
+	data, err := readBody(resp, discard)
+	if err != nil {
+		return nil, fmt.Errorf("apiclient: reading %s %s response: %w", method, path, err)
+	}
+	return data, nil
+}
+
+// send issues one request and returns its response when the status is
+// 2xx; any other status is decoded into an *Error and its body closed.
+// body, when non-nil, is sent as JSON; accept, when set, is the Accept
+// header.
+func (c *Client) send(ctx context.Context, method, path string, body []byte, accept string) (*http.Response, error) {
+	var rd io.Reader
+	if body != nil {
+		rd = bytes.NewReader(body)
 	}
 	req, err := http.NewRequestWithContext(ctx, method, c.base+path, rd)
 	if err != nil {
-		return fmt.Errorf("apiclient: %v", err)
+		return nil, fmt.Errorf("apiclient: %v", err)
 	}
 	if body != nil {
 		req.Header.Set("Content-Type", "application/json")
 	}
+	if accept != "" {
+		req.Header.Set("Accept", accept)
+	}
 	injectTraceparent(ctx, req)
 	resp, err := c.http.Do(req)
 	if err != nil {
-		return fmt.Errorf("apiclient: %s %s: %w", method, path, err)
+		return nil, fmt.Errorf("apiclient: %s %s: %w", method, path, err)
 	}
-	defer resp.Body.Close()
 	if resp.StatusCode < 200 || resp.StatusCode > 299 {
-		data, _ := io.ReadAll(io.LimitReader(resp.Body, 64<<10))
-		return decodeError(resp, data)
+		data, _ := io.ReadAll(io.LimitReader(resp.Body, maxErrorBody))
+		resp.Body.Close()
+		return nil, decodeError(resp, data)
 	}
-	if out == nil {
-		_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, 64<<10))
-		return nil
+	return resp, nil
+}
+
+// readBody reads a 2xx body exactly once, to EOF, so the transport can
+// put the connection back in its pool, and returns it (nil when discard
+// is set). A body with a Content-Length lands in one buffer of that
+// size; one without is read through a LimitReader. A body over maxBody
+// is an error, and one whose Content-Length already says so is not read.
+func readBody(resp *http.Response, discard bool) ([]byte, error) {
+	size := resp.ContentLength
+	if size > maxBody {
+		return nil, fmt.Errorf("body of %d bytes is over the %d-byte cap", size, maxBody)
 	}
-	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
-		return fmt.Errorf("apiclient: decoding %s %s response: %v", method, path, err)
+	lr := io.LimitReader(resp.Body, maxBody+1)
+	var data []byte
+	var err error
+	switch {
+	case discard:
+	case size >= 0:
+		data = make([]byte, size)
+		_, err = io.ReadFull(lr, data)
+	default:
+		data, err = io.ReadAll(lr)
 	}
-	return nil
+	if err != nil {
+		return nil, err
+	}
+	// What is left is the whole body when discarding and nothing
+	// otherwise; reading it reaches EOF.
+	rest, err := io.Copy(io.Discard, lr)
+	if err != nil {
+		return nil, err
+	}
+	if int64(len(data))+rest > maxBody {
+		return nil, fmt.Errorf("body is over the %d-byte cap", maxBody)
+	}
+	return data, nil
 }
 
 // injectTraceparent stamps the W3C traceparent header when ctx carries
@@ -196,28 +269,11 @@ func (c *Client) GetJSON(ctx context.Context, path string, out any) error {
 	return c.Do(ctx, http.MethodGet, path, nil, out)
 }
 
-// GetRaw GETs path and returns the raw response body (capped at 16 MiB)
-// — for non-JSON payloads like the JSONL trace endpoint.
+// GetRaw GETs path and returns the raw response body — for non-JSON
+// payloads like the JSONL trace endpoint, and for callers that decode
+// the body themselves. A body over 16 MiB is an error.
 func (c *Client) GetRaw(ctx context.Context, path string) ([]byte, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+path, nil)
-	if err != nil {
-		return nil, fmt.Errorf("apiclient: %v", err)
-	}
-	injectTraceparent(ctx, req)
-	resp, err := c.http.Do(req)
-	if err != nil {
-		return nil, fmt.Errorf("apiclient: GET %s: %w", path, err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode < 200 || resp.StatusCode > 299 {
-		data, _ := io.ReadAll(io.LimitReader(resp.Body, 64<<10))
-		return nil, decodeError(resp, data)
-	}
-	data, err := io.ReadAll(io.LimitReader(resp.Body, 16<<20))
-	if err != nil {
-		return nil, fmt.Errorf("apiclient: reading %s: %w", path, err)
-	}
-	return data, nil
+	return c.fetch(ctx, http.MethodGet, path, nil, false)
 }
 
 // PostJSON POSTs body as JSON and decodes the response into out.
@@ -251,23 +307,13 @@ type Stream struct {
 // Stream GETs an SSE endpoint (e.g. "/v1/jobs/j1/stream"). The caller
 // must Close the returned stream.
 func (c *Client) Stream(ctx context.Context, path string) (*Stream, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+path, nil)
+	resp, err := c.send(ctx, http.MethodGet, path, nil, "text/event-stream")
 	if err != nil {
-		return nil, fmt.Errorf("apiclient: %v", err)
+		return nil, err
 	}
-	req.Header.Set("Accept", "text/event-stream")
-	injectTraceparent(ctx, req)
-	resp, err := c.http.Do(req)
-	if err != nil {
-		return nil, fmt.Errorf("apiclient: stream %s: %w", path, err)
-	}
-	if resp.StatusCode != http.StatusOK {
-		data, _ := io.ReadAll(io.LimitReader(resp.Body, 64<<10))
-		resp.Body.Close()
-		return nil, decodeError(resp, data)
-	}
+	// Most events are one short row: start small, grow up to 4 MiB.
 	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 0, 64<<10), 4<<20)
+	sc.Buffer(make([]byte, 0, 4<<10), 4<<20)
 	return &Stream{body: resp.Body, sc: sc}, nil
 }
 

@@ -7,6 +7,10 @@
 package cache
 
 import (
+	"cmp"
+	"math"
+	"slices"
+
 	"whirlpool/internal/addr"
 	"whirlpool/internal/stats"
 )
@@ -218,6 +222,9 @@ func (c *SetAssoc) Access(l addr.Line, write bool) (hit bool, ev Eviction, evict
 	if c.ordered {
 		return c.accessOrdered(base, l, write)
 	}
+	if c.clock == math.MaxUint32 {
+		return c.accessAtWrap(l, write)
+	}
 	c.clock++
 	if w := c.find(base, l); w >= 0 {
 		c.Hits++
@@ -322,6 +329,32 @@ func (c *SetAssoc) victim(base int) int {
 			c.rrpv[base+w]++
 		}
 	}
+}
+
+// accessAtWrap is Access on a timestamped or RRIP set when the clock is
+// about to wrap. It restamps the valid ways of each timestamped LRU set
+// 1, 2, ... from least to most recently used, which keeps every set's
+// recency order, restarts the clock above them and makes the access.
+// Access returns its result as is, so the check costs Access's hot path
+// one compare and no register spills.
+func (c *SetAssoc) accessAtWrap(l addr.Line, write bool) (hit bool, ev Eviction, evicted bool) {
+	if c.ts != nil { // RRIP reads no timestamps
+		order := make([]int, 0, c.ways)
+		for base := 0; base < len(c.ts); base += c.ways {
+			order = order[:0]
+			for i := base; i < base+c.ways; i++ {
+				if c.valid(i) {
+					order = append(order, i)
+				}
+			}
+			slices.SortFunc(order, func(a, b int) int { return cmp.Compare(c.ts[a], c.ts[b]) })
+			for r, i := range order {
+				c.ts[i] = uint32(r + 1)
+			}
+		}
+	}
+	c.clock = uint32(c.ways)
+	return c.Access(l, write)
 }
 
 // Writeback marks l dirty if present (an L2 writeback arriving at an

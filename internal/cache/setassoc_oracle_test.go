@@ -101,18 +101,20 @@ func (c *SetAssoc) resident(s int) []Eviction {
 }
 
 // runSetOracle decodes ops as an op stream and replays it on an LRU
-// SetAssoc and a refSetLRU, failing at the first step where they differ.
+// SetAssoc whose clock starts at clock and on a refSetLRU, failing at the
+// first step where they differ.
 // The first byte picks the geometry; each later op is a kind byte plus
 // one argument byte (the line): Access (read or write), Writeback or
 // Invalidate. After every step each set's resident lines, their dirty
 // bits and their LRU order must match.
-func runSetOracle(t testing.TB, ops []byte) {
+func runSetOracle(t testing.TB, ops []byte, clock uint32) {
 	if len(ops) == 0 {
 		return
 	}
 	g := setOracleGeoms[int(ops[0])%len(setOracleGeoms)]
 	sets, ways := g[0], g[1]
 	c := NewSetAssoc(uint64(sets*ways*addr.LineBytes), ways, LRU)
+	c.clock = clock
 	r := &refSetLRU{ways: ways, sets: make([][]Eviction, sets)}
 	var hits, misses uint64
 	for step := 0; 1+2*step+1 < len(ops); step++ {
@@ -154,9 +156,14 @@ func runSetOracle(t testing.TB, ops []byte) {
 	}
 }
 
+// TestSetAssocMatchesReference replays each stream twice: once from a
+// fresh clock and once from a clock that wraps about 300 accesses in,
+// as it does on an array past 2^32 accesses.
 func TestSetAssocMatchesReference(t *testing.T) {
 	for seed := uint64(1); seed <= 200; seed++ {
-		runSetOracle(t, randomOps(seed, 1000))
+		for _, clock := range []uint32{0, 1<<32 - 300} {
+			runSetOracle(t, randomOps(seed, 1000), clock)
+		}
 	}
 }
 
@@ -172,7 +179,7 @@ func FuzzSetAssoc(f *testing.F) {
 	for seed := uint64(1); seed <= 4; seed++ {
 		f.Add(randomOps(seed, 200))
 	}
-	f.Fuzz(func(t *testing.T, ops []byte) { runSetOracle(t, ops) })
+	f.Fuzz(func(t *testing.T, ops []byte) { runSetOracle(t, ops, 0) })
 }
 
 // TestSetAssocPolicyDigests pins every replacement policy's outcomes on

@@ -1,6 +1,10 @@
 package workloads
 
-import "whirlpool/internal/addr"
+import (
+	"slices"
+
+	"whirlpool/internal/addr"
+)
 
 // The synthetic suite. Sizes, access splits, and phase behaviour of the
 // apps the paper analyzes in detail (dt, mis, lbm, refine, cactus, SA,
@@ -397,27 +401,47 @@ func Specs() []AppSpec {
 	}
 }
 
+// builtin is the suite, built once: ByName hands out deep copies of its
+// specs, so no caller can change what the next one gets.
+var builtin = Specs()
+
 // ByName returns the spec with the given name. Runtime-registered specs
 // (see Register) shadow built-ins of the same name.
 func ByName(name string) (AppSpec, bool) {
 	if s, ok := registered(name); ok {
 		return s, true
 	}
-	for _, s := range Specs() {
-		if s.Name == name {
-			return s, true
+	for i := range builtin {
+		if builtin[i].Name == name {
+			return builtin[i].clone(), true
 		}
 	}
 	return AppSpec{}, false
+}
+
+// clone returns a deep copy of s.
+func (s AppSpec) clone() AppSpec {
+	s.Structs = slices.Clone(s.Structs)
+	s.Phases = slices.Clone(s.Phases)
+	for i := range s.Phases {
+		p := &s.Phases[i]
+		p.Weights = slices.Clone(p.Weights)
+		p.Patterns = slices.Clone(p.Patterns)
+		p.Params = slices.Clone(p.Params)
+	}
+	s.ManualPools = slices.Clone(s.ManualPools)
+	for i := range s.ManualPools {
+		s.ManualPools[i] = slices.Clone(s.ManualPools[i])
+	}
+	return s
 }
 
 // BuiltinNames returns the built-in suite's app names in suite order,
 // ignoring the runtime registry — the paper's figure runners use this so
 // loaded spec files cannot silently change what a "paper figure" means.
 func BuiltinNames() []string {
-	specs := Specs()
-	out := make([]string, len(specs))
-	for i, s := range specs {
+	out := make([]string, len(builtin))
+	for i, s := range builtin {
 		out[i] = s.Name
 	}
 	return out

@@ -2,6 +2,7 @@ package workloads
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 	"time"
 
@@ -292,6 +293,68 @@ func TestByName(t *testing.T) {
 	}
 	if len(Names()) != 31 {
 		t.Fatal("Names length mismatch")
+	}
+}
+
+// TestByNameCopies: a spec from ByName is the suite's spec, and changing
+// anything it holds leaves what the next ByName call returns untouched.
+func TestByNameCopies(t *testing.T) {
+	for _, want := range Specs() {
+		s, ok := ByName(want.Name)
+		if !ok || !reflect.DeepEqual(s, want) {
+			t.Fatalf("ByName(%q) = %+v, %v; want %+v", want.Name, s, ok, want)
+		}
+		s.Structs[0].Bytes++
+		for _, ph := range s.Phases {
+			ph.Weights[0]++
+			if ph.Patterns != nil {
+				ph.Patterns[0]++
+			}
+			if ph.Params != nil {
+				ph.Params[0]++
+			}
+		}
+		for _, g := range s.ManualPools {
+			g[0]++
+		}
+		if again, _ := ByName(want.Name); !reflect.DeepEqual(again, want) {
+			t.Fatalf("%s: changing one ByName result changed the next: %+v", want.Name, again)
+		}
+	}
+}
+
+// TestByNameAllocs: ByName allocates the slices its copy holds and
+// nothing more; it does not rebuild the suite.
+func TestByNameAllocs(t *testing.T) {
+	for _, s := range Specs() {
+		n := 2 + len(s.ManualPools) // Structs, Phases, each pool
+		if s.ManualPools != nil {
+			n++
+		}
+		for _, ph := range s.Phases {
+			n++
+			if ph.Patterns != nil {
+				n++
+			}
+			if ph.Params != nil {
+				n++
+			}
+		}
+		if got := testing.AllocsPerRun(20, func() { ByName(s.Name) }); got > float64(n) {
+			t.Errorf("ByName(%q) makes %.0f allocations, want at most %d", s.Name, got, n)
+		}
+	}
+}
+
+// BenchmarkByName looks up the last app of the suite, the longest search.
+func BenchmarkByName(b *testing.B) {
+	names := BuiltinNames()
+	name := names[len(names)-1]
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, ok := ByName(name); !ok {
+			b.Fatal(name, "missing")
+		}
 	}
 }
 
