@@ -34,30 +34,22 @@ test:
 race:
 	$(GO) test -race -count=1 -timeout 20m ./internal/experiments/... ./internal/sim/ ./internal/trace/ ./internal/results/ ./internal/server/ ./internal/dispatch/ ./internal/fleet/ ./internal/traffic/ ./internal/obs/
 
-# Ten seconds of coverage-guided fuzzing of the .wtrc parser and cursor,
-# then five of CapLRU against its naive reference LRU, five of the
-# rows.jsonl line decoder against json.Unmarshal, five of the mapped
-# result store against its heap fallback, five of the W3C
-# traceparent parser every request runs, and five of the /v1/sweeps and
-# /v1/cells job builder against the engine's grid validation, and five
-# of the workload-spec parser (round trip, every app streams), five of
-# the stack-distance profiler against its naive reference stack, five of
-# the traffic-spec parser (round trip, schedules never go back) and five
-# of whirld's error-envelope decoder, on top of the committed seeds
-# (which `go test ./...` already runs). Minimization is capped so a new
+# Coverage-guided fuzzing of every Fuzz target that `go test -list`
+# finds, package by package, on top of the committed seeds (which
+# `go test ./...` already runs): ten seconds for the .wtrc parser and
+# cursor (FuzzParseWTRC), five for each of the rest. A new target is
+# fuzzed without being listed anywhere. Minimization is capped so a new
 # input's shrinking cannot eat the whole budget.
 fuzz:
-	$(GO) test -run '^$$' -fuzz FuzzParseWTRC -fuzztime 10s -fuzzminimizetime 1s ./internal/trace/
-	$(GO) test -run '^$$' -fuzz FuzzCapLRU -fuzztime 5s -fuzzminimizetime 1s ./internal/cache/
-	$(GO) test -run '^$$' -fuzz FuzzSetAssoc -fuzztime 5s -fuzzminimizetime 1s ./internal/cache/
-	$(GO) test -run '^$$' -fuzz FuzzDecodeLine -fuzztime 5s -fuzzminimizetime 1s ./internal/results/
-	$(GO) test -run '^$$' -fuzz FuzzOpen -fuzztime 5s -fuzzminimizetime 1s ./internal/results/
-	$(GO) test -run '^$$' -fuzz FuzzParseTraceparent -fuzztime 5s -fuzzminimizetime 1s ./internal/obs/
-	$(GO) test -run '^$$' -fuzz FuzzSweepRequest -fuzztime 5s -fuzzminimizetime 1s ./internal/server/
-	$(GO) test -run '^$$' -fuzz FuzzParseSpec -fuzztime 5s -fuzzminimizetime 1s ./internal/spec/
-	$(GO) test -run '^$$' -fuzz FuzzProfiler -fuzztime 5s -fuzzminimizetime 1s ./internal/mrc/
-	$(GO) test -run '^$$' -fuzz FuzzParseTraffic -fuzztime 5s -fuzzminimizetime 1s ./internal/traffic/
-	$(GO) test -run '^$$' -fuzz FuzzErrorEnvelope -fuzztime 5s -fuzzminimizetime 1s ./internal/apiclient/
+	@list=$$($(GO) test -list '^Fuzz' ./...) || { echo "$$list"; exit 1; }; \
+	echo "$$list" | awk '/^Fuzz/ { f = f " " $$1 } /^ok/ { if (f != "") print $$2 f; f = "" }' | \
+	while read -r pkg targets; do \
+		for t in $$targets; do \
+			d=5s; if [ "$$t" = FuzzParseWTRC ]; then d=10s; fi; \
+			echo "fuzz $$pkg $$t $$d"; \
+			$(GO) test -run '^$$' -fuzz "^$$t\$$" -fuzztime $$d -fuzzminimizetime 1s "$$pkg" || exit 1; \
+		done; \
+	done
 
 vet:
 	$(GO) vet ./...

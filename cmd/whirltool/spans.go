@@ -14,7 +14,7 @@ import (
 )
 
 // spansCmd renders a span-JSONL trace (the GET /v1/jobs/{id}/trace
-// payload, or a tracer sink file) as a text waterfall: the tree by
+// payload) as a text waterfall: the tree by
 // parent links, each span with its offset from the trace start, a
 // scaled duration bar, and per-name aggregates plus the critical path
 // at the bottom.

@@ -22,7 +22,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -63,16 +62,6 @@ func (e *Error) Error() string {
 // deterministic rejection.
 func (e *Error) Temporary() bool {
 	return e.Status == http.StatusTooManyRequests || e.Status == http.StatusServiceUnavailable
-}
-
-// ErrorStatus returns err's HTTP status when err is (or wraps) an
-// *Error, and 0 otherwise.
-func ErrorStatus(err error) int {
-	var ae *Error
-	if errors.As(err, &ae) {
-		return ae.Status
-	}
-	return 0
 }
 
 // envelope is the wire shape of every non-2xx /v1 body.

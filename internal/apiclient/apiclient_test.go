@@ -103,13 +103,7 @@ func TestErrorEnvelope(t *testing.T) {
 			if ae.Temporary() != tc.temporary {
 				t.Fatalf("Temporary() = %v, want %v", ae.Temporary(), tc.temporary)
 			}
-			if ErrorStatus(err) != tc.status {
-				t.Fatalf("ErrorStatus = %d, want %d", ErrorStatus(err), tc.status)
-			}
 		})
-	}
-	if ErrorStatus(errors.New("plain")) != 0 {
-		t.Fatal("ErrorStatus of a non-API error should be 0")
 	}
 }
 

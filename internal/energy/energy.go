@@ -62,12 +62,5 @@ func (m *Meter) AddDRAM(n float64) { m.MemoryPJ += n * DRAMAccessPJ }
 // Total returns total data-movement energy in picojoules.
 func (m *Meter) Total() float64 { return m.BankPJ + m.NetworkPJ + m.MemoryPJ }
 
-// Add accumulates another meter into m.
-func (m *Meter) Add(o Meter) {
-	m.BankPJ += o.BankPJ
-	m.NetworkPJ += o.NetworkPJ
-	m.MemoryPJ += o.MemoryPJ
-}
-
 // Reset zeroes the meter.
 func (m *Meter) Reset() { *m = Meter{} }

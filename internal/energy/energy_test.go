@@ -25,12 +25,11 @@ func TestMeterComponents(t *testing.T) {
 }
 
 func TestMeterAddAndReset(t *testing.T) {
-	var a, b Meter
+	var a Meter
 	a.AddBank(1)
-	b.AddDRAM(2)
-	a.Add(b)
+	a.AddDRAM(2)
 	if a.MemoryPJ != 2*DRAMAccessPJ {
-		t.Fatal("Add did not accumulate")
+		t.Fatal("AddDRAM did not accumulate")
 	}
 	a.Reset()
 	if a.Total() != 0 {

@@ -126,36 +126,3 @@ func (h *Harness) AblationBypass(apps []string) *Table {
 	}
 	return t
 }
-
-// AblationCombineModel compares the Appendix B combining model against
-// naive curve addition as WhirlTool's distance basis, reporting how the
-// resulting 3-pool classifications differ on a set of apps.
-func (h *Harness) AblationCombineModel(apps []string) *Table {
-	t := &Table{
-		Title: "Ablation: Appendix B combine model in WhirlTool distances",
-		Cols:  []string{"app", "flow-model pools", "speedup vs Jigsaw"},
-	}
-	for _, app := range apps {
-		jig := must(h.RunSingle(app, schemes.KindJigsaw, RunOptions{}))
-		g := h.WhirlToolGrouping(app, 3, true)
-		r := must(h.RunSingle(app, schemes.KindWhirlpool, RunOptions{Grouping: g}))
-		t.AddRow(app, groupingString(g), Pct(float64(jig.Cycles)/float64(r.Cycles)-1))
-	}
-	return t
-}
-
-func groupingString(g [][]int) string {
-	s := ""
-	for i, grp := range g {
-		if i > 0 {
-			s += " | "
-		}
-		for j, x := range grp {
-			if j > 0 {
-				s += ","
-			}
-			s += string(rune('a' + x))
-		}
-	}
-	return s
-}

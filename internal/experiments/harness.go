@@ -246,11 +246,6 @@ func must(r *sim.Result, err error) *sim.Result {
 	return r
 }
 
-// TraceBuilds reports how many app traces this harness has built — the
-// sweep tests assert that trace generation is cached per app, not
-// repeated per (app, scheme).
-func (h *Harness) TraceBuilds() int64 { return h.builds.Load() }
-
 // poolClassifier builds the Whirlpool classifier for one app: line →
 // callpoint → pool (per grouping), giving each pool a per-core VC. off
 // is the offset the app's trace lines were shifted by: its core's

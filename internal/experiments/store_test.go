@@ -50,7 +50,7 @@ func TestSweepStoreMemoizes(t *testing.T) {
 	if st.Hits != int64(len(rows1)) || st.Misses != int64(len(rows1)) {
 		t.Fatalf("warm sweep stats = %+v, want %d hits and no new misses", st, len(rows1))
 	}
-	if b := warm.TraceBuilds(); b != 0 {
+	if b := warm.CacheStats().Builds; b != 0 {
 		t.Fatalf("warm sweep built %d traces, want 0 (store must preempt trace prefetch)", b)
 	}
 	if len(rows2) != len(rows1) {
@@ -96,9 +96,6 @@ func TestSweepStoreRespectsConfig(t *testing.T) {
 	}
 	for _, v := range variants {
 		before := store.Stats().Hits
-		if _, err := v.cfg.Store.Refresh(); err != nil {
-			t.Fatal(err)
-		}
 		if _, err := v.h.Sweep(v.cfg); err != nil {
 			t.Fatalf("%s: %v", v.name, err)
 		}
@@ -135,8 +132,8 @@ func TestSweepStoreMix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if warm.TraceBuilds() != 0 {
-		t.Fatalf("warm mix sweep built %d traces, want 0", warm.TraceBuilds())
+	if warm.CacheStats().Builds != 0 {
+		t.Fatalf("warm mix sweep built %d traces, want 0", warm.CacheStats().Builds)
 	}
 	a, b := rows1[0], rows2[0]
 	a.WallMS, b.WallMS = 0, 0

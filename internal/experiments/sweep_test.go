@@ -64,7 +64,7 @@ func TestSweepTraceCacheReuse(t *testing.T) {
 	if len(rows) != len(apps)*6 {
 		t.Fatalf("got %d rows, want %d", len(rows), len(apps)*6)
 	}
-	if got := h.TraceBuilds(); got != int64(len(apps)) {
+	if got := h.CacheStats().Builds; got != int64(len(apps)) {
 		t.Errorf("built %d traces for %d apps × 6 schemes, want %d (one per app)",
 			got, len(apps), len(apps))
 	}
@@ -109,8 +109,8 @@ func TestSweepUnknownApp(t *testing.T) {
 	if !strings.Contains(err.Error(), "nosuchapp") {
 		t.Errorf("error %q does not name the unknown app", err)
 	}
-	if h.TraceBuilds() != 0 {
-		t.Errorf("sweep built %d traces before failing validation, want 0", h.TraceBuilds())
+	if h.CacheStats().Builds != 0 {
+		t.Errorf("sweep built %d traces before failing validation, want 0", h.CacheStats().Builds)
 	}
 }
 
@@ -132,8 +132,8 @@ func TestSweepDuplicateNames(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("err = %v (%d rows), want %s", err, len(rows), tc.want)
 		}
-		if h.TraceBuilds() != 0 {
-			t.Errorf("%s: built %d traces before failing validation", tc.want, h.TraceBuilds())
+		if h.CacheStats().Builds != 0 {
+			t.Errorf("%s: built %d traces before failing validation", tc.want, h.CacheStats().Builds)
 		}
 	}
 }
@@ -192,8 +192,8 @@ func TestSweepCanceledBeforeStart(t *testing.T) {
 	if err == nil {
 		t.Fatal("canceled sweep returned no error")
 	}
-	if h.TraceBuilds() != 0 {
-		t.Errorf("canceled sweep built %d traces, want 0", h.TraceBuilds())
+	if h.CacheStats().Builds != 0 {
+		t.Errorf("canceled sweep built %d traces, want 0", h.CacheStats().Builds)
 	}
 	for _, r := range rows {
 		if r.Err != "canceled" {
@@ -290,8 +290,8 @@ func TestSweepPinValidation(t *testing.T) {
 			t.Fatalf("mix %q with bad pins passed validation", m.Name)
 		}
 	}
-	if h.TraceBuilds() != 0 {
-		t.Errorf("validation built %d traces, want 0", h.TraceBuilds())
+	if h.CacheStats().Builds != 0 {
+		t.Errorf("validation built %d traces, want 0", h.CacheStats().Builds)
 	}
 }
 

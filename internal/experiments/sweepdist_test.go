@@ -254,8 +254,8 @@ func TestSweepRemoteExec(t *testing.T) {
 	if err != nil {
 		t.Fatalf("remote sweep: %v", err)
 	}
-	if coordH.TraceBuilds() != 0 {
-		t.Errorf("coordinator built %d traces; remote sweeps must build none", coordH.TraceBuilds())
+	if coordH.CacheStats().Builds != 0 {
+		t.Errorf("coordinator built %d traces; remote sweeps must build none", coordH.CacheStats().Builds)
 	}
 	if stats.Computed != 2 || stats.Served != 0 {
 		t.Errorf("stats = %+v, want 2 computed", stats)

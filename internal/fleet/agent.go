@@ -63,8 +63,6 @@ type AgentOptions struct {
 	// Load supplies the load sample sent with each heartbeat; nil
 	// sends zeros.
 	Load func() Load
-	// Client overrides the HTTP client (tests).
-	Client *http.Client
 	// Log, if set, receives join/lease events. Nil discards.
 	Log *slog.Logger
 }
@@ -93,7 +91,7 @@ func StartAgent(opt AgentOptions) (*Agent, error) {
 	if _, err := NormalizeURL(opt.Advertise); err != nil {
 		return nil, err
 	}
-	api, err := apiclient.New(opt.Coordinator, opt.Client)
+	api, err := apiclient.New(opt.Coordinator, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -17,9 +17,6 @@ type CSR struct {
 	Adj  []int32 // neighbor lists
 }
 
-// M returns the number of directed edges.
-func (g *CSR) M() int { return len(g.Adj) }
-
 // Degree returns vertex v's out-degree.
 func (g *CSR) Degree(v int32) int {
 	return int(g.Xadj[v+1] - g.Xadj[v])

@@ -37,7 +37,7 @@ func TestRMATProperties(t *testing.T) {
 	if g.N != 1024 {
 		t.Fatalf("N = %d", g.N)
 	}
-	if g.M() == 0 {
+	if len(g.Adj) == 0 {
 		t.Fatal("no edges")
 	}
 	// Power-law-ish: max degree much higher than average.
@@ -58,7 +58,7 @@ func TestRMATProperties(t *testing.T) {
 func TestRMATDeterministic(t *testing.T) {
 	a := RMAT(8, 4, 7)
 	b := RMAT(8, 4, 7)
-	if a.M() != b.M() {
+	if len(a.Adj) != len(b.Adj) {
 		t.Fatal("RMAT not deterministic")
 	}
 	for i := range a.Adj {
@@ -84,7 +84,7 @@ func TestGrid2D(t *testing.T) {
 
 func TestUniform(t *testing.T) {
 	g := Uniform(1000, 8, 3)
-	avg := float64(g.M()) / float64(g.N)
+	avg := float64(len(g.Adj)) / float64(g.N)
 	if avg < 5 || avg > 9 {
 		t.Fatalf("avg degree %.1f, want ~8", avg)
 	}

@@ -11,17 +11,6 @@ import (
 // sizing and placement: the OS runtime that fires every reconfiguration
 // interval (25ms in the paper; scaled in simulation — see docs/design.md).
 
-// memPenalty returns the effective miss penalty in cycles: memory latency
-// plus the average bank-to-controller round trip.
-func memPenalty(chip *noc.Chip) float64 {
-	m := chip.Mesh
-	sum := 0.0
-	for b := 0; b < chip.NBanks(); b++ {
-		sum += float64(2 * noc.HopLatency(m.BankMemHops(b)))
-	}
-	return noc.MemLatency + sum/float64(chip.NBanks())
-}
-
 // bypassLatency is the per-access cost of a bypassed VC: straight to
 // memory from the core, with no bank lookup.
 func bypassLatency(chip *noc.Chip, v *VC) float64 {

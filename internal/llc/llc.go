@@ -68,11 +68,3 @@ func PoolPrivate(poolOf func(addr.Line) mem.PoolID) Classifier {
 		return VCKey{Core: int16(core), Pool: poolOf(line)}
 	}
 }
-
-// PoolShared builds a Whirlpool classifier for parallel apps: each pool
-// gets one process-shared VC, placed near the cores that use it.
-func PoolShared(poolOf func(addr.Line) mem.PoolID) Classifier {
-	return func(_ int, line addr.Line) VCKey {
-		return VCKey{Core: SharedVC, Pool: poolOf(line)}
-	}
-}

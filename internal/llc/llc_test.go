@@ -34,16 +34,3 @@ func TestPoolPrivate(t *testing.T) {
 		t.Fatalf("key = %+v", k2)
 	}
 }
-
-func TestPoolShared(t *testing.T) {
-	poolOf := func(l addr.Line) mem.PoolID { return mem.PoolID(uint64(l) % 4) }
-	c := PoolShared(poolOf)
-	k1 := c(0, addr.Line(7))
-	k2 := c(3, addr.Line(7))
-	if k1 != k2 {
-		t.Fatal("shared pool classification must not depend on core")
-	}
-	if k1.Core != SharedVC || k1.Pool != 3 {
-		t.Fatalf("key = %+v", k1)
-	}
-}

@@ -9,23 +9,17 @@ import (
 
 func TestPoolCreate(t *testing.T) {
 	s := NewSpace()
-	p1 := s.PoolCreate("vertices")
-	p2 := s.PoolCreate("edges")
+	p1 := s.PoolCreate()
+	p2 := s.PoolCreate()
 	if p1 == p2 || p1 == DefaultPool || p2 == DefaultPool {
 		t.Fatalf("pool ids not distinct: %d %d", p1, p2)
-	}
-	if s.PoolName(p1) != "vertices" {
-		t.Fatalf("name = %q", s.PoolName(p1))
-	}
-	if s.NumPools() != 3 {
-		t.Fatalf("NumPools = %d, want 3 (default + 2)", s.NumPools())
 	}
 }
 
 func TestMallocPoolOwnership(t *testing.T) {
 	s := NewSpace()
-	p1 := s.PoolCreate("a")
-	p2 := s.PoolCreate("b")
+	p1 := s.PoolCreate()
+	p2 := s.PoolCreate()
 	a1 := s.Malloc(1000, p1, NoCallpoint)
 	a2 := s.Malloc(1000, p2, NoCallpoint)
 	if s.PoolOf(a1) != p1 || s.PoolOf(a2) != p2 {
@@ -42,8 +36,8 @@ func TestMallocPoolOwnership(t *testing.T) {
 func TestPagesNeverShared(t *testing.T) {
 	// The paper's allocator contract: a page belongs to exactly one pool.
 	s := NewSpace()
-	p1 := s.PoolCreate("a")
-	p2 := s.PoolCreate("b")
+	p1 := s.PoolCreate()
+	p2 := s.PoolCreate()
 	pages := make(map[addr.Page]PoolID)
 	for i := 0; i < 200; i++ {
 		pool := p1
@@ -81,67 +75,12 @@ func TestLargeAllocationsPageAligned(t *testing.T) {
 	}
 }
 
-func TestFreeAndReuse(t *testing.T) {
-	s := NewSpace()
-	a := s.Malloc(128, DefaultPool, NoCallpoint)
-	s.Free(a)
-	b := s.Malloc(128, DefaultPool, NoCallpoint)
-	if a != b {
-		t.Fatalf("free-list reuse failed: %#x then %#x", uint64(a), uint64(b))
-	}
-}
-
-func TestFreePagesReused(t *testing.T) {
-	s := NewSpace()
-	a := s.Malloc(64*addr.KB, DefaultPool, NoCallpoint)
-	s.Free(a)
-	b := s.Malloc(32*addr.KB, DefaultPool, NoCallpoint)
-	if b != a {
-		t.Fatalf("page run not reused: %#x vs %#x", uint64(b), uint64(a))
-	}
-}
-
-func TestFreeUnknownPanics(t *testing.T) {
-	s := NewSpace()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	s.Free(addr.Addr(1 << 40))
-}
-
-func TestRealloc(t *testing.T) {
-	s := NewSpace()
-	p := s.PoolCreate("x")
-	a := s.Malloc(100, p, NoCallpoint)
-	b := s.Realloc(a, 50) // shrink: stays
-	if a != b {
-		t.Fatal("shrinking realloc moved")
-	}
-	c := s.Realloc(a, 100000) // grow: moves, stays in pool
-	if s.PoolOf(c) != p {
-		t.Fatal("realloc left the pool")
-	}
-}
-
-func TestCalloc(t *testing.T) {
-	s := NewSpace()
-	a := s.Calloc(100, 8, DefaultPool, NoCallpoint)
-	if s.PoolOf(a) != DefaultPool {
-		t.Fatal("calloc pool wrong")
-	}
-}
-
 func TestCallpointTracking(t *testing.T) {
 	s := NewSpace()
 	a := s.Malloc(100, DefaultPool, Callpoint(7))
 	b := s.Malloc(100, DefaultPool, Callpoint(9))
-	if s.CallpointOf(a) != 7 || s.CallpointOf(b) != 9 {
+	if s.CallpointOfLine(addr.LineOf(a)) != 7 || s.CallpointOfLine(addr.LineOf(b)) != 9 {
 		t.Fatal("callpoint mismatch")
-	}
-	if s.CallpointOfLine(addr.LineOf(a)) != 7 {
-		t.Fatal("CallpointOfLine mismatch")
 	}
 	// Different callpoints must not share pages.
 	if addr.PageOf(a) == addr.PageOf(b) {
@@ -149,29 +88,60 @@ func TestCallpointTracking(t *testing.T) {
 	}
 }
 
-func TestPoolBytes(t *testing.T) {
-	s := NewSpace()
-	p := s.PoolCreate("big")
-	s.Malloc(1*addr.MB, p, NoCallpoint)
-	s.Malloc(2*addr.MB, p, NoCallpoint)
-	pb := s.PoolBytes()
-	if pb[p] < 3*addr.MB {
-		t.Fatalf("pool bytes = %d, want >= 3MB", pb[p])
-	}
-}
-
 func TestQuickPoolOfAlwaysMatchesAllocation(t *testing.T) {
 	s := NewSpace()
-	pools := []PoolID{DefaultPool, s.PoolCreate("a"), s.PoolCreate("b"), s.PoolCreate("c")}
+	pools := []PoolID{DefaultPool, s.PoolCreate(), s.PoolCreate(), s.PoolCreate()}
 	f := func(sizeRaw uint16, poolRaw, cpRaw uint8) bool {
 		size := uint64(sizeRaw)%8192 + 1
 		pool := pools[int(poolRaw)%len(pools)]
 		cp := Callpoint(cpRaw % 4)
 		a := s.Malloc(size, pool, cp)
-		return s.PoolOf(a) == pool && s.CallpointOf(a) == cp &&
+		return s.PoolOf(a) == pool && s.CallpointOfLine(addr.LineOf(a)) == cp &&
 			s.PoolOf(a+addr.Addr(size-1)) == pool
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestMallocLayout pins Malloc's address arithmetic: size-class rounding,
+// no page straddling below 16 KB, whole aligned pages from 16 KB up, and
+// one arena per (pool, callpoint) in first-use order. Traces are built
+// from these addresses, so any change here moves every trace.
+func TestMallocLayout(t *testing.T) {
+	s := NewSpace()
+	calls := []struct {
+		size uint64
+		pool PoolID
+		cp   Callpoint
+		want addr.Addr
+	}{
+		{0, DefaultPool, NoCallpoint, 0x1000000000},
+		{1, DefaultPool, NoCallpoint, 0x1000000010},
+		{17, DefaultPool, NoCallpoint, 0x1000000020},
+		{96, DefaultPool, NoCallpoint, 0x1000000040},
+		{3000, DefaultPool, NoCallpoint, 0x1000001000},
+		{100, DefaultPool, NoCallpoint, 0x1000002000},
+		{16*addr.KB - 1, DefaultPool, NoCallpoint, 0x1000003000},
+		{16 * addr.KB, DefaultPool, NoCallpoint, 0x1000007000},
+		{16*addr.KB + 1, DefaultPool, NoCallpoint, 0x100000b000},
+		{100 * addr.KB, 1, NoCallpoint, 0x2000000000},
+		{64, 1, NoCallpoint, 0x2000019000},
+		{2000, 2, 5, 0x3000000000},
+		{2000, 2, 9, 0x4000000000},
+		{addr.MB + 1, DefaultPool, 5, 0x5000000000},
+		{48, DefaultPool, NoCallpoint, 0x1000010000},
+		{5000, 1, NoCallpoint, 0x200001a000},
+		{1, DefaultPool, 9, 0x6000000000},
+		{40, 2, 5, 0x3000000800},
+	}
+	for i, c := range calls {
+		got := s.Malloc(c.size, c.pool, c.cp)
+		if got != c.want {
+			t.Fatalf("call %d: Malloc(%d, %d, %d) = %#x, want %#x", i, c.size, c.pool, c.cp, uint64(got), uint64(c.want))
+		}
+		if s.PoolOf(got) != c.pool || s.CallpointOfLine(addr.LineOf(got)) != c.cp {
+			t.Fatalf("call %d: %#x classifies as pool %d callpoint %d", i, uint64(got), s.PoolOf(got), s.CallpointOfLine(addr.LineOf(got)))
+		}
 	}
 }

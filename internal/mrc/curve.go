@@ -5,8 +5,6 @@
 // curves of two pools that share a cache.
 package mrc
 
-import "math"
-
 // Curve is a miss-rate curve: M[i] is the expected number of misses per
 // measurement interval when the pool is given a cache of i*Gran lines.
 // M is non-increasing; M[0] counts every access as a miss.
@@ -39,9 +37,6 @@ func (c Curve) Clone() Curve {
 // Buckets returns the number of capacity steps (len(M)-1).
 func (c Curve) Buckets() int { return len(c.M) - 1 }
 
-// MaxLines returns the largest capacity the curve covers.
-func (c Curve) MaxLines() uint64 { return uint64(c.Buckets()) * c.Gran }
-
 // At returns the miss count at a capacity of `lines`, linearly
 // interpolating between buckets and clamping at the ends.
 func (c Curve) At(lines uint64) float64 {
@@ -68,26 +63,6 @@ func (c Curve) atF(s float64) float64 {
 	}
 	frac := s - float64(i)
 	return c.M[i]*(1-frac) + c.M[i+1]*frac
-}
-
-// Scale multiplies misses and accesses by f, in place.
-func (c *Curve) Scale(f float64) {
-	for i := range c.M {
-		c.M[i] *= f
-	}
-	c.Accesses *= f
-}
-
-// AddInPlace accumulates o (same Gran and length) into c. This is the
-// *naive* curve sum (used as an ablation); Combine is the paper's model.
-func (c *Curve) AddInPlace(o Curve) {
-	if c.Gran != o.Gran || len(c.M) != len(o.M) {
-		panic("mrc: AddInPlace shape mismatch")
-	}
-	for i := range c.M {
-		c.M[i] += o.M[i]
-	}
-	c.Accesses += o.Accesses
 }
 
 // Monotonize enforces the non-increasing invariant in place (profiling
@@ -175,19 +150,6 @@ func Combine(a, b Curve) Curve {
 	return out
 }
 
-// CombineAll folds Combine over several curves. Combine is commutative and
-// associative (up to interpolation error), so order does not matter.
-func CombineAll(curves []Curve) Curve {
-	if len(curves) == 0 {
-		return Curve{Gran: 1, M: []float64{0}, Accesses: 0}
-	}
-	acc := curves[0].Clone()
-	for _, c := range curves[1:] {
-		acc = Combine(acc, c)
-	}
-	return acc
-}
-
 // Partition returns the best achievable miss curve when capacity is
 // explicitly split between two pools at every total size: the infimal
 // convolution of the two convex hulls. With convex inputs the greedy
@@ -238,49 +200,4 @@ func Distance(a, b Curve) float64 {
 		}
 	}
 	return area * float64(comb.Gran)
-}
-
-// Resample returns the curve re-bucketed to n buckets over the same
-// domain (linear interpolation).
-func (c Curve) Resample(n int) Curve {
-	out := Curve{Gran: (c.MaxLines() + uint64(n) - 1) / uint64(n), Accesses: c.Accesses}
-	if out.Gran == 0 {
-		out.Gran = 1
-	}
-	out.M = make([]float64, n+1)
-	for i := 0; i <= n; i++ {
-		out.M[i] = c.At(uint64(i) * out.Gran)
-	}
-	return out
-}
-
-// WithGran returns the curve re-bucketed to granularity gran, covering at
-// least the same domain.
-func (c Curve) WithGran(gran uint64) Curve {
-	if gran == c.Gran {
-		return c.Clone()
-	}
-	n := int((c.MaxLines() + gran - 1) / gran)
-	if n < 1 {
-		n = 1
-	}
-	out := Curve{Gran: gran, M: make([]float64, n+1), Accesses: c.Accesses}
-	for i := 0; i <= n; i++ {
-		out.M[i] = c.At(uint64(i) * gran)
-	}
-	return out
-}
-
-// AreaDiff integrates |a-b| over the common domain; a convergence helper
-// for tests.
-func AreaDiff(a, b Curve) float64 {
-	n := len(a.M)
-	if len(b.M) < n {
-		n = len(b.M)
-	}
-	sum := 0.0
-	for i := 0; i < n; i++ {
-		sum += math.Abs(a.M[i] - b.M[i])
-	}
-	return sum
 }

@@ -157,8 +157,8 @@ func TestConvexHullBelowCurve(t *testing.T) {
 func TestConvexHullOfConvexCurveIsIdentity(t *testing.T) {
 	c := Curve{Gran: 1, M: []float64{100, 60, 30, 15, 8, 5, 4}, Accesses: 100}
 	h := c.ConvexHull()
-	if AreaDiff(c, h) > 1e-9 {
-		t.Fatalf("hull changed an already-convex curve by %v", AreaDiff(c, h))
+	if areaDiff(c, h) > 1e-9 {
+		t.Fatalf("hull changed an already-convex curve by %v", areaDiff(c, h))
 	}
 }
 
@@ -188,8 +188,8 @@ func TestCombineCommutative(t *testing.T) {
 	b := Curve{Gran: 2, M: []float64{50, 45, 40, 35, 30}, Accesses: 50}
 	ab := Combine(a, b)
 	ba := Combine(b, a)
-	if AreaDiff(ab, ba) > 1e-6 {
-		t.Fatalf("Combine not commutative: diff %v", AreaDiff(ab, ba))
+	if areaDiff(ab, ba) > 1e-6 {
+		t.Fatalf("Combine not commutative: diff %v", areaDiff(ab, ba))
 	}
 }
 
@@ -289,31 +289,6 @@ func TestDistanceNonNegative(t *testing.T) {
 	}
 }
 
-func TestResample(t *testing.T) {
-	c := Curve{Gran: 2, M: []float64{100, 50, 25, 12, 6}, Accesses: 100}
-	r := c.Resample(4)
-	if r.Buckets() != 4 {
-		t.Fatalf("buckets = %d", r.Buckets())
-	}
-	if r.M[0] != 100 {
-		t.Fatalf("resample changed M[0]: %v", r.M[0])
-	}
-	if math.Abs(r.M[4]-6) > 1e-9 {
-		t.Fatalf("resample tail %v, want 6", r.M[4])
-	}
-}
-
-func TestWithGran(t *testing.T) {
-	c := Curve{Gran: 2, M: []float64{100, 50, 25}, Accesses: 100}
-	g := c.WithGran(1)
-	if g.Gran != 1 {
-		t.Fatal("gran not applied")
-	}
-	if g.At(2) != c.At(2) {
-		t.Fatalf("WithGran changed values: %v vs %v", g.At(2), c.At(2))
-	}
-}
-
 func TestMonotonize(t *testing.T) {
 	c := Curve{Gran: 1, M: []float64{10, 12, 5, 7}, Accesses: 12}
 	c.Monotonize()
@@ -321,22 +296,6 @@ func TestMonotonize(t *testing.T) {
 		if c.M[i] > c.M[i-1] {
 			t.Fatalf("still non-monotone at %d", i)
 		}
-	}
-}
-
-func TestCombineAllAssociativeish(t *testing.T) {
-	a := Curve{Gran: 1, M: []float64{100, 40, 10, 2, 0}, Accesses: 100}
-	b := Curve{Gran: 1, M: []float64{50, 25, 12, 6, 3}, Accesses: 50}
-	c := Curve{Gran: 1, M: []float64{80, 70, 60, 50, 40}, Accesses: 80}
-	abc := CombineAll([]Curve{a, b, c})
-	cba := CombineAll([]Curve{c, b, a})
-	// Allow small interpolation error.
-	var area float64
-	for _, v := range abc.M {
-		area += v
-	}
-	if AreaDiff(abc, cba)/area > 0.05 {
-		t.Fatalf("CombineAll order-sensitive: %v", AreaDiff(abc, cba)/area)
 	}
 }
 
@@ -398,4 +357,14 @@ func TestQuickPartitionBounds(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// areaDiff integrates |a-b| over the two curves' common domain.
+func areaDiff(a, b Curve) float64 {
+	n := min(len(a.M), len(b.M))
+	sum := 0.0
+	for i := 0; i < n; i++ {
+		sum += math.Abs(a.M[i] - b.M[i])
+	}
+	return sum
 }

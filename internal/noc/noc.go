@@ -42,9 +42,6 @@ type Mesh struct {
 // BankCoord returns the mesh coordinate of bank b (row-major).
 func (m *Mesh) BankCoord(b int) Coord { return Coord{b % m.W, b / m.W} }
 
-// BankID returns the bank id at coordinate c.
-func (m *Mesh) BankID(c Coord) int { return c.Y*m.W + c.X }
-
 // Hops returns the X-Y routing hop count between two coordinates.
 func Hops(a, b Coord) int {
 	dx := a.X - b.X
@@ -145,25 +142,6 @@ func (m *Mesh) BankMemHops(b int) int { return m.bankMemHops[b] }
 // CoreMemHops returns the hop count from core c to its nearest memory
 // controller (used when an access bypasses the LLC).
 func (m *Mesh) CoreMemHops(c int) int { return m.coreMemHops[c] }
-
-// AvgLatencyNearest returns the average round-trip network latency (cycles)
-// from core c to the n nearest banks, the quantity Jigsaw's latency curves
-// use for "the average latency to the closest cache banks needed for a
-// given VC size".
-func (m *Mesh) AvgLatencyNearest(c, n int) float64 {
-	if n <= 0 {
-		return 0
-	}
-	if n > m.NBanks {
-		n = m.NBanks
-	}
-	order := m.coreBanksByDist[c]
-	sum := 0.0
-	for i := 0; i < n; i++ {
-		sum += float64(2 * HopLatency(m.coreBankHops[c][order[i]]))
-	}
-	return sum / float64(n)
-}
 
 // borderCoords lists the border cells of a w×h mesh clockwise from the
 // top-left corner: top row left→right, right column top→bottom, bottom

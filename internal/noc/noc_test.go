@@ -68,21 +68,9 @@ func TestBanksByDistanceSorted(t *testing.T) {
 func TestBankCoordRoundTrip(t *testing.T) {
 	m := FourCoreMesh()
 	for b := 0; b < m.NBanks; b++ {
-		if m.BankID(m.BankCoord(b)) != b {
+		if c := m.BankCoord(b); c.Y*m.W+c.X != b {
 			t.Fatalf("bank %d round trip failed", b)
 		}
-	}
-}
-
-func TestAvgLatencyNearestMonotone(t *testing.T) {
-	m := FourCoreMesh()
-	prev := 0.0
-	for n := 1; n <= 25; n++ {
-		l := m.AvgLatencyNearest(0, n)
-		if l < prev {
-			t.Fatalf("avg latency decreased at n=%d: %v < %v", n, l, prev)
-		}
-		prev = l
 	}
 }
 
@@ -154,7 +142,7 @@ func TestBorderMeshRejectsBadGeometry(t *testing.T) {
 func TestRectMeshBankCoordRoundTrip(t *testing.T) {
 	m := BorderMesh(7, 3, 4)
 	for b := 0; b < m.NBanks; b++ {
-		if m.BankID(m.BankCoord(b)) != b {
+		if c := m.BankCoord(b); c.Y*m.W+c.X != b {
 			t.Fatalf("bank %d round trip failed", b)
 		}
 	}

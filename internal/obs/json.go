@@ -10,8 +10,8 @@ import (
 	"time"
 )
 
-// One span, one JSON line. This is the wire format of the JSONL sink,
-// of GET /v1/jobs/{id}/trace, and of the coordinator<-worker stitch:
+// One span, one JSON line. This is the wire format of
+// GET /v1/jobs/{id}/trace and of the coordinator<-worker stitch:
 //
 //	{"trace":"…32hex…","span":"…16hex…","parent":"…16hex…",
 //	 "name":"sim.run","start_us":1712345678901234,"dur_us":1234,
@@ -19,17 +19,14 @@ import (
 //
 // start_us is wall-clock unix microseconds (cross-node alignable);
 // dur_us is the monotonic duration in microseconds. "parent" is
-// omitted on root spans. Encoding is hand-rolled append-style so the
-// sink path stays reflection- and allocation-free.
+// omitted on root spans. Encoding is hand-rolled append-style so it
+// stays reflection- and allocation-free.
 
 // AppendSpanJSON appends the one-line JSON encoding of s (no trailing
 // newline) to dst and returns it.
 //
 //whirl:zeroalloc
-func AppendSpanJSON(dst []byte, s *Span) []byte { return appendSpanJSON(dst, s) }
-
-//whirl:zeroalloc
-func appendSpanJSON(dst []byte, s *Span) []byte {
+func AppendSpanJSON(dst []byte, s *Span) []byte {
 	dst = append(dst, `{"trace":"`...)
 	dst = appendHex(dst, s.Trace[:])
 	dst = append(dst, `","span":"`...)

@@ -1,8 +1,8 @@
 // Package obs is whirlpool's dependency-free observability layer: spans
 // with trace/parent links for cross-node sweep tracing, a bounded
-// in-memory ring of finished spans, an optional JSONL sink, W3C
-// traceparent propagation, and a slog handler that keeps the daemon's
-// traditional "prefix: message key=val" output shape.
+// in-memory ring of finished spans, W3C traceparent propagation, and a
+// slog handler that keeps the daemon's traditional "prefix: message
+// key=val" output shape.
 //
 // The layer is built to be free on the hot path: spans are pooled,
 // attributes live in a fixed-size array inside the span, and finishing
@@ -242,8 +242,8 @@ func (s *Span) Attr(key string) (Attr, bool) {
 }
 
 // End finishes the span with the current time and records it into the
-// tracer's ring (and sink, if one is set). The span is recycled: the
-// caller must not touch it after End.
+// tracer's ring. The span is recycled: the caller must not touch it
+// after End.
 func (s *Span) End() {
 	if s == nil {
 		return
@@ -268,8 +268,8 @@ func (s *Span) EndDuration(d time.Duration) {
 }
 
 // Tracer collects finished spans in a bounded ring, newest overwriting
-// oldest, and optionally mirrors them to a JSONL sink. The zero value
-// is not usable; use New. A nil *Tracer is a valid no-op tracer.
+// oldest. The zero value is not usable; use New. A nil *Tracer is a
+// valid no-op tracer.
 type Tracer struct {
 	total atomic.Uint64 // spans finished over the tracer's lifetime
 
@@ -279,10 +279,6 @@ type Tracer struct {
 	full bool // ring has wrapped at least once
 
 	pool sync.Pool
-
-	sinkMu  sync.Mutex
-	sink    interface{ Write([]byte) (int, error) }
-	sinkBuf []byte
 }
 
 // DefaultRingSize is the span capacity used when New is given n <= 0:
@@ -297,17 +293,6 @@ func New(n int) *Tracer {
 	t := &Tracer{ring: make([]Span, n)}
 	t.pool.New = func() any { return new(Span) }
 	return t
-}
-
-// SetSink mirrors every finished span to w as one JSON line. Writes
-// are serialized by the tracer; w need not be concurrency-safe.
-func (t *Tracer) SetSink(w interface{ Write([]byte) (int, error) }) {
-	if t == nil {
-		return
-	}
-	t.sinkMu.Lock()
-	t.sink = w
-	t.sinkMu.Unlock()
 }
 
 // Total returns the number of spans finished over the tracer's
@@ -351,24 +336,7 @@ func (t *Tracer) Start(parent SpanContext, name string) *Span {
 //
 //whirl:zeroalloc
 func (t *Tracer) record(s *Span) {
-	t.total.Add(1)
-	t.mu.Lock()
-	t.ring[t.next] = *s
-	t.next++
-	if t.next == len(t.ring) {
-		t.next = 0
-		t.full = true
-	}
-	t.mu.Unlock()
-
-	t.sinkMu.Lock()
-	if w := t.sink; w != nil {
-		t.sinkBuf = appendSpanJSON(t.sinkBuf[:0], s)
-		t.sinkBuf = append(t.sinkBuf, '\n')
-		w.Write(t.sinkBuf)
-	}
-	t.sinkMu.Unlock()
-
+	t.insert(s)
 	s.Name = ""
 	s.nattrs = 0
 	t.pool.Put(s)
@@ -381,9 +349,17 @@ func (t *Tracer) Emit(s Span) {
 		return
 	}
 	s.tracer = nil
+	t.insert(&s)
+}
+
+// insert copies s into the ring, overwriting the oldest span once the
+// ring is full.
+//
+//whirl:zeroalloc
+func (t *Tracer) insert(s *Span) {
 	t.total.Add(1)
 	t.mu.Lock()
-	t.ring[t.next] = s
+	t.ring[t.next] = *s
 	t.next++
 	if t.next == len(t.ring) {
 		t.next = 0

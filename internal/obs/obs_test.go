@@ -146,7 +146,6 @@ func TestNilSafety(t *testing.T) {
 		t.Fatal("nil span has valid context")
 	}
 	tr.Emit(Span{})
-	tr.SetSink(&bytes.Buffer{})
 	if tr.Collect(newTraceID()) != nil || tr.Total() != 0 {
 		t.Fatal("nil tracer retained spans")
 	}
@@ -166,30 +165,34 @@ func TestAttrOverflowDropped(t *testing.T) {
 
 func TestJSONRoundTrip(t *testing.T) {
 	tr := New(8)
-	var sink bytes.Buffer
-	tr.SetSink(&sink)
 	root := tr.Start(SpanContext{}, "job")
+	trace := root.Trace
 	child := tr.Start(root.Context(), `sim "run"`)
 	child.SetStr("app", "delaunay").SetInt("cells", 42).SetBool("mmap", false)
 	child.End()
 	root.End()
 
-	spans, err := ParseSpans(&sink)
+	var wire []byte
+	collected := tr.Collect(trace)
+	for i := range collected {
+		wire = append(AppendSpanJSON(wire, &collected[i]), '\n')
+	}
+	spans, err := ParseSpans(bytes.NewReader(wire))
 	if err != nil {
 		t.Fatalf("ParseSpans: %v", err)
 	}
 	if len(spans) != 2 {
 		t.Fatalf("parsed %d spans, want 2", len(spans))
 	}
-	// Sink order is End order: child first.
-	got := spans[0]
+	// Collect orders by start time: root first.
+	got := spans[1]
 	if got.Name != `sim "run"` {
 		t.Fatalf("name = %q", got.Name)
 	}
-	if got.Trace != root.Trace {
-		// root was recycled; compare against the collected copy instead
+	if got.Trace != trace || spans[0].Trace != trace {
+		t.Fatalf("trace id lost in round trip")
 	}
-	if got.Parent != spans[1].ID {
+	if got.Parent != spans[0].ID {
 		t.Fatalf("parent link lost in round trip")
 	}
 	if v, ok := got.Attr("cells"); !ok {
@@ -207,7 +210,7 @@ func TestJSONRoundTrip(t *testing.T) {
 	} else if s, _ := v.IsStr(); s != "delaunay" {
 		t.Fatalf("app = %q", s)
 	}
-	if spans[1].Parent != (SpanID{}) {
+	if spans[0].Parent != (SpanID{}) {
 		t.Fatal("root grew a parent")
 	}
 }
@@ -331,6 +334,6 @@ func BenchmarkSpanJSON(b *testing.B) {
 	var buf []byte
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		buf = appendSpanJSON(buf[:0], s)
+		buf = AppendSpanJSON(buf[:0], s)
 	}
 }

@@ -11,8 +11,6 @@
 package paws
 
 import (
-	"fmt"
-
 	"whirlpool/internal/addr"
 	"whirlpool/internal/graph"
 	"whirlpool/internal/mem"
@@ -202,7 +200,7 @@ func Build(spec Spec, nParts int, seed uint64) *App {
 		a.RemoteFrac = 0.08
 	}
 	for p := 0; p < nParts; p++ {
-		pool := a.Space.PoolCreate(fmt.Sprintf("part%d", p))
+		pool := a.Space.PoolCreate()
 		a.Pools = append(a.Pools, pool)
 		vbase := a.Space.Malloc(vb[p], pool, mem.NoCallpoint)
 		ebase := a.Space.Malloc(eb[p], pool, mem.NoCallpoint)

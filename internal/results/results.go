@@ -93,7 +93,8 @@ type Stats struct {
 // Store is an open result store. It is safe for concurrent use by
 // multiple goroutines, and the directory is safe to share between
 // concurrent processes: appends are atomic whole lines, and readers
-// pick up other writers' records on open and on demand via Refresh.
+// pick up other writers' records on open and whenever Get misses or
+// AppendRaw serves.
 type Store struct {
 	dir string
 
@@ -148,7 +149,7 @@ func open(dir string, mapRows bool) (*Store, error) {
 		f.Close()
 		return nil, err
 	}
-	if _, err := s.scanTail(); err != nil {
+	if err := s.scanTail(); err != nil {
 		f.Close()
 		return nil, err
 	}
@@ -198,12 +199,11 @@ func (s *Store) insert(r Record, raw []byte) {
 const scanChunk = 256 << 10
 
 // scanTail decodes rows.jsonl from s.loaded to EOF, folding new records
-// into the index and skipping (but counting) corrupt lines. Returns how
-// many records it decoded.
-func (s *Store) scanTail() (int, error) {
+// into the index and skipping (but counting) corrupt lines.
+func (s *Store) scanTail() error {
 	st, err := s.f.Stat()
 	if err != nil {
-		return 0, fmt.Errorf("results: %v", err)
+		return fmt.Errorf("results: %v", err)
 	}
 	size := st.Size()
 	if size < s.loaded {
@@ -219,7 +219,7 @@ func (s *Store) scanTail() (int, error) {
 		s.mapped = false
 	}
 	if size == s.loaded {
-		return 0, nil
+		return nil
 	}
 	// img holds the bytes of rows.jsonl from base on that records keep.
 	// A scan from the start maps the file and reads it through a small
@@ -238,7 +238,6 @@ func (s *Store) scanTail() (int, error) {
 	if img == nil {
 		img = make([]byte, size-base)
 	}
-	n := 0
 	for from := base; from < size; {
 		chunk := buf
 		if chunk == nil {
@@ -293,7 +292,6 @@ func (s *Store) scanTail() (int, error) {
 				}
 			}
 			s.insert(r, raw)
-			n++
 		}
 		from += int64(end) + 1
 		s.loaded = from
@@ -305,7 +303,7 @@ func (s *Store) scanTail() (int, error) {
 		_ = s.unmaps[last]()
 		s.unmaps, s.mapped = s.unmaps[:last], false
 	}
-	return n, err
+	return err
 }
 
 // rowOffset is where row's bytes start in line. A decoded Row is always
@@ -414,7 +412,7 @@ func (s *Store) Get(key string) (Record, bool) {
 		// On a mapped store a hit scans too: rows.jsonl may have shrunk
 		// under the mapping, and the rebuild must come before a row past
 		// its end is handed out.
-		_, _ = s.scanTail()
+		_ = s.scanTail()
 		i, ok = s.byKey[key]
 	}
 	if !ok {
@@ -452,35 +450,10 @@ func (s *Store) Put(r Record) error {
 		s.loaded = st.Size()
 		s.insert(r, line[:len(line)-1])
 	} else {
-		_, _ = s.scanTail()
+		_ = s.scanTail()
 	}
 	s.puts++
 	return nil
-}
-
-// Query returns the records matching q, in insertion order. Their Rows
-// are valid until Close.
-func (s *Store) Query(q Query) []Record {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	_, _ = s.scanTail()
-	var out []Record
-	for _, r := range s.recs {
-		if q.App != "" && r.App != q.App {
-			continue
-		}
-		if q.Scheme != "" && r.Scheme != q.Scheme {
-			continue
-		}
-		if q.Key != "" && r.Key != q.Key {
-			continue
-		}
-		out = append(out, r)
-		if q.Limit > 0 && len(out) >= q.Limit {
-			break
-		}
-	}
-	return out
 }
 
 // AppendRaw appends the marshaled JSON lines of the records matching q
@@ -497,7 +470,7 @@ func (s *Store) Query(q Query) []Record {
 func (s *Store) AppendRaw(q Query, dst [][]byte) [][]byte {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	_, _ = s.scanTail()
+	_ = s.scanTail()
 	matched := 0
 	for i := range s.recs {
 		r := &s.recs[i]
@@ -528,14 +501,6 @@ func (s *Store) Len() int {
 
 // Dir returns the store's root directory.
 func (s *Store) Dir() string { return s.dir }
-
-// Refresh folds records appended by other processes into memory and
-// reports how many arrived.
-func (s *Store) Refresh() (int, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.scanTail()
-}
 
 // Stats returns the store's counters.
 func (s *Store) Stats() Stats {

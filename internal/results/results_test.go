@@ -366,13 +366,16 @@ func TestQueryFilters(t *testing.T) {
 		{Query{Limit: 2}, []string{"k1", "k2"}},
 	}
 	for _, c := range cases {
-		got := s.Query(c.q)
 		var keys []string
-		for _, r := range got {
+		for _, raw := range s.AppendRaw(c.q, nil) {
+			var r Record
+			if err := json.Unmarshal(raw, &r); err != nil {
+				t.Fatalf("raw row is not JSON: %v\n%s", err, raw)
+			}
 			keys = append(keys, r.Key)
 		}
 		if fmt.Sprint(keys) != fmt.Sprint(c.want) {
-			t.Errorf("Query(%+v) = %v, want %v", c.q, keys, c.want)
+			t.Errorf("AppendRaw(%+v) = %v, want %v", c.q, keys, c.want)
 		}
 	}
 }
@@ -383,9 +386,9 @@ func TestOpenRejectsEmptyDir(t *testing.T) {
 	}
 }
 
-// TestAppendRawMatchesQuery: the raw serving path answers exactly what
-// Query answers — same records, same order, same filters — across the
-// two ways a record can enter memory (Put and the JSONL scan).
+// TestAppendRawMatchesQuery: every row the raw serving path returns for
+// a query is the record Get serves under its key, across the two ways a
+// record can enter memory (Put and the JSONL scan).
 func TestAppendRawMatchesQuery(t *testing.T) {
 	dir := t.TempDir()
 	s, _ := Open(dir)
@@ -405,18 +408,14 @@ func TestAppendRawMatchesQuery(t *testing.T) {
 		{}, {App: "delaunay"}, {Scheme: "whirlpool"}, {Key: "k3"},
 		{Limit: 2}, {App: "nosuch"},
 	} {
-		want := s.Query(q)
-		raws := s.AppendRaw(q, nil)
-		if len(raws) != len(want) {
-			t.Fatalf("AppendRaw(%+v) = %d rows, Query = %d", q, len(raws), len(want))
-		}
-		for i, raw := range raws {
+		for i, raw := range s.AppendRaw(q, nil) {
 			var got Record
 			if err := json.Unmarshal(raw, &got); err != nil {
 				t.Fatalf("raw row %d is not JSON: %v\n%s", i, err, raw)
 			}
-			if got.Key != want[i].Key || string(got.Row) != string(want[i].Row) {
-				t.Fatalf("raw row %d = %+v, want %+v", i, got, want[i])
+			want, ok := s.Get(got.Key)
+			if !ok || got.App != want.App || got.Scheme != want.Scheme || string(got.Row) != string(want.Row) {
+				t.Fatalf("AppendRaw(%+v) row %d = %+v, Get = %+v", q, i, got, want)
 			}
 		}
 	}
@@ -457,19 +456,6 @@ func BenchmarkAppendRawWarm(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		dst = s.AppendRaw(Query{}, dst[:0])
-	}
-}
-
-func BenchmarkQueryWarm(b *testing.B) {
-	s, _ := Open(b.TempDir())
-	defer s.Close()
-	for i := 0; i < 1000; i++ {
-		s.Put(rec(fmt.Sprintf("k%04d", i), "delaunay", "whirlpool", i))
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = s.Query(Query{})
 	}
 }
 
@@ -566,8 +552,16 @@ func sameStores(t *testing.T, a, b *Store) {
 	if !reflect.DeepEqual(rawA, rawB) {
 		t.Fatalf("AppendRaw: mapped %q, heap %q", rawA, rawB)
 	}
-	if qa, qb := a.Query(Query{}), b.Query(Query{}); !reflect.DeepEqual(qa, qb) {
-		t.Fatalf("Query: mapped %+v, heap %+v", qa, qb)
+	for _, raw := range rawA {
+		var r Record
+		if err := json.Unmarshal(raw, &r); err != nil {
+			t.Fatalf("raw row is not JSON: %v\n%s", err, raw)
+		}
+		ra, _ := a.Get(r.Key)
+		rb, _ := b.Get(r.Key)
+		if !reflect.DeepEqual(ra, rb) {
+			t.Fatalf("Get(%q): mapped %+v, heap %+v", r.Key, ra, rb)
+		}
 	}
 	if a.Len() != b.Len() || a.Stats().CorruptRows != b.Stats().CorruptRows {
 		t.Fatalf("mapped holds %d records (%d corrupt), heap %d (%d corrupt)",

@@ -35,11 +35,6 @@ type Awasthi struct {
 	epoch     uint64
 	last      uint64
 
-	// alphaA scales migration cost against benefit; alphaB caps how much
-	// of a bank's capacity migrated-in pages may claim per epoch.
-	alphaA float64
-	alphaB float64
-
 	Hits, Misses  uint64
 	Migrations    uint64
 	WritebacksMem uint64
@@ -58,8 +53,15 @@ type pageStat struct {
 // over (Awasthi's initial allocation; Sec 4.5 notes it is four banks).
 const initialBanks = 4
 
-// NewAwasthi builds the scheme with the best-performing thresholds from
-// our parameter sweep (TestAwasthiParamSweep exercises alternatives).
+// The migration thresholds, the best-performing pair of Appendix A's
+// sweep: alphaA scales migration cost against benefit; alphaB caps how
+// much of a bank's capacity migrated-in pages may claim per epoch.
+const (
+	alphaA = 1.0
+	alphaB = 0.25
+)
+
+// NewAwasthi builds the scheme.
 func NewAwasthi(chip *noc.Chip, meter *energy.Meter, epochCycles uint64) *Awasthi {
 	a := &Awasthi{
 		chip:      chip,
@@ -67,18 +69,11 @@ func NewAwasthi(chip *noc.Chip, meter *energy.Meter, epochCycles uint64) *Awasth
 		pageIdx:   make(map[addr.Page]int32),
 		bankPages: make([]int, chip.NBanks()),
 		epoch:     epochCycles,
-		alphaA:    1.0,
-		alphaB:    0.25,
 	}
 	for b := 0; b < chip.NBanks(); b++ {
 		a.banks = append(a.banks, cache.NewSetAssoc(chip.BankBytes, 16, cache.LRU))
 	}
 	return a
-}
-
-// SetAlphas overrides the migration thresholds (parameter sweep support).
-func (a *Awasthi) SetAlphas(alphaA, alphaB float64) {
-	a.alphaA, a.alphaB = alphaA, alphaB
 }
 
 // Name implements llc.LLC.
@@ -116,7 +111,7 @@ func (a *Awasthi) score(core, bank int) float64 {
 		// Overcommitted banks thrash: penalize by expected extra misses.
 		pressure = (occ - 1) * float64(noc.MemLatency)
 	}
-	return float64(2*noc.HopLatency(m.CoreBankHops(core, bank))) + pressure/a.alphaB
+	return float64(2*noc.HopLatency(m.CoreBankHops(core, bank))) + pressure/alphaB
 }
 
 // Access implements llc.LLC.
@@ -189,7 +184,7 @@ func (a *Awasthi) migrate() {
 	})
 	// Per-bank inbound budget this epoch (alphaB of bank capacity).
 	budget := make([]int, a.chip.NBanks())
-	maxIn := int(a.alphaB * float64(a.chip.BankLines()) / addr.LinesPerPage)
+	maxIn := int(alphaB * float64(a.chip.BankLines()) / addr.LinesPerPage)
 	for b := range budget {
 		budget[b] = maxIn
 	}
@@ -219,7 +214,7 @@ func (a *Awasthi) migrate() {
 		}
 		// Benefit: accesses x saved score; cost: copying the page.
 		benefit := float64(p.count) * (curScore - bestScore)
-		cost := a.alphaA * float64(addr.LinesPerPage) *
+		cost := alphaA * float64(addr.LinesPerPage) *
 			float64(2*noc.HopLatency(m.Hops2(cur, best)))
 		if benefit <= cost {
 			continue

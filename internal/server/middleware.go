@@ -107,7 +107,7 @@ func (s *Server) instrument(ep *endpoint, injectCtx bool, h http.HandlerFunc) ht
 				ep.inflight.Add(-1)
 				ep.shed.Add(1)
 				s.metrics.shed.Add(1)
-				httpErrRetry(w, http.StatusTooManyRequests, 1, "overloaded",
+				httpErrRetry(w, http.StatusTooManyRequests, 1, errOverloaded,
 					"%s is at its concurrency limit (%d in flight); retry later", ep.name, ep.limit)
 				return
 			}

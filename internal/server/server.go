@@ -72,18 +72,9 @@ type Config struct {
 	// dispatch logs (whirld passes an obs.NewLogger writing the classic
 	// "whirld: msg key=val" lines to stderr). Nil discards.
 	Log *slog.Logger
-	// JobWorkers bounds how many jobs run concurrently; <= 0 means 1
-	// (FIFO jobs, each fanning cells across Workers — the right
-	// throughput model for CPU-bound simulation).
-	JobWorkers int
 	// QueueDepth bounds queued jobs; submits beyond it get 503.
 	// <= 0 means 64.
 	QueueDepth int
-	// JobHistory bounds how many finished jobs stay queryable (their
-	// rows live in memory; the store keeps the results forever). When a
-	// new job finishes beyond the bound, the oldest terminal jobs are
-	// evicted. <= 0 means 256.
-	JobHistory int
 	// EndpointLimits overrides per-endpoint concurrency limits by
 	// endpoint name (EndpointNames lists them). Requests beyond an
 	// endpoint's limit are shed with 429 + Retry-After instead of
@@ -109,8 +100,8 @@ type Server struct {
 	seq      int
 	draining bool
 
-	queue   chan *job
-	runners sync.WaitGroup
+	queue  chan *job
+	runner sync.WaitGroup
 
 	// regMu serializes workload-spec registration: the workloads
 	// registry is process-global, so concurrent submits registering
@@ -173,19 +164,13 @@ type SweepRequest struct {
 	NoBypass bool `json:"nobypass,omitempty"`
 }
 
-// New builds a Server and starts its job runners.
+// New builds a Server and starts its job runner.
 func New(cfg Config) (*Server, error) {
 	if cfg.Store == nil {
 		return nil, fmt.Errorf("server: Config.Store is required")
 	}
-	if cfg.JobWorkers <= 0 {
-		cfg.JobWorkers = 1
-	}
 	if cfg.QueueDepth <= 0 {
 		cfg.QueueDepth = 64
-	}
-	if cfg.JobHistory <= 0 {
-		cfg.JobHistory = 256
 	}
 	for name := range cfg.EndpointLimits {
 		if _, ok := defaultLimits[name]; !ok {
@@ -230,10 +215,8 @@ func New(cfg Config) (*Server, error) {
 	s.route("DELETE /v1/workers/{id}", "workers", s.handleWorkerDeregister)
 	s.route("GET /healthz", "healthz", s.handleHealthz)
 	s.route("GET /metrics", "metrics", s.handleMetrics)
-	for i := 0; i < cfg.JobWorkers; i++ {
-		s.runners.Add(1)
-		go s.runJobs()
-	}
+	s.runner.Add(1)
+	go s.runJobs()
 	return s, nil
 }
 
@@ -242,7 +225,7 @@ func (s *Server) Handler() http.Handler { return s.mux }
 
 // Close drains the daemon: new submits are rejected, running jobs are
 // canceled (their already-committed rows stay in the store, so
-// resubmitting resumes where they stopped), and the job runners exit.
+// resubmitting resumes where they stopped), and the job runner exits.
 // SSE streams of jobs that reached a terminal state deliver their
 // final done event; streams cut off mid-cancellation end without one
 // (the client sees a dropped stream and re-polls the job). The store
@@ -262,20 +245,25 @@ func (s *Server) Close() {
 	for j := range s.queue {
 		j.finish(nil, experiments.SweepStats{}, "canceled", "daemon shutting down")
 	}
-	s.runners.Wait()
+	s.runner.Wait()
 }
 
-// runJobs is one job-runner goroutine: it executes queued jobs until
-// the queue closes.
+// runJobs is the job runner: it executes queued jobs one at a time, in
+// FIFO order, until the queue closes. Each job fans its cells across
+// Workers, the right throughput model for CPU-bound simulation.
 func (s *Server) runJobs() {
-	defer s.runners.Done()
+	defer s.runner.Done()
 	for j := range s.queue {
 		s.runJob(j)
 		s.evictOld()
 	}
 }
 
-// evictOld trims terminal jobs beyond cfg.JobHistory, oldest first, so
+// jobHistory bounds how many finished jobs stay queryable: their rows
+// live in memory, while the store keeps the results forever.
+const jobHistory = 256
+
+// evictOld trims terminal jobs beyond jobHistory, oldest first, so
 // a long-lived daemon's memory stays bounded. Running and queued jobs
 // are never evicted; the evicted jobs' rows remain in the store.
 func (s *Server) evictOld() {
@@ -287,12 +275,12 @@ func (s *Server) evictOld() {
 			nTerm++
 		}
 	}
-	if nTerm <= s.cfg.JobHistory {
+	if nTerm <= jobHistory {
 		return
 	}
 	keep := s.order[:0]
 	for _, id := range s.order {
-		if nTerm > s.cfg.JobHistory && s.jobs[id].isDone() {
+		if nTerm > jobHistory && s.jobs[id].isDone() {
 			delete(s.jobs, id)
 			nTerm--
 			continue

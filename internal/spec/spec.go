@@ -395,16 +395,6 @@ func (f *File) resolvePaths(dir string) {
 	}
 }
 
-// MixApps resolves a mix name to its member app list.
-func (f *File) MixApps(name string) ([]string, bool) {
-	for _, m := range f.Mixes {
-		if m.Name == name {
-			return m.Apps, true
-		}
-	}
-	return nil, false
-}
-
 // Register registers the file's apps with the workloads registry
 // (replacing same-named apps), with the file-level scale applied to
 // access counts, and returns the registered names.

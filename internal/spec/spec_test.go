@@ -60,8 +60,8 @@ func TestParseValid(t *testing.T) {
 	if s.Phases[1].Patterns[1] != workloads.RandWS {
 		t.Errorf("phase pattern override wrong: %+v", s.Phases[1])
 	}
-	if apps, ok := f.MixApps("duo"); !ok || len(apps) != 2 {
-		t.Errorf("mix duo not found or wrong: %v %v", apps, ok)
+	if len(f.Mixes) != 1 || f.Mixes[0].Name != "duo" || len(f.Mixes[0].Apps) != 2 {
+		t.Errorf("mix duo not found or wrong: %+v", f.Mixes)
 	}
 	// The parsed app must build and stream.
 	w := workloads.Build(s, 0.01)

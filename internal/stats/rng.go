@@ -99,19 +99,6 @@ func (r *Rng) Zipf(n int, s float64) int {
 	return idx
 }
 
-// Perm returns a random permutation of [0, n).
-func (r *Rng) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		p[i], p[j] = p[j], p[i]
-	}
-	return p
-}
-
 // Shuffle permutes xs in place.
 func (r *Rng) Shuffle(n int, swap func(i, j int)) {
 	for i := n - 1; i > 0; i-- {

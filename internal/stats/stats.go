@@ -21,31 +21,6 @@ func Gmean(xs []float64) float64 {
 	return math.Exp(sum / float64(len(xs)))
 }
 
-// Mean returns the arithmetic mean of xs (0 for empty input).
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, x := range xs {
-		sum += x
-	}
-	return sum / float64(len(xs))
-}
-
-// WeightedSpeedup computes the standard multi-programmed metric:
-// sum over apps of IPC_scheme / IPC_baseline, normalized by app count.
-func WeightedSpeedup(ipc, baseIPC []float64) float64 {
-	if len(ipc) != len(baseIPC) || len(ipc) == 0 {
-		panic("stats: WeightedSpeedup length mismatch")
-	}
-	sum := 0.0
-	for i := range ipc {
-		sum += ipc[i] / baseIPC[i]
-	}
-	return sum / float64(len(ipc))
-}
-
 // Percentile returns the p-th percentile (0..100) of xs using linear
 // interpolation. xs is not modified.
 func Percentile(xs []float64, p float64) float64 {
@@ -75,38 +50,4 @@ func SortedDescending(xs []float64) []float64 {
 	s := append([]float64(nil), xs...)
 	sort.Sort(sort.Reverse(sort.Float64Slice(s)))
 	return s
-}
-
-// Histogram is a fixed-bucket counter over [0, max).
-type Histogram struct {
-	Buckets []uint64
-	Width   float64
-	Over    uint64 // samples >= max
-}
-
-// NewHistogram creates a histogram with n buckets covering [0, max).
-func NewHistogram(n int, max float64) *Histogram {
-	return &Histogram{Buckets: make([]uint64, n), Width: max / float64(n)}
-}
-
-// Add records one sample.
-func (h *Histogram) Add(x float64) {
-	i := int(x / h.Width)
-	if i < 0 {
-		i = 0
-	}
-	if i >= len(h.Buckets) {
-		h.Over++
-		return
-	}
-	h.Buckets[i]++
-}
-
-// Total returns the number of recorded samples.
-func (h *Histogram) Total() uint64 {
-	t := h.Over
-	for _, b := range h.Buckets {
-		t += b
-	}
-	return t
 }

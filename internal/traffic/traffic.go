@@ -31,7 +31,6 @@ import (
 	"fmt"
 	"math"
 	"os"
-	"sort"
 	"strings"
 	"time"
 )
@@ -253,14 +252,4 @@ func (s *Spec) Duration(override time.Duration) time.Duration {
 		return time.Duration(s.DurationS * float64(time.Second))
 	}
 	return 10 * time.Second
-}
-
-// SortedClientIDs returns the spec's class ids in report order.
-func (s *Spec) SortedClientIDs() []string {
-	ids := make([]string, 0, len(s.Clients))
-	for i := range s.Clients {
-		ids = append(ids, s.Clients[i].ID)
-	}
-	sort.Strings(ids)
-	return ids
 }

@@ -185,22 +185,6 @@ func TestPhaseDisjointPoolsAreClose(t *testing.T) {
 	}
 }
 
-func TestRuntimeMapping(t *testing.T) {
-	r := NewRuntime([][]mem.Callpoint{{1, 2}, {3}})
-	if r.PoolOf(1) != r.PoolOf(2) {
-		t.Fatal("grouped callpoints should share a pool")
-	}
-	if r.PoolOf(1) == r.PoolOf(3) {
-		t.Fatal("separate clusters should get distinct pools")
-	}
-	if r.PoolOf(99) != mem.DefaultPool {
-		t.Fatal("unprofiled callpoints must fall to the default pool")
-	}
-	if r.NumPools() != 2 {
-		t.Fatalf("NumPools = %d", r.NumPools())
-	}
-}
-
 func TestRenderDendrogram(t *testing.T) {
 	p := newTestProfiler()
 	feed(p, 300_000)

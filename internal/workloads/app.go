@@ -468,12 +468,3 @@ func (w *Workload) ManualGrouping() [][]int {
 
 // NumPoolsManual returns the number of manual pools (Table 2).
 func (w *Workload) NumPoolsManual() int { return len(w.Spec.ManualPools) }
-
-// PoolFootprints returns the per-structure footprint in bytes.
-func (w *Workload) PoolFootprints() []uint64 {
-	out := make([]uint64, len(w.Structs))
-	for i, s := range w.Structs {
-		out[i] = uint64(s.Spec.Bytes)
-	}
-	return out
-}

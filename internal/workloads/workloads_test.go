@@ -116,7 +116,7 @@ func TestBuildAllocatesStructs(t *testing.T) {
 		if st.Lines != addr.LinesFor(uint64(s.Structs[i].Bytes)) {
 			t.Fatalf("struct %d lines mismatch", i)
 		}
-		if w.Space.CallpointOf(st.Base) != st.CP {
+		if w.Space.CallpointOfLine(addr.LineOf(st.Base)) != st.CP {
 			t.Fatalf("struct %d callpoint mismatch", i)
 		}
 	}

@@ -5,7 +5,8 @@
 // It provides:
 //
 //   - A pool-based memory allocator over a simulated address space
-//     (Allocator), the paper's pool_create / pool_malloc API.
+//     (internal/mem), the paper's pool_create / pool_malloc API: every
+//     page belongs to one pool, and an address maps to its pool in O(1).
 //   - A NUCA multicore simulator with a registry of last-level cache
 //     organizations: the paper's six — S-NUCA (LRU and DRRIP),
 //     IdealSPD, Awasthi et al., Jigsaw, and Whirlpool itself — plus
