@@ -11,14 +11,22 @@
 // O_APPEND, so concurrent processes interleave records, never bytes.
 // An index.json left beside it by older versions is ignored.
 //
-// In memory a store holds only its index: each record's key, app and
-// scheme, and where its line and row lie. Open validates and indexes
-// rows.jsonl by streaming it through a small buffer, and serves the row
-// bytes from a read-only shared mapping of the file, so they stay in
-// the page cache and become resident only when served. Lines appended
-// after Open (by Put, or by other processes and picked up on a scan)
-// stay on the heap. Where mmap is unavailable the whole file is read
-// onto the heap instead, with the same results.
+// In memory a store holds only its index, and the index holds no Go
+// pointer per record: a dense table of fixed-size entries (where each
+// record's line, key and row lie, its time, and the IDs of its app and
+// scheme), an open-addressed key table of entry numbers and key
+// fingerprints, and one interned string per distinct app and scheme.
+// Keys are compared where they lie, in their lines; a line Put appends
+// also copies its key into one dense array of keys. Open validates and
+// indexes rows.jsonl by streaming it through a small buffer, and serves
+// the row bytes from a read-only shared mapping of the file, so they
+// stay in the page cache and become resident only when served. Lines
+// appended after Open (by Put, or by other processes and picked up on a
+// scan) stay on the heap until Close, also once a later line with the
+// same key replaces them, so a handle's heap grows with the bytes it has
+// Put or scanned since Open, not only with its distinct records. Where
+// mmap is unavailable the whole file is read onto the heap instead,
+// with the same results.
 //
 // Torn writes (a process killed mid-append) surface as unparsable
 // JSONL lines; they are skipped and counted, and the next Open heals
@@ -29,7 +37,9 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"hash/maphash"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"slices"
@@ -98,18 +108,36 @@ type Stats struct {
 type Store struct {
 	dir string
 
-	mu    sync.Mutex
-	f     *os.File // rows.jsonl, O_APPEND
-	byKey map[string]int
-	recs  []Record // insertion order; byKey points into it
-	// raws[i] is recs[i]'s JSON line (no trailing newline), in the
-	// mapping of rows.jsonl or on the heap, so the serving path can
-	// stream rows without re-marshaling or allocating per row. Each
-	// slice is immutable once stored — a replacement (duplicate key)
-	// swaps in a fresh slice rather than mutating the old one — so
-	// AppendRaw results stay valid after the store lock is released.
-	raws   [][]byte
-	loaded int64 // rows.jsonl bytes consumed into recs
+	mu sync.Mutex
+	f  *os.File // rows.jsonl, O_APPEND
+	// entries are the records in insertion order; a replacement
+	// (duplicate key) overwrites its entry in place.
+	entries []entry
+	// table finds an entry by key: open addressing with linear probing,
+	// a power-of-two length, and at most 3/4 of it in use.
+	table []slot
+	seed  maphash.Seed
+	// segs hold the bytes entries point into: the mapping of rows.jsonl
+	// a scan from the start made, heap images of lines later scans read,
+	// and the arena blocks Put copies its lines into. Nothing writes to
+	// bytes a record lies in again — a replacement indexes a new line
+	// elsewhere — so rows and lines handed out stay valid after the
+	// store lock is released.
+	segs [][]byte
+	// arena is the unused rest of Put's current block, segs[arenaSeg].
+	arena    []byte
+	arenaSeg int
+	// keys holds the decoded keys of records whose key is not a
+	// verbatim span of their line (escaped strings, non-ASCII bytes),
+	// and a copy of the key of each line Put appends: those lines lie
+	// apart in arena blocks, and a lookup compares a key in this dense
+	// array instead.
+	keys []byte
+	// names are the interned app and scheme strings; entries hold their
+	// positions, and nameID maps each back.
+	names  []string
+	nameID map[string]uint32
+	loaded int64 // rows.jsonl bytes consumed into the index
 	// mapRows is false only for stores that must read rows.jsonl onto
 	// the heap (the fallback's tests).
 	mapRows bool
@@ -123,6 +151,38 @@ type Store struct {
 
 	hits, misses, puts, corrupt int64
 }
+
+// entry is one record of the index. It holds no pointer, so the
+// garbage collector never scans the index.
+type entry struct {
+	off    int64  // where the line starts in segs[seg]
+	unix   int64  // Record.Unix
+	seg    uint32 // the segment the line lies in
+	n      uint32 // the line's length
+	row    uint32 // where Record.Row starts in the line
+	rowN   uint32 // Row's length; 0 for a record without a row
+	key    uint32 // where the key starts: in the line, or in keys if keyN&sideKey
+	keyN   uint32 // the key's length, with sideKey set for a key in keys
+	app    uint32 // names[app] is Record.App
+	scheme uint32 // names[scheme] is Record.Scheme
+}
+
+// sideKey marks an entry whose key lies in Store.keys. Lines are shorter
+// than maxLine, so no length within one reaches this bit.
+const sideKey = 1 << 31
+
+// maxLine bounds the lines the index can point into: longer lines are
+// skipped as corrupt.
+const maxLine = math.MaxInt32
+
+// slot is one position of the key table.
+type slot struct {
+	fp  uint32 // the low 32 bits of the key's hash
+	ref int32  // 1 + the entry's index; 0 marks a free slot
+}
+
+// anyName is the name ID AppendRaw matches every record with.
+const anyName = math.MaxUint32
 
 func (s *Store) rowsPath() string { return filepath.Join(s.dir, "rows.jsonl") }
 
@@ -139,7 +199,7 @@ func open(dir string, mapRows bool) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o777); err != nil {
 		return nil, fmt.Errorf("results: %v", err)
 	}
-	s := &Store{dir: dir, byKey: make(map[string]int), mapRows: mapRows}
+	s := &Store{dir: dir, seed: maphash.MakeSeed(), mapRows: mapRows}
 	f, err := os.OpenFile(s.rowsPath(), os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o666)
 	if err != nil {
 		return nil, fmt.Errorf("results: %v", err)
@@ -156,20 +216,27 @@ func open(dir string, mapRows bool) (*Store, error) {
 	return s, nil
 }
 
+// size returns the current length of rows.jsonl. Seeking does not move
+// where appends or ReadAt go, and unlike Stat it does not allocate.
+func (s *Store) size() (int64, error) {
+	size, err := s.f.Seek(0, io.SeekEnd)
+	if err != nil {
+		return 0, fmt.Errorf("results: %v", err)
+	}
+	return size, nil
+}
+
 // healTail line-aligns rows.jsonl: if the last append was torn (no
 // trailing newline), a plain O_APPEND write would fuse with it and
 // corrupt a *good* record, so terminate the partial line now. The
 // partial line itself is skipped (and counted) by the scanner.
 func (s *Store) healTail() error {
-	st, err := s.f.Stat()
-	if err != nil {
-		return fmt.Errorf("results: %v", err)
-	}
-	if st.Size() == 0 {
-		return nil
+	size, err := s.size()
+	if err != nil || size == 0 {
+		return err
 	}
 	buf := make([]byte, 1)
-	if _, err := s.f.ReadAt(buf, st.Size()-1); err != nil {
+	if _, err := s.f.ReadAt(buf, size-1); err != nil {
 		return fmt.Errorf("results: %v", err)
 	}
 	if buf[0] != '\n' {
@@ -180,17 +247,12 @@ func (s *Store) healTail() error {
 	return nil
 }
 
-// insert adds or replaces (last writer wins) one record in memory.
-// raw is the record's JSON line without the trailing newline.
-func (s *Store) insert(r Record, raw []byte) {
-	if i, ok := s.byKey[r.Key]; ok {
-		s.recs[i] = r
-		s.raws[i] = raw
-		return
-	}
-	s.byKey[r.Key] = len(s.recs)
-	s.recs = append(s.recs, r)
-	s.raws = append(s.raws, raw)
+// reset empties the index. Segments stay alive for as long as rows
+// handed out alias them; mappings stay until Close.
+func (s *Store) reset() {
+	s.entries, s.table, s.segs, s.arena, s.keys = nil, nil, nil, nil, nil
+	s.names, s.nameID = nil, nil
+	s.loaded, s.mapped = 0, false
 }
 
 // scanChunk is how much of a mapped rows.jsonl scanTail reads at a
@@ -201,22 +263,17 @@ const scanChunk = 256 << 10
 // scanTail decodes rows.jsonl from s.loaded to EOF, folding new records
 // into the index and skipping (but counting) corrupt lines.
 func (s *Store) scanTail() error {
-	st, err := s.f.Stat()
+	size, err := s.size()
 	if err != nil {
-		return fmt.Errorf("results: %v", err)
+		return err
 	}
-	size := st.Size()
 	if size < s.loaded {
 		// Shrunk underneath us (someone rewrote rows.jsonl in place):
 		// rebuild. Pages of the old mapping may now lie past the end of
 		// the file, where a read raises SIGBUS, so the store never serves
 		// from it again; it stays mapped until Close for the rows already
 		// handed out.
-		s.byKey = make(map[string]int)
-		s.recs = nil
-		s.raws = nil
-		s.loaded = 0
-		s.mapped = false
+		s.reset()
 	}
 	if size == s.loaded {
 		return nil
@@ -238,6 +295,9 @@ func (s *Store) scanTail() error {
 	if img == nil {
 		img = make([]byte, size-base)
 	}
+	seg := len(s.segs)
+	s.segs = append(s.segs, img)
+	indexed := false
 	for from := base; from < size; {
 		chunk := buf
 		if chunk == nil {
@@ -261,49 +321,225 @@ func (s *Store) scanTail() error {
 			buf = make([]byte, 2*len(buf)) // a line longer than the buffer
 			continue
 		}
-		if len(s.recs) == 0 {
+		if len(s.entries) == 0 {
 			// Size the index for the lines this chunk predicts.
 			lines := int64(bytes.Count(chunk[:end+1], []byte("\n")))
 			lines += lines * (size - from - int64(end) - 1) / int64(end+1)
-			s.byKey = make(map[string]int, lines)
-			s.recs = slices.Grow(s.recs, int(lines))
-			s.raws = slices.Grow(s.raws, int(lines))
+			s.reserve(int(lines))
 		}
 		for at := 0; at <= end; {
 			i := at + bytes.IndexByte(chunk[at:end+1], '\n')
 			line := chunk[at:i]
-			// raw is the line where it stays: in the mapping, or in img
-			// on the heap. Nothing writes to either again, so retained
-			// lines are immutable.
 			off := from + int64(at) - base
-			raw := img[off : off+int64(len(line)) : off+int64(len(line))]
 			at = i + 1
 			if len(line) == 0 {
 				continue
 			}
-			r, ok := decodeLine(line)
-			if !ok {
+			// line holds the bytes that lie at off in img: the chunk
+			// is a copy of them for a mapped img, and a slice of img
+			// otherwise.
+			if s.add(line, seg, off, false) {
+				indexed = true
+			} else {
 				s.corrupt++
-				continue
 			}
-			if len(r.Row) > 0 {
-				if j := rowOffset(line, r.Row); j >= 0 {
-					r.Row = raw[j : j+len(r.Row) : j+len(r.Row)]
-				}
-			}
-			s.insert(r, raw)
 		}
 		from += int64(end) + 1
 		s.loaded = from
 	}
-	if s.mapped && s.loaded == 0 {
-		// Nothing aliases a mapping that indexed no line: release it
-		// rather than map again on the next scan.
-		last := len(s.unmaps) - 1
-		_ = s.unmaps[last]()
-		s.unmaps, s.mapped = s.unmaps[:last], false
+	if !indexed {
+		// No record lies in img: drop it, and release a mapping rather
+		// than map again on the next scan.
+		s.segs = s.segs[:seg]
+		if buf != nil {
+			last := len(s.unmaps) - 1
+			_ = s.unmaps[last]()
+			s.unmaps, s.mapped = s.unmaps[:last], false
+		}
 	}
 	return err
+}
+
+// add indexes one rows.jsonl line, which lies at off in segment seg,
+// replacing the record of an equal key (last writer wins). It indexes
+// exactly the lines unmarshalLine decodes, as it decodes them; lines in
+// the layout Put writes skip the reflection. It reports false for a
+// line that holds no record. marshaled says that line is one Put just
+// made with json.Marshal and copied into an arena block: json.Marshal
+// has already validated and compacted its row, so only its layout is
+// read, and its key is copied into s.keys.
+func (s *Store) add(line []byte, seg int, off int64, marshaled bool) bool {
+	if len(line) >= maxLine {
+		return false
+	}
+	e := entry{off: off, seg: uint32(seg), n: uint32(len(line))}
+	var key, app, scheme []byte
+	p, ok := putLayout(line)
+	if ok && !marshaled {
+		ok = validRow(line[p.row : len(line)-1])
+	}
+	if ok {
+		key, app, scheme = line[p.key:p.key+p.keyN], line[p.app:p.app+p.appN], line[p.scheme:p.scheme+p.schemeN]
+		e.key, e.keyN = uint32(p.key), uint32(p.keyN)
+		if marshaled && s.keysFit(len(key)) {
+			e.key, e.keyN = uint32(len(s.keys)), uint32(p.keyN)|sideKey
+			s.keys = append(s.keys, key...)
+		}
+		e.row, e.rowN = uint32(p.row), uint32(len(line)-1-p.row)
+		e.unix = p.unix
+	} else {
+		r, ok := unmarshalLine(line)
+		if !ok {
+			return false
+		}
+		// json.RawMessage keeps the value's bytes, so Row is a verbatim
+		// span of the line.
+		if len(r.Row) > 0 {
+			j := rowOffset(line, r.Row)
+			if j < 0 {
+				return false
+			}
+			e.row, e.rowN = uint32(j), uint32(len(r.Row))
+		}
+		if !s.keysFit(len(r.Key)) {
+			return false
+		}
+		e.key, e.keyN = uint32(len(s.keys)), uint32(len(r.Key))|sideKey
+		s.keys = append(s.keys, r.Key...)
+		key, app, scheme = s.keys[e.key:], []byte(r.App), []byte(r.Scheme)
+		e.unix = r.Unix
+	}
+	e.app, e.scheme = s.intern(app), s.intern(scheme)
+	if (len(s.entries)+1)*4 > len(s.table)*3 {
+		s.rehash(max(8, 2*len(s.table)))
+	}
+	fp := uint32(maphash.Bytes(s.seed, key))
+	i, found := find(s, key, fp)
+	if found {
+		s.entries[s.table[i].ref-1] = e
+		return true
+	}
+	s.entries = append(s.entries, e)
+	s.table[i] = slot{fp: fp, ref: int32(len(s.entries))}
+	return true
+}
+
+// keysFit reports whether a key of n bytes can go in s.keys: entries
+// address it with 32-bit offsets.
+func (s *Store) keysFit(n int) bool {
+	return int64(len(s.keys))+int64(n) <= math.MaxUint32
+}
+
+// reserve sizes the index for n records.
+func (s *Store) reserve(n int) {
+	s.entries = slices.Grow(s.entries, n)
+	size := 8
+	for size*3 < n*4 {
+		size *= 2
+	}
+	if size > len(s.table) {
+		s.rehash(size)
+	}
+}
+
+// rehash moves the key table to n slots (a power of two). Fingerprints
+// place the entries, so no key is read.
+func (s *Store) rehash(n int) {
+	old := s.table
+	s.table = make([]slot, n)
+	mask := n - 1
+	for _, sl := range old {
+		if sl.ref == 0 {
+			continue
+		}
+		i := int(sl.fp) & mask
+		for s.table[i].ref != 0 {
+			i = (i + 1) & mask
+		}
+		s.table[i] = sl
+	}
+}
+
+// find returns the key table position of key, whose hash has the low
+// bits fp: the slot holding it, or the free slot it would take. A key
+// is compared only when its fingerprint matches.
+func find[K string | []byte](s *Store, key K, fp uint32) (int, bool) {
+	mask := len(s.table) - 1
+	for i := int(fp) & mask; ; i = (i + 1) & mask {
+		sl := s.table[i]
+		if sl.ref == 0 {
+			return i, false
+		}
+		if sl.fp == fp && string(s.keyOf(&s.entries[sl.ref-1])) == string(key) {
+			return i, true
+		}
+	}
+}
+
+// fingerprint returns the low 32 bits of key's hash. The seed never
+// changes, so a caller can hash before it takes the store lock.
+func (s *Store) fingerprint(key string) uint32 {
+	return uint32(maphash.String(s.seed, key))
+}
+
+// lookup returns the entry of key, whose fingerprint is fp, or nil.
+func (s *Store) lookup(key string, fp uint32) *entry {
+	table := s.table
+	if len(table) == 0 {
+		return nil
+	}
+	mask := uint(len(table) - 1)
+	for i := uint(fp) & mask; ; i = (i + 1) & mask {
+		sl := table[i]
+		if sl.ref == 0 {
+			return nil
+		}
+		if sl.fp == fp {
+			if e := &s.entries[sl.ref-1]; string(s.keyOf(e)) == key {
+				return e
+			}
+		}
+	}
+}
+
+// keyOf returns the bytes of e's key.
+func (s *Store) keyOf(e *entry) []byte {
+	if e.keyN&sideKey != 0 {
+		return s.keys[e.key : e.key+e.keyN&^sideKey]
+	}
+	start := e.off + int64(e.key)
+	return s.segs[e.seg][start : start+int64(e.keyN)]
+}
+
+// line returns e's JSON line (no trailing newline), capped so that an
+// append to it cannot reach the bytes after it.
+func (s *Store) line(e *entry) []byte {
+	end := e.off + int64(e.n)
+	return s.segs[e.seg][e.off:end:end]
+}
+
+// intern returns the ID of name, adding it if it is new.
+func (s *Store) intern(name []byte) uint32 {
+	if id, ok := s.nameID[string(name)]; ok {
+		return id
+	}
+	if s.nameID == nil {
+		s.nameID = make(map[string]uint32)
+	}
+	id, str := uint32(len(s.names)), string(name)
+	s.names = append(s.names, str)
+	s.nameID[str] = id
+	return id
+}
+
+// nameFilter returns the ID a query field matches: anyName for an empty
+// field, and false for a name no record has.
+func (s *Store) nameFilter(name string) (uint32, bool) {
+	if name == "" {
+		return anyName, true
+	}
+	id, ok := s.nameID[name]
+	return id, ok
 }
 
 // rowOffset is where row's bytes start in line. A decoded Row is always
@@ -316,13 +552,9 @@ func rowOffset(line, row []byte) int {
 	return bytes.Index(line, row)
 }
 
-// decodeLine decodes one rows.jsonl line. It accepts exactly the lines
-// json.Unmarshal decodes into a Record with a non-empty Key, with the
-// same result; lines in the layout Put writes skip the reflection.
-func decodeLine(line []byte) (Record, bool) {
-	if r, ok := decodePut(line); ok {
-		return r, true
-	}
+// unmarshalLine decodes a line by json.Unmarshal: a line holds a
+// record exactly when this decodes it with a non-empty Key.
+func unmarshalLine(line []byte) (Record, bool) {
 	var r Record
 	if json.Unmarshal(line, &r) != nil || r.Key == "" {
 		return Record{}, false
@@ -330,102 +562,136 @@ func decodeLine(line []byte) (Record, bool) {
 	return r, true
 }
 
-// decodePut parses the layout Put writes,
-// {"key":"…","app":"…","scheme":"…"[,"unix":<digits>],"row":<value>},
-// with no whitespace between tokens. It reports false for anything
-// else, and for anything json.Unmarshal would decode differently, so
-// decodeLine can fall back. Row aliases line.
-func decodePut(line []byte) (r Record, ok bool) {
-	p, ok := bytes.CutPrefix(line, []byte(`{"key":`))
-	if ok {
-		r.Key, p, ok = plainString(p)
-	}
-	if ok {
-		p, ok = bytes.CutPrefix(p, []byte(`,"app":`))
-	}
-	if ok {
-		r.App, p, ok = plainString(p)
-	}
-	if ok {
-		p, ok = bytes.CutPrefix(p, []byte(`,"scheme":`))
-	}
-	if ok {
-		r.Scheme, p, ok = plainString(p)
-	}
-	if !ok || r.Key == "" {
-		return Record{}, false
-	}
-	if q, ok := bytes.CutPrefix(p, []byte(`,"unix":`)); ok {
-		n := 0
-		for n < len(q) && '0' <= q[n] && q[n] <= '9' {
-			n++
-		}
-		if n == 0 || n > 1 && q[0] == '0' {
-			return Record{}, false
-		}
-		unix, err := strconv.ParseInt(string(q[:n]), 10, 64)
-		if err != nil {
-			return Record{}, false
-		}
-		r.Unix, p = unix, q[n:]
-	}
-	if p, ok = bytes.CutPrefix(p, []byte(`,"row":`)); !ok || len(p) < 2 || p[len(p)-1] != '}' {
-		return Record{}, false
-	}
-	// json.Valid allows surrounding whitespace, but json.Unmarshal
-	// leaves it out of a RawMessage.
-	row := p[: len(p)-1 : len(p)-1]
-	if len(bytes.TrimSpace(row)) != len(row) || !json.Valid(row) {
-		return Record{}, false
-	}
-	r.Row = row
-	return r, true
+// putLine locates the fields of a line in Put's layout: where each
+// string's bytes start in the line and how many there are, the unix
+// time, and where the row starts (it ends before the closing brace).
+type putLine struct {
+	key, keyN, app, appN, scheme, schemeN, row int
+	unix                                       int64
 }
 
-// plainString decodes the JSON string at the front of p when its bytes
-// are its value: printable ASCII with no backslash. Other strings need
-// unescaping or, for invalid UTF-8, the replacement json.Unmarshal
-// makes, so they report false.
-func plainString(p []byte) (string, []byte, bool) {
+// putLayout parses the layout Put writes,
+// {"key":"…","app":"…","scheme":"…"[,"unix":<digits>],"row":<value>},
+// with no whitespace between tokens, up to the row: it locates the
+// fields and where the row lies, and leaves the row's bytes unread. It
+// reports false for anything else, and for anything json.Unmarshal
+// would decode differently, so callers can fall back; a line is in
+// Put's layout when validRow also accepts its row. Its strings are
+// plain (see plainString), so their bytes are their values.
+func putLayout(line []byte) (p putLine, ok bool) {
+	var i int
+	if p.key, p.keyN, i = plainField(line, 0, `{"key":`); p.keyN <= 0 {
+		return putLine{}, false
+	}
+	if p.app, p.appN, i = plainField(line, i, `,"app":`); p.appN < 0 {
+		return putLine{}, false
+	}
+	if p.scheme, p.schemeN, i = plainField(line, i, `,"scheme":`); p.schemeN < 0 {
+		return putLine{}, false
+	}
+	q := line[i:]
+	if u, ok := bytes.CutPrefix(q, []byte(`,"unix":`)); ok {
+		n := 0
+		for n < len(u) && '0' <= u[n] && u[n] <= '9' {
+			n++
+		}
+		if n == 0 || n > 1 && u[0] == '0' {
+			return putLine{}, false
+		}
+		unix, err := strconv.ParseInt(string(u[:n]), 10, 64)
+		if err != nil {
+			return putLine{}, false
+		}
+		p.unix, q = unix, u[n:]
+	}
+	if q, ok = bytes.CutPrefix(q, []byte(`,"row":`)); !ok || len(q) < 2 || q[len(q)-1] != '}' {
+		return putLine{}, false
+	}
+	p.row = len(line) - len(q)
+	return p, true
+}
+
+// validRow reports whether row, the bytes between "row": and the
+// closing brace, decode to a RawMessage of exactly those bytes:
+// json.Valid allows surrounding whitespace, but json.Unmarshal leaves it
+// out of a RawMessage.
+func validRow(row []byte) bool {
+	return len(bytes.TrimSpace(row)) == len(row) && json.Valid(row)
+}
+
+// plainField parses name and then a plain string (see plainString) at
+// line[i:]. It returns where the string's bytes start, how many there
+// are (-1 when the field is not there), and where the field ends.
+func plainField(line []byte, i int, name string) (start, n, end int) {
+	if len(line)-i < len(name) || string(line[i:i+len(name)]) != name {
+		return 0, -1, 0
+	}
+	start = i + len(name) + 1
+	n = plainString(line[start-1:])
+	return start, n, start + n + 1
+}
+
+// plainString returns the length of the value of the JSON string at the
+// front of p when its bytes are its value: printable ASCII with no
+// backslash. Other strings need unescaping or, for invalid UTF-8, the
+// replacement json.Unmarshal makes, so they report -1.
+func plainString(p []byte) int {
 	if len(p) == 0 || p[0] != '"' {
-		return "", p, false
+		return -1
 	}
 	for i := 1; i < len(p); i++ {
 		switch c := p[i]; {
 		case c == '"':
-			return string(p[1:i]), p[i+1:], true
+			return i - 1
 		case c < 0x20 || c > 0x7e || c == '\\':
-			return "", p, false
+			return -1
 		}
 	}
-	return "", p, false
+	return -1
 }
 
 // Get returns the record stored under key. A miss first refreshes from
 // disk, so records appended by other processes since Open are served
 // without reopening. The record's Row is valid until Close.
-func (s *Store) Get(key string) (Record, bool) {
+//
+//whirl:zeroalloc
+func (s *Store) Get(key string) (r Record, ok bool) {
+	fp := s.fingerprint(key)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	i, ok := s.byKey[key]
-	if !ok || s.mapped {
-		// On a mapped store a hit scans too: rows.jsonl may have shrunk
-		// under the mapping, and the rebuild must come before a row past
-		// its end is handed out.
+	// A mapped store scans before every lookup: rows.jsonl may have
+	// shrunk under the mapping, and the rebuild must come before a key
+	// past its end is compared or a row past it handed out.
+	scanned := s.mapped
+	if scanned {
 		_ = s.scanTail()
-		i, ok = s.byKey[key]
 	}
-	if !ok {
+	e := s.lookup(key, fp)
+	if e == nil && !scanned {
+		_ = s.scanTail()
+		e = s.lookup(key, fp)
+	}
+	if e == nil {
 		s.misses++
-		return Record{}, false
+		return r, false
 	}
 	s.hits++
-	return s.recs[i], true
+	r.Key, r.App, r.Scheme, r.Unix = key, s.names[e.app], s.names[e.scheme], e.unix
+	if e.rowN > 0 {
+		end := e.row + e.rowN
+		r.Row = s.line(e)[e.row:end:end]
+	}
+	return r, true
 }
+
+// arenaBlock is the size of the heap blocks Put copies its lines into.
+const arenaBlock = 64 << 10
 
 // Put appends one record to the store and folds it into memory. The
 // append is a single write of one complete line, so concurrent writers
-// (goroutines or processes) never interleave bytes.
+// (goroutines or processes) never interleave bytes. The store then
+// serves the record as it reads back from that line, as another handle
+// would.
 func (s *Store) Put(r Record) error {
 	if r.Key == "" {
 		return fmt.Errorf("results: record needs a key")
@@ -446,9 +712,20 @@ func (s *Store) Put(r Record) error {
 	// Our own append extends rows.jsonl past s.loaded; account for it
 	// directly only when no other writer slipped in between (the common
 	// case); otherwise the next scanTail picks both up.
-	if st, err := s.f.Stat(); err == nil && st.Size() == s.loaded+int64(len(line)) {
-		s.loaded = st.Size()
-		s.insert(r, line[:len(line)-1])
+	if size, err := s.size(); err == nil && size == s.loaded+int64(len(line)) {
+		s.loaded = size
+		line = line[:len(line)-1]
+		if len(line) > len(s.arena) {
+			// Start a new block: the rest of the last one stays unused,
+			// so no byte a record lies in ever moves.
+			s.arena, s.arenaSeg = make([]byte, max(arenaBlock, len(line))), len(s.segs)
+			s.segs = append(s.segs, s.arena)
+		}
+		off := len(s.segs[s.arenaSeg]) - len(s.arena)
+		s.arena = s.arena[copy(s.arena, line):]
+		if !s.add(s.segs[s.arenaSeg][off:off+len(line)], s.arenaSeg, int64(off), true) {
+			s.corrupt++
+		}
 	} else {
 		_ = s.scanTail()
 	}
@@ -463,40 +740,52 @@ func (s *Store) Put(r Record) error {
 // query allocates nothing beyond dst growth when its capacity is
 // exceeded. The returned slices are immutable and may alias the
 // store's read-only mapping of rows.jsonl; they remain valid after the
-// call until Close (a concurrent replacement of a key installs a fresh
-// slice rather than mutating the old one).
+// call until Close (a concurrent replacement of a key indexes a new
+// line rather than mutating the old one).
 //
 //whirl:zeroalloc
 func (s *Store) AppendRaw(q Query, dst [][]byte) [][]byte {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	_ = s.scanTail()
+	app, ok := s.nameFilter(q.App)
+	if !ok {
+		return dst
+	}
+	scheme, ok := s.nameFilter(q.Scheme)
+	if !ok {
+		return dst
+	}
+	if q.Key != "" {
+		if e := s.lookup(q.Key, s.fingerprint(q.Key)); e != nil && matches(e, app, scheme) {
+			dst = append(dst, s.line(e))
+		}
+		return dst
+	}
 	matched := 0
-	for i := range s.recs {
-		r := &s.recs[i]
-		if q.App != "" && r.App != q.App {
-			continue
-		}
-		if q.Scheme != "" && r.Scheme != q.Scheme {
-			continue
-		}
-		if q.Key != "" && r.Key != q.Key {
-			continue
-		}
-		dst = append(dst, s.raws[i])
-		matched++
-		if q.Limit > 0 && matched >= q.Limit {
-			break
+	for i := range s.entries {
+		if e := &s.entries[i]; matches(e, app, scheme) {
+			dst = append(dst, s.line(e))
+			matched++
+			if q.Limit > 0 && matched >= q.Limit {
+				break
+			}
 		}
 	}
 	return dst
+}
+
+// matches reports whether e has the app and scheme IDs a query resolved
+// to.
+func matches(e *entry, app, scheme uint32) bool {
+	return (app == anyName || e.app == app) && (scheme == anyName || e.scheme == scheme)
 }
 
 // Len returns the number of distinct keys currently loaded.
 func (s *Store) Len() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.recs)
+	return len(s.entries)
 }
 
 // Dir returns the store's root directory.
@@ -508,7 +797,7 @@ func (s *Store) Stats() Stats {
 	defer s.mu.Unlock()
 	return Stats{
 		Hits: s.hits, Misses: s.misses, Puts: s.puts,
-		CorruptRows: s.corrupt, Records: len(s.recs),
+		CorruptRows: s.corrupt, Records: len(s.entries),
 	}
 }
 
@@ -523,7 +812,7 @@ func (s *Store) Close() error {
 		return nil
 	}
 	s.closed = true
-	s.byKey, s.recs, s.raws, s.mapped = nil, nil, nil, false
+	s.reset()
 	err := s.f.Close()
 	for _, unmap := range s.unmaps {
 		if uerr := unmap(); err == nil {

@@ -1,6 +1,7 @@
 package results
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -281,18 +282,19 @@ func TestOpenRetainsLinesVerbatim(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	if len(s.raws) != len(lines) {
-		t.Fatalf("loaded %d lines, want %d", len(s.raws), len(lines))
+	raws := s.AppendRaw(Query{}, nil)
+	if len(raws) != len(lines) {
+		t.Fatalf("loaded %d lines, want %d", len(raws), len(lines))
 	}
 	for i, line := range lines {
-		if string(s.raws[i]) != line {
-			t.Errorf("raws[%d] = %s, want %s", i, s.raws[i], line)
+		if string(raws[i]) != line {
+			t.Errorf("line %d = %s, want %s", i, raws[i], line)
 		}
 		var want Record
 		if err := json.Unmarshal([]byte(line), &want); err != nil {
 			t.Fatal(err)
 		}
-		if got := s.recs[i]; !reflect.DeepEqual(got, want) {
+		if got, _ := s.Get(want.Key); !reflect.DeepEqual(got, want) {
 			t.Errorf("record %d = %+v, want %+v", i, got, want)
 		}
 	}
@@ -507,18 +509,44 @@ func FuzzDecodeLine(f *testing.F) {
 	})
 }
 
-// FuzzOpen holds the mapped store to the heap fallback: for any
-// rows.jsonl, and again after it is rewritten in place as a shorter
-// file, a store serving rows from a mapping and one reading the file
-// onto the heap agree on Len, CorruptRows and every row they serve.
+// FuzzOpen holds the store to a model built with json.Unmarshal, and
+// the mapped store to the heap fallback (open(dir, false)). For any
+// rows.jsonl, again after another writer appends to it, after Puts
+// through the mapped store (one rewriting the first key), and after the
+// file is rewritten in place as a shorter file, both stores serve
+// exactly the records of the file's complete lines.
 func FuzzOpen(f *testing.F) {
+	line := func(rs ...Record) []byte {
+		var b []byte
+		for _, r := range rs {
+			l, _ := json.Marshal(r)
+			b = append(append(b, l...), '\n')
+		}
+		return b
+	}
 	verbatim := strings.Join(retainedLines, "\n") + "\n"
-	f.Add([]byte(verbatim), []byte(nil))
-	f.Add([]byte(verbatim+`{"key":"torn","app":"a`), []byte(nil))
-	f.Add([]byte(verbatim+"{torn garbage\n"+verbatim), []byte(retainedLines[1]+"\n"+`{"key":"k6`))
-	f.Add([]byte(strings.Repeat(retainedLines[0]+"\n", 200)), []byte(retainedLines[2]+"\n"))
-	f.Add([]byte(""), []byte(nil))
-	f.Fuzz(func(t *testing.T, data, rewrite []byte) {
+	f.Add([]byte(verbatim), []byte(nil), []byte(nil))
+	f.Add([]byte(verbatim+`{"key":"torn","app":"a`), []byte(nil), []byte(nil))
+	// Another writer completes the torn line after Open healed the tail.
+	f.Add([]byte(verbatim+`{"key":"torn","app":"a`), []byte(`pp":"b","scheme":"s","row":1}`+"\n"), []byte(nil))
+	f.Add([]byte(verbatim+"{torn garbage\n"+verbatim), []byte(nil), []byte(retainedLines[1]+"\n"+`{"key":"k6`))
+	f.Add([]byte(strings.Repeat(retainedLines[0]+"\n", 200)), []byte(nil), []byte(retainedLines[2]+"\n"))
+	f.Add([]byte(""), []byte(nil), []byte(nil))
+	// Keys that are not verbatim spans of their lines: an escaped '<'
+	// (json.Marshal writes \u003c) and non-ASCII bytes.
+	f.Add(line(rec("k<1>", "a", "s", 1), rec("kü", "ä", "s", 2)), line(rec("k<1>", "b", "t", 3)), []byte(nil))
+	// A key written in a mapped line and rewritten in a heap-appended one.
+	f.Add([]byte(verbatim), line(rec("k2", "b", "t", 5), rec("k4", "a", "s", 6)), []byte(nil))
+	// A duplicate key inside one scan chunk.
+	f.Add(line(rec("d", "a", "s", 1), rec("e", "a", "s", 2), rec("d", "b", "t", 3)), []byte(nil), []byte(nil))
+	// Lines in Put's layout up to a row that is invalid or has
+	// whitespace around it: the first is no record, the second one whose
+	// Row json.Unmarshal trims.
+	rows := `{"key":"bad","app":"a","scheme":"s","row":[1,}` + "\n" + `{"key":"ws","app":"a","scheme":"s","row": 1 }` + "\n"
+	f.Add([]byte(rows), []byte(rows), []byte(nil))
+	// A shrink rebuild, with a heap-appended line to drop.
+	f.Add(line(rec("k1", "a", "s", 1), rec("k2", "a", "s", 2), rec("k3", "b", "s", 3)), line(rec("k1", "c", "s", 4)), line(rec("k2", "a", "t", 7)))
+	f.Fuzz(func(t *testing.T, data, appended, rewrite []byte) {
 		dir := t.TempDir()
 		path := filepath.Join(dir, "rows.jsonl")
 		if err := os.WriteFile(path, data, 0o666); err != nil {
@@ -535,14 +563,118 @@ func FuzzOpen(f *testing.F) {
 		}
 		defer heap.Close()
 		sameStores(t, mapped, heap)
+		keys := checkModel(t, path, 0, mapped, heap)
+
+		w, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = w.Write(appended)
+		if cerr := w.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		keys = checkModel(t, path, 0, mapped, heap)
+
+		puts := []string{"put<ü>"}
+		if len(keys) > 0 {
+			puts = append(puts, keys[0])
+		}
+		for _, key := range puts {
+			if err := mapped.Put(Record{Key: key, App: "<p>", Scheme: "put", Unix: 1, Row: json.RawMessage(`{"p":1}`)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		sameStores(t, mapped, heap)
+		checkModel(t, path, 0, mapped, heap)
+
 		if int64(len(rewrite)) >= mapped.loaded {
 			return // only a shrink tells the stores the file was rewritten
 		}
+		corrupt := mapped.Stats().CorruptRows
 		if err := os.WriteFile(path, rewrite, 0o666); err != nil {
 			t.Fatal(err)
 		}
 		sameStores(t, mapped, heap)
+		checkModel(t, path, corrupt, mapped, heap)
 	})
+}
+
+// checkModel fails t unless every store serves exactly the records
+// json.Unmarshal finds in the complete lines of the file at path — each
+// key's last line, in the order keys first appear — through Get,
+// AppendRaw, Len and Stats, with prior plus the file's unparsable lines
+// counted corrupt. It returns the keys in that order.
+func checkModel(t *testing.T, path string, prior int64, stores ...*Store) []string {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var keys []string
+	recs, lines := map[string]Record{}, map[string]string{}
+	corrupt := prior
+	for _, line := range strings.Split(string(data[:bytes.LastIndexByte(data, '\n')+1]), "\n") {
+		if line == "" {
+			continue
+		}
+		var r Record
+		if json.Unmarshal([]byte(line), &r) != nil || r.Key == "" {
+			corrupt++
+			continue
+		}
+		if _, ok := recs[r.Key]; !ok {
+			keys = append(keys, r.Key)
+		}
+		recs[r.Key], lines[r.Key] = r, line
+	}
+	miss := "miss"
+	for recs[miss].Key != "" {
+		miss += "!"
+	}
+	for _, s := range stores {
+		query := func(q Query) {
+			t.Helper()
+			var want []string
+			for _, k := range keys {
+				r := recs[k]
+				if (q.App == "" || r.App == q.App) && (q.Scheme == "" || r.Scheme == q.Scheme) &&
+					(q.Key == "" || k == q.Key) && (q.Limit <= 0 || len(want) < q.Limit) {
+					want = append(want, lines[k])
+				}
+			}
+			var got []string
+			for _, raw := range s.AppendRaw(q, nil) {
+				got = append(got, string(raw))
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("AppendRaw(%+v) = %q, want %q", q, got, want)
+			}
+		}
+		query(Query{})
+		query(Query{Limit: 1})
+		query(Query{Key: miss})
+		for _, k := range keys {
+			want := recs[k]
+			if got, ok := s.Get(k); !ok || !reflect.DeepEqual(got, want) {
+				t.Fatalf("Get(%q) = %+v, %v, want %+v", k, got, ok, want)
+			}
+			query(Query{Key: k})
+			query(Query{App: want.App, Scheme: want.Scheme})
+			query(Query{Key: k, Scheme: want.Scheme + "x"})
+		}
+		before := s.Stats()
+		if r, ok := s.Get(miss); ok {
+			t.Fatalf("Get(%q) of a key no line holds = %+v", miss, r)
+		}
+		st := s.Stats()
+		if s.Len() != len(keys) || st.Records != len(keys) || st.CorruptRows != corrupt || st.Misses != before.Misses+1 || st.Hits != before.Hits {
+			t.Fatalf("Len %d, Stats %+v (before a miss %+v); want %d records, %d corrupt", s.Len(), st, before, len(keys), corrupt)
+		}
+	}
+	return keys
 }
 
 // sameStores fails t unless a and b serve the same records and rows.
@@ -637,6 +769,86 @@ func TestHeapIndependentOfRowSize(t *testing.T) {
 	t.Logf("retained heap: %d B with 1 KB rows, %d B with 8 KB rows", small, large)
 	if d := large - small; d < -small/10 || d > small/10 {
 		t.Fatalf("stores of 1 KB rows retain %d heap bytes, of 8 KB rows %d: want within 10%%", small, large)
+	}
+}
+
+// TestIndexRetainedHeap: the index of a 20 000-record store, the size
+// the benchmark's sweep-cold and serve workloads keep, retains at most
+// 96 heap bytes per record, in fewer heap objects than one per five
+// records: no object is allocated per record.
+func TestIndexRetainedHeap(t *testing.T) {
+	const n = 20000
+	dir := t.TempDir()
+	var data []byte
+	for i := range n {
+		line, _ := json.Marshal(storeRecord(i))
+		data = append(append(data, line...), '\n')
+	}
+	if err := os.WriteFile(filepath.Join(dir, "rows.jsonl"), data, 0o666); err != nil {
+		t.Fatal(err)
+	}
+	data = nil
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.GC() // and what sync.Pools held through the first
+	runtime.ReadMemStats(&before)
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	if !s.mapped {
+		t.Skip("rows.jsonl cannot be mapped here: the store reads it onto the heap")
+	}
+	if s.Len() != n {
+		t.Fatalf("store holds %d records, want %d", s.Len(), n)
+	}
+	heap := int64(after.HeapAlloc) - int64(before.HeapAlloc)
+	objects := int64(after.HeapObjects) - int64(before.HeapObjects)
+	t.Logf("retained heap: %d B in %d objects, %.1f B per record", heap, objects, float64(heap)/n)
+	if heap > 96*n || objects >= n/5 {
+		t.Fatalf("the index of %d records retains %d B (%.1f B per record) in %d objects; want at most 96 B per record in fewer than %d objects",
+			n, heap, float64(heap)/n, objects, n/5)
+	}
+}
+
+// TestGetZeroAlloc: a Get hit and a Get miss allocate nothing, on a
+// mapped store and on one reading rows.jsonl onto the heap, for a key
+// that lies verbatim in its line, for one only its decoded copy holds
+// (json.Marshal escapes '<'), and for one Put appended.
+func TestGetZeroAlloc(t *testing.T) {
+	dir := t.TempDir()
+	var data []byte
+	for _, r := range []Record{storeRecord(0), storeRecord(1), rec("k<1>", "a", "s", 1)} {
+		line, _ := json.Marshal(r)
+		data = append(append(data, line...), '\n')
+	}
+	if err := os.WriteFile(filepath.Join(dir, "rows.jsonl"), data, 0o666); err != nil {
+		t.Fatal(err)
+	}
+	for _, mapRows := range []bool{true, false} {
+		s, err := open(dir, mapRows)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// A record Put appends has its key copied beside the index.
+		if err := s.Put(storeRecord(2)); err != nil {
+			t.Fatal(err)
+		}
+		for _, key := range []string{storeRecord(1).Key, "k<1>", storeRecord(2).Key, "missing"} {
+			want := key != "missing"
+			allocs := testing.AllocsPerRun(100, func() {
+				if _, ok := s.Get(key); ok != want {
+					t.Fatalf("Get(%q) found %v, want %v", key, ok, want)
+				}
+			})
+			if allocs != 0 {
+				t.Errorf("mapped %v: Get(%q) allocated %.1f times; want 0", s.mapped, key, allocs)
+			}
+		}
+		s.Close()
 	}
 }
 

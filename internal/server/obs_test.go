@@ -249,10 +249,10 @@ func TestInstrumentAddsNoAllocs(t *testing.T) {
 
 // resultsHandlerAllocs is the whole warm /v1/results handler's
 // allocation budget at limit=50, middleware included: the one URL
-// query parse, the store's Stat of rows.jsonl, and the Content-Type and
-// Content-Length header values. Joining the 50 rows into the pooled
-// body allocates nothing.
-const resultsHandlerAllocs = 8
+// query parse and the Content-Type and Content-Length header values.
+// The store's freshness check and joining the 50 rows into the pooled
+// body allocate nothing.
+const resultsHandlerAllocs = 7
 
 // TestResultsHandlerAllocs pins the allocations of a warm
 // GET /v1/results?app=delaunay&limit=50 through the instrumented handler.
